@@ -8,13 +8,16 @@ to zero.  The alignment forces the decomposition: a self-crossing can
 only pair with a self-crossing of the same component, and a crossing
 between components A and B only with another A-B crossing.
 
-Construction is therefore componentwise.  Within one component, chords
-counting +n are matched against chords counting -n.  Across two
-components a zero-sum matching is grown one pair at a time; committing
-any pair whose sum is zero is always safe (a failed later stage can be
-repaired by exchanging partners, see ``elementary_switch``), so a stuck
-greedy run proves that no matching exists.  ``brute_force_filamentation``
-is the independent exhaustive check used to test the constructive route.
+Construction is therefore componentwise, and it reads arc counts off the
+crossing catalog's prefix sums.  Within one component, chords counting
++n are matched against chords counting -n.  Across two components whose
+sign totals are zero, the pair {x, y} sums to u(x) + u(y), where
+u(x) = P[pos(x-)] - P[pos(x+) + 1] is the crossing's prefix-sum index
+(see ``invariant``).  A zero-sum matching therefore exists exactly when
+the indices on the + side are the negated indices on the - side, as
+multisets, and matching equal buckets finds one in linear time.
+``brute_force_filamentation`` is the independent exhaustive check used
+to test the constructive route.
 """
 
 from __future__ import annotations
@@ -45,17 +48,8 @@ class PartsOverlap(FlatLinkError):
     pass
 
 
-class PairNotInPartition(FlatLinkError):
-    pass
-
-
 class InstanceTooLarge(FlatLinkError):
     pass
-
-
-# A PairPartition whose every pair has arc-count sum zero.  The greedy
-# and brute-force constructors below only ever return such partitions.
-ZeroSumPartition = PairPartition
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,7 @@ def component_filamentation(code: FlatLinkCode, component: int,
     by_value: dict[int, list[str]] = {}
     for x in catalog.self_crossings(component):
         e = catalog.kind(x)
-        v = intersection_number(code, component, e.plus_pos, e.minus_pos)
+        v = catalog.arc(component, e.plus_pos, e.minus_pos)
         if v == 0:
             mono.append(x)
         else:
@@ -187,40 +181,39 @@ def greedy_zero_sum_partition(code: FlatLinkCode, a: int, b: int,
                               catalog: CrossingCatalog | None = None) -> PairPartition | None:
     """Zero-sum matching of the crossings between two components.
 
-    Scans remaining crossings in position order on ``a``, commits the
-    first pair whose arc-count sum is zero, and repeats on the rest.
-    Committing any valid pair is safe, so a full scan with no hit on a
-    nonempty remainder proves no zero-sum matching exists (None).
-    Raises NonzeroFlatLinking when the end counts differ.
+    Each crossing with its + end on ``a``, in position order there, takes
+    the earliest unused crossing with its - end on ``a`` whose index is
+    the negation of its own; None when some crossing finds no partner,
+    which proves that no zero-sum matching exists.  Raises
+    NonzeroFlatLinking when the end counts differ, and also when the
+    sign total of ``a`` or ``b`` is nonzero (the total is that
+    component's linking difference with all the others): the indices
+    decide the pair sums only when both totals vanish.
     """
     catalog = catalog if catalog is not None else validate(code)
     diff = flat_linking_diff(code, a, b, catalog)
     if diff != 0:
         raise NonzeroFlatLinking(diff)
-    plus, minus = [], []
-    for x in catalog.pair_crossings(a, b):
-        e = catalog.kind(x)
-        if e.plus_component == a:
-            plus.append((e.plus_pos, x))
-        else:
-            minus.append((e.minus_pos, x))
-    plus = [x for _, x in sorted(plus)]
-    minus = [y for _, y in sorted(minus)]
+    prefix = catalog.prefix
+    for c in (a, b):
+        if prefix[c][-1] != 0:
+            raise NonzeroFlatLinking(prefix[c][-1])
+    plus, minus = catalog.pair_ends(a, b)
 
+    def index(x: str) -> int:
+        e = catalog.kind(x)
+        return (prefix[e.minus_component][e.minus_pos]
+                - prefix[e.plus_component][e.plus_pos + 1])
+
+    buckets: dict[int, list[str]] = {}
+    for y in reversed(minus):
+        buckets.setdefault(index(y), []).append(y)
     pairs: list[tuple[str, str]] = []
-    while plus:
-        hit = None
-        for i, x in enumerate(plus):
-            for j, y in enumerate(minus):
-                if _bifilament_sum(code, catalog, x, y) == 0:
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:
+    for x in plus:
+        partners = buckets.get(-index(x))
+        if not partners:
             return None
-        i, j = hit
-        pairs.append((plus.pop(i), minus.pop(j)))
+        pairs.append((x, partners.pop()))
     return PairPartition(a, b, tuple(pairs))
 
 
@@ -296,24 +289,3 @@ def brute_force_filamentation(code: FlatLinkCode,
     if found is None:
         return None
     return Filamentation(tuple(found[0]), tuple(found[1]))
-
-
-def elementary_switch(partition: PairPartition,
-                      pair1: tuple[str, str],
-                      pair2: tuple[str, str]) -> PairPartition:
-    """Exchange the minus-side crossings of two pairs of a matching.
-
-    ((x, z), (w, y)) becomes ((x, y), (w, z)); the plus-side labels keep
-    their places, so the orientation convention is preserved.  Applying
-    the same switch again undoes it.
-    """
-    if pair1 == pair2:
-        raise ValueError("need two distinct pairs to switch")
-    pairs = list(partition.pairs)
-    for p in (pair1, pair2):
-        if p not in pairs:
-            raise PairNotInPartition(f"pair {p!r} is not in the partition")
-    i1, i2 = pairs.index(pair1), pairs.index(pair2)
-    (x, z), (w, y) = pair1, pair2
-    pairs[i1], pairs[i2] = (x, y), (w, z)
-    return PairPartition(partition.component_a, partition.component_b, tuple(pairs))

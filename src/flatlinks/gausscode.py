@@ -196,11 +196,16 @@ class CrossingCatalog:
     component ``i``, ordered by the + letter's position.
     ``pair_crossings(i, j)`` lists the crossings with one end on each of
     two distinct components, ordered by position on the smaller index.
+    ``prefix[i][p]`` is the sum of the signs of component ``i``'s letters
+    at positions 0..p-1, so ``prefix[i][-1]`` is its sign total; ``arc``
+    reads arc counts off these sums in constant time.
     Treat instances as read-only.
     """
 
-    def __init__(self, entries: dict[str, SelfCrossing | PairCrossing]):
+    def __init__(self, entries: dict[str, SelfCrossing | PairCrossing],
+                 prefix: list[list[int]]):
         self.entries = dict(entries)
+        self.prefix = prefix
         self._self: dict[int, list[str]] = {}
         self._pairs: dict[tuple[int, int], list[str]] = {}
         for x, e in self.entries.items():
@@ -230,6 +235,23 @@ class CrossingCatalog:
 
     def pair_crossings(self, a: int, b: int) -> tuple[str, ...]:
         return tuple(self._pairs.get((min(a, b), max(a, b)), ()))
+
+    def pair_ends(self, a: int, b: int) -> tuple[list[str], list[str]]:
+        """(plus, minus): the crossings between a and b whose + end,
+        resp. - end, lies on a, each ordered by that end's position."""
+        plus, minus = [], []
+        for x in self.pair_crossings(a, b):
+            (plus if self.entries[x].plus_component == a else minus).append(x)
+        plus.sort(key=lambda x: self.entries[x].plus_pos)
+        minus.sort(key=lambda x: self.entries[x].minus_pos)
+        return plus, minus
+
+    def arc(self, component: int, p: int, q: int) -> int:
+        """``intersection_number(code, component, p, q)`` for p != q, from
+        the prefix sums: a walk that wraps past the end adds the total."""
+        prefix = self.prefix[component]
+        count = prefix[q] - prefix[p + 1]
+        return count + prefix[-1] if q < p else count
 
     def position(self, x: str, sign: int) -> tuple[int, int]:
         """(component, position) of one end of a crossing."""
@@ -309,8 +331,8 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
     Component names must be distinct, and every crossing identifier must
     occur exactly twice with opposite signs.  Raises
     DuplicateComponentName, CrossingAppearsOnce, CrossingAppearsThrice,
-    or SameSignTwice naming the offender; returns the catalog so callers
-    never re-derive the classification.
+    or SameSignTwice naming the offender; returns the catalog, with the
+    prefix sums of letter signs, so callers never re-derive either.
     """
     names = set()
     for cw in code.components:
@@ -319,9 +341,13 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
         names.add(cw.name)
 
     ends: dict[str, list[tuple[int, int, int]]] = {}
+    prefix: list[list[int]] = []
     for ci, cw in enumerate(code.components):
+        sums = [0]
         for pos, letter in enumerate(cw.letters):
             ends.setdefault(letter.crossing, []).append((ci, pos, letter.sign))
+            sums.append(sums[-1] + letter.sign)
+        prefix.append(sums)
 
     entries: dict[str, SelfCrossing | PairCrossing] = {}
     for x, occ in ends.items():
@@ -339,7 +365,7 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
             entries[x] = SelfCrossing(pc, pp, mp)
         else:
             entries[x] = PairCrossing(pc, pp, mc, mp)
-    return CrossingCatalog(entries)
+    return CrossingCatalog(entries, prefix)
 
 
 def total_sign(code: FlatLinkCode, component: int) -> int:

@@ -1,28 +1,35 @@
 """The polynomial invariant of a flat link code.
 
+Every number here is read off the crossing catalog's prefix sums of
+letter signs (``CrossingCatalog.arc``), in one pass over the code.
 Each component contributes one polynomial: every self-crossing x adds its
-arc count ``intersection_number(x+, x-)`` to the coefficient of t^|count|,
-so crossings with arc count zero drop out.  Each pair of components whose
-flat linking difference vanishes contributes a single linear coefficient:
-the crossings between the two components are matched into pairs, one +
-end against one - end per side, and the pair arc-count sums are added up.
-The total does not depend on the matching (given balance), which is what
-makes the deterministic first-fit matching below safe to publish.
+arc count from x+ to x- to the coefficient of t^|count|, so crossings
+with arc count zero drop out.  Each pair of components whose flat linking
+difference vanishes contributes a single linear coefficient: the k-th
+crossing with its + end on the first component (by position there) is
+paired with the k-th crossing with its - end there, and the pair arc
+counts are added up.
+
+When every component's sign total is zero, a crossing x has the index
+u(x) = P[pos(x-)] - P[pos(x+) + 1], with P the prefix sums of the
+component each end lies on.  A self-crossing's arc count is then u(x),
+and a pair's arc-count sum is u(x) + u(y), so the pair coefficient is
+the sum of u over the crossings between the two components and does not
+depend on the pairing.  These values are invariant under the flat
+Reidemeister moves only on such codes; with a nonzero sign total both
+the polynomial and the pair coefficients can change under moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .gausscode import (
-    PLUS,
-    MINUS,
     CrossingCatalog,
     FlatLinkCode,
     FlatLinkError,
-    intersection_number,
     validate,
 )
 
@@ -35,10 +42,6 @@ class NonzeroFlatLinking(FlatLinkError):
     def __init__(self, diff: int):
         super().__init__(f"flat linking difference is {diff:+d}, no pairing exists")
         self.diff = diff
-
-
-class InvalidPartition(FlatLinkError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -198,62 +201,10 @@ def self_polynomial(code: FlatLinkCode, component: int,
     coeffs: dict[int, int] = {}
     for x in catalog.self_crossings(component):
         e = catalog.kind(x)
-        v = intersection_number(code, component, e.plus_pos, e.minus_pos)
+        v = catalog.arc(component, e.plus_pos, e.minus_pos)
         if v != 0:
             coeffs[abs(v)] = coeffs.get(abs(v), 0) + v
     return SparsePoly.from_dict(coeffs)
-
-
-def choose_pair_partition(code: FlatLinkCode, a: int, b: int,
-                          catalog: CrossingCatalog | None = None) -> PairPartition:
-    """Deterministic first-fit matching of the crossings between a and b.
-
-    Walking a's positions in index order, each + end takes the earliest
-    unmatched - end on a; equivalently the k-th + end (by position) is
-    paired with the k-th - end.  Raises NonzeroFlatLinking when the end
-    counts differ, since then no matching exists at all.
-    """
-    catalog = catalog if catalog is not None else validate(code)
-    plus, minus = [], []
-    for x in catalog.pair_crossings(a, b):
-        e = catalog.kind(x)
-        if e.plus_component == a:
-            plus.append((e.plus_pos, x))
-        else:
-            minus.append((e.minus_pos, x))
-    if len(plus) != len(minus):
-        raise NonzeroFlatLinking(len(plus) - len(minus))
-    pairs = tuple((x, y) for (_, x), (_, y) in zip(sorted(plus), sorted(minus)))
-    return PairPartition(a, b, pairs)
-
-
-def pair_coefficient(code: FlatLinkCode, a: int, b: int,
-                     partition: PairPartition,
-                     catalog: CrossingCatalog | None = None) -> int:
-    """Sum of eta_a(x+, y-) + eta_b(y+, x-) over the partition's pairs.
-
-    The partition must cover the crossings between a and b exactly once
-    with the orientation convention of PairPartition; anything else
-    raises InvalidPartition.
-    """
-    catalog = catalog if catalog is not None else validate(code)
-    if (partition.component_a, partition.component_b) != (a, b):
-        raise InvalidPartition(
-            f"partition is for components {partition.component_a},{partition.component_b}")
-    crossings = set(catalog.pair_crossings(a, b))
-    mentioned = [x for pair in partition.pairs for x in pair]
-    if len(mentioned) != len(set(mentioned)) or set(mentioned) != crossings:
-        raise InvalidPartition("pairs do not cover the crossings between the "
-                               "two components exactly once")
-    total = 0
-    for x, y in partition.pairs:
-        ex, ey = catalog.kind(x), catalog.kind(y)
-        if ex.plus_component != a or ey.minus_component != a:
-            raise InvalidPartition(f"pair ({x}, {y}) breaks the + end on first "
-                                   "component convention")
-        total += intersection_number(code, a, ex.plus_pos, ey.minus_pos)
-        total += intersection_number(code, b, ey.plus_pos, ex.minus_pos)
-    return total
 
 
 def link_polynomial(code: FlatLinkCode) -> LinkInvariant:
@@ -265,12 +216,16 @@ def link_polynomial(code: FlatLinkCode) -> LinkInvariant:
     diffs, coeffs = [], []
     for i, j in combinations(range(len(names)), 2):
         a, b = (i, j) if names[i] < names[j] else (j, i)
-        d = flat_linking_diff(code, a, b, catalog)
+        plus, minus = catalog.pair_ends(a, b)
+        d = len(plus) - len(minus)
         diffs.append(((names[a], names[b]), d))
         if d == 0:
-            part = choose_pair_partition(code, a, b, catalog)
-            coeffs.append(((names[a], names[b]),
-                           pair_coefficient(code, a, b, part, catalog)))
+            coeff = 0
+            for x, y in zip(plus, minus):
+                ex, ey = catalog.kind(x), catalog.kind(y)
+                coeff += (catalog.arc(a, ex.plus_pos, ey.minus_pos)
+                          + catalog.arc(b, ey.plus_pos, ex.minus_pos))
+            coeffs.append(((names[a], names[b]), coeff))
     return LinkInvariant(tuple(polys), tuple(sorted(coeffs)), tuple(sorted(diffs)))
 
 

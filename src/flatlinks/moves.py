@@ -45,8 +45,6 @@ KINDS = ("r1_remove", "r1_insert", "r2_remove", "r2_insert", "r3")
 
 _SPOT_COUNT = {"r1_remove": 1, "r1_insert": 1,
                "r2_remove": 2, "r2_insert": 2, "r3": 3}
-_ID_COUNT = {"r1_remove": 1, "r1_insert": 1,
-             "r2_remove": 2, "r2_insert": 2, "r3": 3}
 _VARIANT_COUNT = {"r1_remove": 0, "r1_insert": 1,
                   "r2_remove": 0, "r2_insert": 2, "r3": 0}
 
@@ -89,9 +87,9 @@ class MoveSite:
                 f"got {len(self.spots)}")
         if any(p < 0 for _, p in self.spots):
             raise MalformedMoveLine("negative position")
-        if self.crossings and len(self.crossings) != _ID_COUNT[self.kind]:
+        if self.crossings and len(self.crossings) != _SPOT_COUNT[self.kind]:
             raise MalformedMoveLine(
-                f"{self.kind} involves {_ID_COUNT[self.kind]} crossing(s), "
+                f"{self.kind} involves {_SPOT_COUNT[self.kind]} crossing(s), "
                 f"got {len(self.crossings)}")
         if len(self.variant) != _VARIANT_COUNT[self.kind]:
             raise MalformedMoveLine(

@@ -12,21 +12,17 @@ from itertools import combinations
 
 from flatlinks import (
     GenSpec,
-    PairPartition,
     SearchGoal,
     SearchLimits,
     apply_move,
     brute_force_filamentation,
-    choose_pair_partition,
     component_filamentation,
     enumerate_small_codes,
     flat_linking_diff,
     greedy_zero_sum_partition,
-    elementary_switch,
     intersection_number,
     link_filamentation,
     link_polynomial,
-    pair_coefficient,
     parse_flat_link,
     random_flat_link,
     random_walk,
@@ -98,16 +94,12 @@ def test_criterion_02_pairing_independence():
         code = random_flat_link(spec)
         plus, minus = pair_ends_oracle(code, 0, 1)
         assert plus and len(plus) <= 5
-        catalog = validate(code)
-        assert flat_linking_diff(code, 0, 1, catalog) == 0
+        assert flat_linking_diff(code, 0, 1) == 0
         values = set()
         for matching in all_matchings(plus, minus):
-            partition = PairPartition(0, 1, tuple(matching))
-            values.add(pair_coefficient(code, 0, 1, partition, catalog))
+            values.add(matching_sum_oracle(code, 0, 1, matching))
             pairings_checked += 1
-        assert len(values) == 1
-        default = choose_pair_partition(code, 0, 1, catalog)
-        assert values == {pair_coefficient(code, 0, 1, default, catalog)}
+        assert values == {link_polynomial(code).pair_coeff(*code.component_names())}
         codes_checked += 1
     _stamp(2, started, 30,
            f"200 codes, {pairings_checked} exhaustive pairings")
@@ -202,14 +194,15 @@ def test_criterion_06_greedy_matching_completeness_and_switches():
             continue
         shuffled = list(minus)
         rng.shuffle(shuffled)
-        pairs = tuple(zip(plus, shuffled))
-        partition = PairPartition(0, 1, pairs)
-        pair1, pair2 = rng.sample(pairs, 2)
-        switched = elementary_switch(partition, pair1, pair2)
-        assert (matching_sum_oracle(code, 0, 1, switched.pairs)
-                == matching_sum_oracle(code, 0, 1, pairs))
-        assert (pair_coefficient(code, 0, 1, switched)
-                == pair_coefficient(code, 0, 1, partition))
+        pairs = list(zip(plus, shuffled))
+        # an elementary switch: two pairs exchange their - side crossings
+        i, j = rng.sample(range(len(pairs)), 2)
+        switched = list(pairs)
+        (x, z), (w, y) = pairs[i], pairs[j]
+        switched[i], switched[j] = (x, y), (w, z)
+        published = link_polynomial(code).pair_coeff(*code.component_names())
+        assert (matching_sum_oracle(code, 0, 1, switched)
+                == matching_sum_oracle(code, 0, 1, pairs) == published)
         switches += 1
     _stamp(6, started, 60,
            f"300 codes ({matchings_found} matchings), 1000 switches")
@@ -278,3 +271,21 @@ def test_criterion_10_same_component_crossing_pair_identity():
                 assert lhs == rhs
                 pairs_checked += 1
     _stamp(10, started, 10, f"1000 codes, {pairs_checked} crossing pairs")
+
+
+def test_criterion_11_link_filamentation_iff_brute_force():
+    started = time.perf_counter()
+    rng = random.Random(1111)
+    found = 0
+    for _ in range(3000):
+        code = random_code(rng, max_crossings=10, min_components=2,
+                           max_components=3, balanced=True)
+        constructed = link_filamentation(code)
+        brute = brute_force_filamentation(code)
+        assert (constructed is None) == (brute is None)
+        if constructed is not None:
+            assert verify_filamentation(code, constructed) == []
+            found += 1
+    assert found > 0
+    _stamp(11, started, 60,
+           f"3000 linked codes, {found} filamentations, both directions")

@@ -5,13 +5,10 @@ from flatlinks import (
     Filamentation,
     InstanceTooLarge,
     NonzeroFlatLinking,
-    PairNotInPartition,
-    PairPartition,
     PartitionNotCovering,
     PartsOverlap,
     brute_force_filamentation,
     component_filamentation,
-    elementary_switch,
     greedy_zero_sum_partition,
     link_filamentation,
     link_polynomial,
@@ -123,6 +120,15 @@ def test_greedy_zero_sum_partition_requires_balance():
         greedy_zero_sum_partition(code, 0, 1)
 
 
+def test_greedy_zero_sum_partition_requires_zero_sign_totals():
+    # the A-B difference is 0, but A-C is +1, so A's sign total is +1
+    code = parse_flat_link("A: x+ y- z+ ; B: y+ x- ; C: z-")
+    with pytest.raises(NonzeroFlatLinking):
+        greedy_zero_sum_partition(code, 0, 1)
+    with pytest.raises(NonzeroFlatLinking):
+        greedy_zero_sum_partition(code, 1, 0)
+
+
 @settings(deadline=None)
 @given(codes(max_crossings=6, min_components=2, max_components=2, balanced=True))
 def test_greedy_matches_exhaustive_existence(code):
@@ -181,45 +187,3 @@ def test_brute_force_cap():
     # a wider explicit cap lifts the limit
     f = brute_force_filamentation(parse_flat_link(words), max_crossings=13)
     assert len(f.monofilaments) == 13
-
-
-def test_elementary_switch_golden():
-    part = PairPartition(0, 1, (("x1", "y1"), ("x2", "y2")))
-    switched = elementary_switch(part, ("x1", "y1"), ("x2", "y2"))
-    assert switched.pairs == (("x1", "y2"), ("x2", "y1"))
-    # switching again is the identity
-    back = elementary_switch(switched, ("x1", "y2"), ("x2", "y1"))
-    assert back == part
-
-
-def test_elementary_switch_rejects_bad_pairs():
-    part = PairPartition(0, 1, (("x1", "y1"), ("x2", "y2")))
-    with pytest.raises(ValueError):
-        elementary_switch(part, ("x1", "y1"), ("x1", "y1"))
-    with pytest.raises(PairNotInPartition):
-        elementary_switch(part, ("x1", "y2"), ("x2", "y2"))
-
-
-def test_elementary_switch_preserves_total_sum():
-    code = parse_flat_link("A: x1+ x2+ y1- y2-\nB: y2+ x2- x1- y1+")
-    p1 = PairPartition(0, 1, (("x1", "y1"), ("x2", "y2")))
-    p2 = elementary_switch(p1, ("x1", "y1"), ("x2", "y2"))
-    assert (matching_sum_oracle(code, 0, 1, p1.pairs)
-            == matching_sum_oracle(code, 0, 1, p2.pairs))
-
-
-def test_elementary_switch_reaches_every_matching():
-    # the switch generates all of S_n on the minus side
-    start = PairPartition(0, 1, (("a", "p"), ("b", "q"), ("c", "r")))
-    seen = {start.pairs}
-    frontier = [start]
-    while frontier:
-        part = frontier.pop()
-        pairs = part.pairs
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                nxt = elementary_switch(part, pairs[i], pairs[j])
-                if nxt.pairs not in seen:
-                    seen.add(nxt.pairs)
-                    frontier.append(nxt)
-    assert len(seen) == 6

@@ -22,7 +22,7 @@ from flatlinks import (
     total_sign,
     validate,
 )
-from helpers import codes, eta_oracle
+from helpers import codes, eta_oracle, pair_ends_oracle
 
 
 def test_parse_single_knot():
@@ -141,6 +141,20 @@ def test_intersection_number_matches_oracle(code, data):
     p = data.draw(st.integers(0, n - 1))
     q = data.draw(st.integers(0, n - 1).filter(lambda v: v != p))
     assert intersection_number(code, ci, p, q) == eta_oracle(code, ci, p, q)
+
+
+@given(codes(max_crossings=8))
+def test_catalog_arc_and_pair_ends_match_references(code):
+    catalog = validate(code)
+    for ci, cw in enumerate(code.components):
+        for p in range(len(cw)):
+            for q in range(len(cw)):
+                if p != q:
+                    assert catalog.arc(ci, p, q) == intersection_number(code, ci, p, q)
+        for other in range(len(code.components)):
+            if other != ci:
+                assert (catalog.pair_ends(ci, other)
+                        == tuple(pair_ends_oracle(code, ci, other)))
 
 
 @given(codes(max_crossings=6))

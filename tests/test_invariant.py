@@ -2,23 +2,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatlinks import (
-    InvalidPartition,
     LinkInvariant,
-    NonzeroFlatLinking,
-    PairPartition,
     SameComponent,
     SparsePoly,
-    choose_pair_partition,
     flat_linking_diff,
     invariants_equal,
     link_polynomial,
-    pair_coefficient,
     parse_flat_link,
     self_polynomial,
     validate,
 )
 from helpers import (
-    all_matchings,
     codes,
     linking_diff_oracle,
     matching_sum_oracle,
@@ -93,58 +87,30 @@ def test_flat_linking_diff_matches_oracle(code):
             assert flat_linking_diff(code, a, b) == linking_diff_oracle(code, a, b)
 
 
-def test_choose_pair_partition_orientation():
-    code = parse_flat_link("A: x+ a+ y- a-\nB: y+ x-")
-    part = choose_pair_partition(code, 0, 1)
-    assert part.pairs == (("x", "y"),)
-    assert (part.component_a, part.component_b) == (0, 1)
+def oracle_invariant(code) -> LinkInvariant:
+    """The invariant rebuilt from raw letters: the pair coefficient is the
+    oracle sum over the position-order zip of the + and - end lists."""
+    names = code.component_names()
+    polys = sorted((names[i], SparsePoly.from_dict(self_poly_oracle(code, i)))
+                   for i in range(len(names)))
+    diffs, coeffs = [], []
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            a, b = (i, j) if names[i] < names[j] else (j, i)
+            key = (names[a], names[b])
+            diff = linking_diff_oracle(code, a, b)
+            diffs.append((key, diff))
+            if diff == 0:
+                plus, minus = pair_ends_oracle(code, a, b)
+                coeffs.append(
+                    (key, matching_sum_oracle(code, a, b, zip(plus, minus))))
+    return LinkInvariant(tuple(polys), tuple(sorted(coeffs)), tuple(sorted(diffs)))
 
 
-def test_choose_pair_partition_requires_balance():
-    code = parse_flat_link("A: x+ y+\nB: x- y-")
-    with pytest.raises(NonzeroFlatLinking):
-        choose_pair_partition(code, 0, 1)
-
-
-def test_pair_coefficient_golden():
-    code = parse_flat_link("A: x+ a+ y- a-\nB: y+ x-")
-    part = choose_pair_partition(code, 0, 1)
-    assert pair_coefficient(code, 0, 1, part) == 1
-
-
-def test_pair_coefficient_rejects_bad_partitions():
-    code = parse_flat_link("A: x+ y-\nB: y+ x-")
-    part = choose_pair_partition(code, 0, 1)
-    with pytest.raises(InvalidPartition):
-        pair_coefficient(code, 1, 0, part)
-    with pytest.raises(InvalidPartition):
-        pair_coefficient(code, 0, 1, PairPartition(0, 1, (("x", "x"),)))
-    with pytest.raises(InvalidPartition):
-        # orientation flipped: y's + end is on B, not on A
-        pair_coefficient(code, 0, 1, PairPartition(0, 1, (("y", "x"),)))
-
-
-@given(codes(max_crossings=6, min_components=2, balanced=True))
-def test_pair_coefficient_is_partition_independent(code):
-    k = len(code.components)
-    for a in range(k):
-        for b in range(a + 1, k):
-            plus, minus = pair_ends_oracle(code, a, b)
-            if not plus:
-                continue
-            values = {pair_coefficient(code, a, b, PairPartition(a, b, m))
-                      for m in all_matchings(plus, minus)}
-            assert len(values) == 1
-
-
-@given(codes(max_crossings=4, min_components=2, balanced=True))
-def test_pair_coefficient_matches_oracle(code):
-    k = len(code.components)
-    for a in range(k):
-        for b in range(a + 1, k):
-            part = choose_pair_partition(code, a, b)
-            assert (pair_coefficient(code, a, b, part)
-                    == matching_sum_oracle(code, a, b, part.pairs))
+@given(st.booleans().flatmap(
+    lambda balanced: codes(max_crossings=8, balanced=balanced)))
+def test_link_polynomial_matches_oracle(code):
+    assert link_polynomial(code) == oracle_invariant(code)
 
 
 def test_link_polynomial_golden():
