@@ -140,6 +140,16 @@ def test_greedy_matches_exhaustive_existence(code):
             assert matching_sum_oracle(code, 0, 1, [(x, y)]) == 0
 
 
+def test_elementary_switch_preserves_total_sum():
+    # swapping the minus ends of two pairs keeps the arc-count sum
+    code = parse_flat_link("A: x1+ x2+ y1- y2-\nB: y2+ x2- x1- y1+")
+    p1 = (("x1", "y1"), ("x2", "y2"))
+    p2 = (("x1", "y2"), ("x2", "y1"))
+    total = matching_sum_oracle(code, 0, 1, p1)
+    assert matching_sum_oracle(code, 0, 1, p2) == total
+    assert link_polynomial(code).pair_coeff("A", "B") == total
+
+
 def test_link_filamentation_golden():
     code = parse_flat_link("A: x+ a+ y- a-\nB: y+ x-")
     # coeff(A, B) is +1, so no zero-sum pairing of {x, y} can exist

@@ -13,6 +13,7 @@ from flatlinks import (
     validate,
 )
 from helpers import (
+    all_matchings,
     codes,
     linking_diff_oracle,
     matching_sum_oracle,
@@ -111,6 +112,22 @@ def oracle_invariant(code) -> LinkInvariant:
     lambda balanced: codes(max_crossings=8, balanced=balanced)))
 def test_link_polynomial_matches_oracle(code):
     assert link_polynomial(code) == oracle_invariant(code)
+
+
+@given(codes(max_crossings=6, min_components=2, balanced=True))
+def test_pair_coefficient_is_partition_independent(code):
+    # every matching of the pair's crossings sums to the published coefficient
+    inv = link_polynomial(code)
+    names = code.component_names()
+    k = len(code.components)
+    for a in range(k):
+        for b in range(a + 1, k):
+            plus, minus = pair_ends_oracle(code, a, b)
+            if not plus:
+                continue
+            values = {matching_sum_oracle(code, a, b, m)
+                      for m in all_matchings(plus, minus)}
+            assert values == {inv.pair_coeff(names[a], names[b])}
 
 
 def test_link_polynomial_golden():
