@@ -1,7 +1,8 @@
 """Random code generation, exhaustive small-code enumeration, and
 witness search for the two phenomena that separate the invariants:
 a zero polynomial without any filamentation, and a many-component
-link whose pair coefficient is nonzero.
+link, every component carrying a crossing, whose pair coefficient is
+nonzero.
 
 Generation is seed-deterministic throughout.  Enumeration quotients the
 raw codes by rotation plus crossing relabeling (exactly the relation
@@ -254,10 +255,12 @@ class SearchLimits:
 
 
 def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
-    inv = link_polynomial(code)
     if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION:
-        return inv.is_zero and brute_force_filamentation(code) is None
-    return any(c != 0 for _, c in inv.pair_coeffs)
+        return (link_polynomial(code).is_zero
+                and brute_force_filamentation(code) is None)
+    # a crossing-free circle would pass a smaller link off as a bigger one
+    return (all(cw.letters for cw in code.components)
+            and any(c != 0 for _, c in link_polynomial(code).pair_coeffs))
 
 
 def _scan_chunk(args) -> int | None:

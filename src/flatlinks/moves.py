@@ -12,6 +12,15 @@ The flat Reidemeister moves act on a code as local rewrites:
   place, where the three plus crossings are distinct and the minus
   crossings are the same three with no fixed point.
 
+Removal and triangle sites are found through an index in O(n log n),
+not by trying every pair or triple of spots.  Every crossing has one
+plus letter, so the triangle spots ``x+ y-`` form a partial
+permutation x -> y, and a triangle is one of its 3-cycles.  Slide spots
+are bucketed by their unordered crossing pair, which holds at most four
+of them, and only spots of one bucket are matched.  Either way sites are
+listed in lexicographic order of their spots, taken by component and
+then by position.
+
 A site names components and positions, so it goes stale the moment the
 code changes; ``apply_move`` re-verifies every letter it touches and
 raises StaleSite on any mismatch.  ``find_move_sites`` lists triangle
@@ -190,27 +199,36 @@ def _slide_spots(code: FlatLinkCode):
 
 def _find_r2_remove(code: FlatLinkCode) -> list[MoveSite]:
     names = code.component_names()
-    sites = []
+    spots = list(_slide_spots(code))
+    # the two spots of a slide hold the same two crossings, and a
+    # crossing pair is adjacent at no more than four spots
+    buckets = defaultdict(list)
+    for i, (_, _, a, b) in enumerate(spots):
+        buckets[tuple(sorted((a.crossing, b.crossing)))].append(i)
+    found = []
     seen = set()
-    for (c1, p1, a1, b1), (c2, p2, a2, b2) in combinations(_slide_spots(code), 2):
-        if c1 == c2 and not _disjoint(len(code.components[c1]), (p1, p2)):
-            continue
-        signs1 = {a1.crossing: a1.sign, b1.crossing: b1.sign}
-        if {a2.crossing, b2.crossing} != set(signs1):
-            continue
-        if a2.sign != -signs1[a2.crossing] or b2.sign != -signs1[b2.crossing]:
-            continue
-        # distinct spot pairs can cover the same four letters on short
-        # codewords; removing them is one and the same move
-        key = frozenset(((c1, p1), (c1, (p1 + 1) % len(code.components[c1])),
-                         (c2, p2), (c2, (p2 + 1) % len(code.components[c2]))))
-        if key in seen:
-            continue
-        seen.add(key)
-        sites.append(MoveSite("r2_remove",
-                              ((names[c1], p1), (names[c2], p2)),
-                              (a1.crossing, b1.crossing)))
-    return sites
+    for bucket in buckets.values():
+        for i, j in combinations(bucket, 2):
+            (c1, p1, a1, b1), (c2, p2, a2, b2) = spots[i], spots[j]
+            if c1 == c2 and not _disjoint(len(code.components[c1]), (p1, p2)):
+                continue
+            signs1 = {a1.crossing: a1.sign, b1.crossing: b1.sign}
+            if a2.sign != -signs1[a2.crossing] or b2.sign != -signs1[b2.crossing]:
+                continue
+            # distinct spot pairs can cover the same four letters on short
+            # codewords; removing them is one and the same move
+            key = frozenset(((c1, p1), (c1, (p1 + 1) % len(code.components[c1])),
+                             (c2, p2), (c2, (p2 + 1) % len(code.components[c2]))))
+            if key in seen:
+                continue
+            seen.add(key)
+            found.append((i, j))
+    found.sort()
+    return [MoveSite("r2_remove",
+                     ((names[spots[i][0]], spots[i][1]),
+                      (names[spots[j][0]], spots[j][1])),
+                     (spots[i][2].crossing, spots[i][3].crossing))
+            for i, j in found]
 
 
 def _find_r3(code: FlatLinkCode) -> list[MoveSite]:
@@ -222,26 +240,25 @@ def _find_r3(code: FlatLinkCode) -> list[MoveSite]:
         for p in range(n):
             a, b = _adjacent(cw, p)
             if a.sign == PLUS and b.sign == MINUS and a.crossing != b.crossing:
-                spots.append((ci, p, a, b))
+                spots.append((ci, p, a.crossing, b.crossing))
+    # every crossing has one plus letter, so these spots never overlap
+    # and map each plus crossing to at most one minus crossing
+    spot_of = {x: i for i, (_, _, x, _) in enumerate(spots)}
+    found = []
+    for i, (_, _, x, y) in enumerate(spots):
+        j = spot_of.get(y)
+        if j is None:
+            continue
+        k = spot_of.get(spots[j][3])
+        # a spot lies on at most one 3-cycle; taking each from its first
+        # spot lists them in spot order
+        if k is not None and spots[k][3] == x and i < min(j, k):
+            found.append(sorted((i, j, k)))
     names = code.component_names()
-    sites = []
-    for triple in combinations(spots, 3):
-        by_comp = defaultdict(list)
-        for ci, p, _, _ in triple:
-            by_comp[ci].append(p)
-        if any(not _disjoint(len(code.components[ci]), starts)
-               for ci, starts in by_comp.items()):
-            continue
-        plus = [a.crossing for _, _, a, _ in triple]
-        minus = [b.crossing for _, _, _, b in triple]
-        if len(set(plus)) != 3 or set(minus) != set(plus):
-            continue
-        if any(x == y for x, y in zip(plus, minus)):
-            continue
-        sites.append(MoveSite("r3",
-                              tuple((names[ci], p) for ci, p, _, _ in triple),
-                              tuple(plus)))
-    return sites
+    return [MoveSite("r3",
+                     tuple((names[spots[s][0]], spots[s][1]) for s in triple),
+                     tuple(spots[s][2] for s in triple))
+            for triple in found]
 
 
 def _find_r1_insert(code: FlatLinkCode) -> list[MoveSite]:

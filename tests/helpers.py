@@ -9,7 +9,14 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from flatlinks import FlatLinkCode, GenSpec, random_flat_link
+from flatlinks import (
+    Codeword,
+    FlatLinkCode,
+    GenSpec,
+    Letter,
+    MoveSite,
+    random_flat_link,
+)
 
 
 def eta_oracle(code: FlatLinkCode, component: int, p: int, q: int) -> int:
@@ -93,6 +100,67 @@ def zero_matching_exists_oracle(code: FlatLinkCode, a: int, b: int) -> bool:
 
     return any(all(pair_sum(x, y) == 0 for x, y in m)
                for m in all_matchings(plus, minus))
+
+
+def move_sites_oracle(code: FlatLinkCode, kind: str) -> list:
+    """The r2_remove or r3 sites, by scanning every pair or triple of spots.
+
+    A spot is the letter pair at positions p and p+1 of a doubled word;
+    spots on one component must cover four (or six) distinct positions.
+    Slide pairs covering the same four letters count once, first kept.
+    """
+    spots = []
+    for ci, cw in enumerate(code.components):
+        n = len(cw.letters)
+        doubled = list(cw.letters) + list(cw.letters)
+        for p in range(n if n >= 2 else 0):
+            a, b = doubled[p:p + 2]
+            covers = frozenset((ci, q if q < n else q - n) for q in (p, p + 1))
+            spots.append((cw.name, p, a, b, covers))
+    sites, seen = [], set()
+    if kind == "r2_remove":
+        for s1, s2 in combinations(spots, 2):
+            (c1, p1, a1, b1, k1), (c2, p2, a2, b2, k2) = s1, s2
+            if any(a.crossing == b.crossing or a.sign == b.sign
+                   for a, b in ((a1, b1), (a2, b2))):
+                continue
+            if k1 & k2 or {a1, b1} != {a2.partner, b2.partner}:
+                continue
+            if k1 | k2 not in seen:
+                seen.add(k1 | k2)
+                sites.append(MoveSite(kind, ((c1, p1), (c2, p2)),
+                                      (a1.crossing, b1.crossing)))
+    elif kind == "r3":
+        plus_first = [s for s in spots if s[2].sign == 1 and s[3].sign == -1
+                      and s[2].crossing != s[3].crossing]
+        for triple in combinations(plus_first, 3):
+            covers = [s[4] for s in triple]
+            plus = [s[2].crossing for s in triple]
+            minus = [s[3].crossing for s in triple]
+            if len(frozenset().union(*covers)) != 6:
+                continue
+            if len(set(plus)) == 3 and set(minus) == set(plus):
+                sites.append(MoveSite(kind, tuple((s[0], s[1]) for s in triple),
+                                      tuple(plus)))
+    else:
+        raise ValueError(f"no oracle for {kind!r}")
+    return sites
+
+
+def plant_triangle(code: FlatLinkCode, rng: random.Random) -> FlatLinkCode:
+    """Insert the spots t1+ t2-, t2+ t3-, t3+ t1- at random gaps of random
+    components (never inside another planted spot), then rotate every
+    component at random, so a spot may wrap from position n-1 to 0."""
+    blocks = [[[letter] for letter in cw.letters] for cw in code.components]
+    for x, y in (("t1", "t2"), ("t2", "t3"), ("t3", "t1")):
+        word = rng.choice(blocks)
+        word.insert(rng.randint(0, len(word)), [Letter(x, 1), Letter(y, -1)])
+    out = []
+    for cw, word in zip(code.components, blocks):
+        letters = [letter for block in word for letter in block]
+        k = rng.randrange(len(letters)) if letters else 0
+        out.append(Codeword(cw.name, tuple(letters[k:] + letters[:k])))
+    return FlatLinkCode(tuple(out))
 
 
 def random_code(rng: random.Random, max_crossings: int = 6,

@@ -11,13 +11,18 @@ import time
 from itertools import combinations
 
 from flatlinks import (
+    Codeword,
+    FlatLinkCode,
     GenSpec,
+    Letter,
+    MoveSite,
     SearchGoal,
     SearchLimits,
     apply_move,
     brute_force_filamentation,
     component_filamentation,
     enumerate_small_codes,
+    find_move_sites,
     flat_linking_diff,
     greedy_zero_sum_partition,
     intersection_number,
@@ -225,6 +230,7 @@ def test_criterion_08_search_nonzero_multi_component():
                               SearchLimits(max_components=3, max_crossings=6))
     assert witness is not None
     assert len(witness.components) >= 3
+    assert all(cw.letters for cw in witness.components)
     invariant = link_polynomial(witness)
     assert any(coeff != 0 for _, coeff in invariant.pair_coeffs)
     _stamp(8, started, 60, render_flat_link(witness))
@@ -289,3 +295,23 @@ def test_criterion_11_link_filamentation_iff_brute_force():
     assert found > 0
     _stamp(11, started, 60,
            f"3000 linked codes, {found} filamentations, both directions")
+
+
+def test_criterion_12_move_sites_on_a_thousand_crossings():
+    spec = GenSpec.build(3, [166, 167, 167],
+                         {(0, 1): 166, (0, 2): 168, (1, 2): 166},
+                         seed=1212, balanced=True)
+    code = random_flat_link(spec)
+    letters = list(code.components[0].letters)
+    gaps = sorted(random.Random(1212).sample(range(len(letters) + 1), 3))
+    starts = [gap + 2 * i for i, gap in enumerate(gaps)]
+    for p, (x, y) in zip(starts, (("t1", "t2"), ("t2", "t3"), ("t3", "t1"))):
+        letters[p:p] = [Letter(x, 1), Letter(y, -1)]
+    code = FlatLinkCode((Codeword("A", tuple(letters)),) + code.components[1:])
+    validate(code)
+    planted = MoveSite("r3", tuple(("A", p) for p in starts), ("t1", "t2", "t3"))
+    started = time.perf_counter()
+    sites = find_move_sites(code, ("r1_remove", "r2_remove", "r3"))
+    assert planted in sites
+    _stamp(12, started, 2,
+           f"1000 crossings, {len(sites)} sites, planted {planted.describe()}")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,7 @@ from flatlinks import (
     render_flat_link,
     validate,
 )
-from helpers import codes
+from helpers import codes, move_sites_oracle, plant_triangle
 
 
 def test_move_site_describe_parse_round_trip():
@@ -182,6 +184,36 @@ def test_apply_r3_rejects_mixed_modes():
     code = parse_flat_link("a+ c- b+ a- c+ b-")
     with pytest.raises(StaleSite):
         apply_move(code, MoveSite.parse("r3 A,A,A 0,1,3 a,b,c"))
+
+
+INSERT_ONLY = {"r1_insert": 1, "r2_insert": 1, "r1_remove": 0,
+               "r2_remove": 0, "r3": 0}
+
+
+@pytest.mark.parametrize("text, kind, expected", [
+    # the spot at 5 wraps from the last letter to the first
+    ("t2- t2+ t3- t3+ t1- t1+", "r3", ["r3 A,A,A 1,3,5 t2,t3,t1"]),
+    # four spot pairs cover the same four letters of two 2-letter words
+    ("e+ f- ; f+ e-", "r2_remove", ["r2_remove A,B 0,0 e,f"]),
+])
+def test_find_sites_wraparound_and_short_words(text, kind, expected):
+    code = parse_flat_link(text)
+    sites = find_move_sites(code, (kind,))
+    assert [s.describe() for s in sites] == expected
+    assert sites == move_sites_oracle(code, kind)
+
+
+@settings(deadline=None)
+@given(codes(max_crossings=8), st.integers(0, 2**31 - 1),
+       st.sampled_from(["plain", "inserted", "planted"]))
+def test_find_sites_match_pair_and_triple_scan(code, seed, shape):
+    if shape == "inserted":
+        code, _ = random_walk(code, 6, seed, INSERT_ONLY)
+    elif shape == "planted":
+        code = plant_triangle(code, random.Random(seed))
+    validate(code)
+    for kind in ("r2_remove", "r3"):
+        assert find_move_sites(code, (kind,)) == move_sites_oracle(code, kind)
 
 
 def test_find_move_sites_kind_filter_and_order():
