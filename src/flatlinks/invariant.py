@@ -5,10 +5,10 @@ letter signs (``CrossingCatalog.arc``), in one pass over the code.
 Each component contributes one polynomial: every self-crossing x adds its
 arc count from x+ to x- to the coefficient of t^|count|, so crossings
 with arc count zero drop out.  Each pair of components whose flat linking
-difference vanishes contributes a single linear coefficient: the k-th
-crossing with its + end on the first component (by position there) is
-paired with the k-th crossing with its - end there, and the pair arc
-counts are added up.
+difference and two sign totals all vanish contributes a single linear
+coefficient: the k-th crossing with its + end on the first component (by
+position there) is paired with the k-th crossing with its - end there,
+and the pair arc counts are added up.
 
 When every component's sign total is zero, a crossing x has the index
 u(x) = P[pos(x-)] - P[pos(x+) + 1], with P the prefix sums of the
@@ -17,7 +17,9 @@ and a pair's arc-count sum is u(x) + u(y), so the pair coefficient is
 the sum of u over the crossings between the two components and does not
 depend on the pairing.  These values are invariant under the flat
 Reidemeister moves only on such codes; with a nonzero sign total both
-the polynomial and the pair coefficients can change under moves.
+the polynomial and the pair coefficients can change under moves.  A pair
+coefficient on a component with a nonzero sign total would depend on the
+pairing, and so on where the codewords start, so it is not published.
 """
 
 from __future__ import annotations
@@ -116,8 +118,8 @@ class LinkInvariant:
 
     component_polys: one polynomial per component, keyed by name.
     pair_coeffs: the linear coefficient for every unordered component
-        pair whose flat linking difference is zero (undefined otherwise,
-        so such pairs are simply absent).
+        pair whose flat linking difference and two sign totals are zero
+        (undefined otherwise, so such pairs are simply absent).
     linking_diffs: the raw +/- end-count difference for every unordered
         pair, measured on the lexicographically smaller name.  Halve it
         for the classical flat linking number.
@@ -134,7 +136,8 @@ class LinkInvariant:
         raise KeyError(name)
 
     def pair_coeff(self, a: str, b: str) -> int | None:
-        """The pair coefficient, or None when the pair is linked."""
+        """The pair coefficient, or None when the pair is linked or either
+        component's sign total is nonzero."""
         key = (min(a, b), max(a, b))
         for k, c in self.pair_coeffs:
             if k == key:
@@ -219,7 +222,7 @@ def link_polynomial(code: FlatLinkCode) -> LinkInvariant:
         plus, minus = catalog.pair_ends(a, b)
         d = len(plus) - len(minus)
         diffs.append(((names[a], names[b]), d))
-        if d == 0:
+        if d == 0 and catalog.prefix[a][-1] == 0 and catalog.prefix[b][-1] == 0:
             coeff = 0
             for x, y in zip(plus, minus):
                 ex, ey = catalog.kind(x), catalog.kind(y)

@@ -90,8 +90,10 @@ def test_flat_linking_diff_matches_oracle(code):
 
 def oracle_invariant(code) -> LinkInvariant:
     """The invariant rebuilt from raw letters: the pair coefficient is the
-    oracle sum over the position-order zip of the + and - end lists."""
+    oracle sum over the position-order zip of the + and - end lists, kept
+    only when the pair is unlinked and both sign totals are zero."""
     names = code.component_names()
+    totals = [sum(letter.sign for letter in cw.letters) for cw in code.components]
     polys = sorted((names[i], SparsePoly.from_dict(self_poly_oracle(code, i)))
                    for i in range(len(names)))
     diffs, coeffs = [], []
@@ -101,7 +103,7 @@ def oracle_invariant(code) -> LinkInvariant:
             key = (names[a], names[b])
             diff = linking_diff_oracle(code, a, b)
             diffs.append((key, diff))
-            if diff == 0:
+            if diff == 0 and totals[a] == 0 and totals[b] == 0:
                 plus, minus = pair_ends_oracle(code, a, b)
                 coeffs.append(
                     (key, matching_sum_oracle(code, a, b, zip(plus, minus))))
@@ -185,6 +187,17 @@ def test_link_polynomial_rotation_invariant(code):
     for i, cw in enumerate(code.components):
         if len(cw) >= 2:
             assert link_polynomial(code.rotated(i, 1)) == inv
+
+
+def test_link_polynomial_drops_pair_on_nonzero_sign_total():
+    # A-C is unlinked, but C's sign total is -1, so its pair sum depends on
+    # where A starts (0 here, 1 after rotating A by one letter)
+    code = parse_flat_link("A: c4+ c1+ c3- c1- c5+ c2-\nB: c6+\n"
+                           "C: c4- c3+ c5- c6- c2+")
+    inv = link_polynomial(code)
+    assert inv.linking_diff("A", "C") == 0
+    assert inv.pair_coeff("A", "C") is None
+    assert link_polynomial(code.rotated(0, 1)) == inv
 
 
 def test_catalog_reuse_gives_same_answers():
