@@ -303,7 +303,7 @@ def _parse_limits(text: str, seed: int) -> SearchLimits:
     samples = numbers[2] if len(numbers) == 3 else 2000
     try:
         return SearchLimits(numbers[0], numbers[1], samples, seed)
-    except ValueError as exc:
+    except (ValueError, InstanceTooLarge) as exc:
         raise _UsageError(str(exc)) from None
 
 

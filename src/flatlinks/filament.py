@@ -8,14 +8,14 @@ to zero.  The alignment forces the decomposition: a self-crossing can
 only pair with a self-crossing of the same component, and a crossing
 between components A and B only with another A-B crossing.
 
-Construction is therefore componentwise, and it reads arc counts off the
-crossing catalog's prefix sums.  Within one component, chords counting
-+n are matched against chords counting -n.  Across two components whose
-sign totals are zero, the pair {x, y} sums to u(x) + u(y), where
-u(x) = P[pos(x-)] - P[pos(x+) + 1] is the crossing's prefix-sum index
-(see ``invariant``).  A zero-sum matching therefore exists exactly when
-the indices on the + side are the negated indices on the - side, as
-multisets, and matching equal buckets finds one in linear time.
+Construction is therefore componentwise, and it reads only the crossing
+index u that ``validate`` stores in the catalog (see ``invariant``).
+Within one component a self-crossing's index is its arc count, and
+chords of index +n are matched against chords of index -n.  Across two
+components whose sign totals are zero, the pair {x, y} sums to
+u(x) + u(y), so a zero-sum matching exists exactly when the indices on
+the + side are the negated indices on the - side, as multisets, and
+matching equal buckets finds one in linear time.
 ``brute_force_filamentation`` is the independent exhaustive check used
 to test the constructive route.
 """
@@ -35,7 +35,7 @@ from .gausscode import (
     intersection_number,
     validate,
 )
-from .invariant import NonzeroFlatLinking, PairPartition, flat_linking_diff
+from .invariant import NonzeroFlatLinking, flat_linking_diff
 
 ORACLE_CAP = 12
 
@@ -148,22 +148,20 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
     return violations
 
 
-def component_filamentation(code: FlatLinkCode, component: int,
-                            catalog: CrossingCatalog | None = None) -> Filamentation | None:
+def component_filamentation(catalog: CrossingCatalog,
+                            component: int) -> Filamentation | None:
     """Filamentation of one component's self-crossings, if one exists.
 
-    Chords with arc count zero become monofilaments; for each n > 0 the
-    chords counting +n are matched, in position order, against those
-    counting -n.  Returns None on a count mismatch, which is exactly when
-    the component polynomial is nonzero.  Assumes the component's total
-    sign is zero (true whenever all pairwise linking differences vanish).
+    Chords of index zero become monofilaments; for each n > 0 the chords
+    of index +n are matched, in position order, against those of index
+    -n.  Returns None on a count mismatch, which is exactly when the
+    component polynomial is nonzero.  Assumes the component's total sign
+    is zero (true whenever all pairwise linking differences vanish).
     """
-    catalog = catalog if catalog is not None else validate(code)
     mono: list[str] = []
     by_value: dict[int, list[str]] = {}
     for x in catalog.self_crossings(component):
-        e = catalog.kind(x)
-        v = catalog.arc(component, e.plus_pos, e.minus_pos)
+        v = catalog.index[x]
         if v == 0:
             mono.append(x)
         else:
@@ -177,44 +175,36 @@ def component_filamentation(code: FlatLinkCode, component: int,
     return Filamentation(tuple(mono), tuple(bi))
 
 
-def greedy_zero_sum_partition(code: FlatLinkCode, a: int, b: int,
-                              catalog: CrossingCatalog | None = None) -> PairPartition | None:
+def greedy_zero_sum_partition(catalog: CrossingCatalog, a: int,
+                              b: int) -> tuple[tuple[str, str], ...] | None:
     """Zero-sum matching of the crossings between two components.
 
-    Each crossing with its + end on ``a``, in position order there, takes
-    the earliest unused crossing with its - end on ``a`` whose index is
-    the negation of its own; None when some crossing finds no partner,
-    which proves that no zero-sum matching exists.  Raises
+    Returns pairs (x, y), x with its + end on ``a`` and y with its - end
+    there.  Each x, in position order on ``a``, takes the earliest unused
+    y whose index is the negation of its own; None when some x finds no
+    partner, which proves that no zero-sum matching exists.  Raises
     NonzeroFlatLinking when the end counts differ, and also when the
     sign total of ``a`` or ``b`` is nonzero (the total is that
     component's linking difference with all the others): the indices
     decide the pair sums only when both totals vanish.
     """
-    catalog = catalog if catalog is not None else validate(code)
-    diff = flat_linking_diff(code, a, b, catalog)
+    diff = flat_linking_diff(catalog, a, b)
     if diff != 0:
         raise NonzeroFlatLinking(diff)
-    prefix = catalog.prefix
     for c in (a, b):
-        if prefix[c][-1] != 0:
-            raise NonzeroFlatLinking(prefix[c][-1])
+        if catalog.prefix[c][-1] != 0:
+            raise NonzeroFlatLinking(catalog.prefix[c][-1])
     plus, minus = catalog.pair_ends(a, b)
-
-    def index(x: str) -> int:
-        e = catalog.kind(x)
-        return (prefix[e.minus_component][e.minus_pos]
-                - prefix[e.plus_component][e.plus_pos + 1])
-
     buckets: dict[int, list[str]] = {}
     for y in reversed(minus):
-        buckets.setdefault(index(y), []).append(y)
+        buckets.setdefault(catalog.index[y], []).append(y)
     pairs: list[tuple[str, str]] = []
     for x in plus:
-        partners = buckets.get(-index(x))
+        partners = buckets.get(-catalog.index[x])
         if not partners:
             return None
         pairs.append((x, partners.pop()))
-    return PairPartition(a, b, tuple(pairs))
+    return tuple(pairs)
 
 
 def link_filamentation(code: FlatLinkCode) -> Filamentation | None:
@@ -227,12 +217,12 @@ def link_filamentation(code: FlatLinkCode) -> Filamentation | None:
     catalog = validate(code)
     k = len(code.components)
     for i, j in combinations(range(k), 2):
-        if flat_linking_diff(code, i, j, catalog) != 0:
+        if flat_linking_diff(catalog, i, j) != 0:
             return None
     mono: list[str] = []
     bi: list[tuple[str, str]] = []
     for i in range(k):
-        part = component_filamentation(code, i, catalog)
+        part = component_filamentation(catalog, i)
         if part is None:
             return None
         mono.extend(part.monofilaments)
@@ -240,10 +230,10 @@ def link_filamentation(code: FlatLinkCode) -> Filamentation | None:
     for i, j in combinations(range(k), 2):
         if not catalog.pair_crossings(i, j):
             continue
-        zp = greedy_zero_sum_partition(code, i, j, catalog)
-        if zp is None:
+        pairs = greedy_zero_sum_partition(catalog, i, j)
+        if pairs is None:
             return None
-        bi.extend(zp.pairs)
+        bi.extend(pairs)
     return Filamentation(tuple(mono), tuple(bi))
 
 

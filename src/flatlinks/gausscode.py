@@ -197,15 +197,18 @@ class CrossingCatalog:
     ``pair_crossings(i, j)`` lists the crossings with one end on each of
     two distinct components, ordered by position on the smaller index.
     ``prefix[i][p]`` is the sum of the signs of component ``i``'s letters
-    at positions 0..p-1, so ``prefix[i][-1]`` is its sign total; ``arc``
-    reads arc counts off these sums in constant time.
-    Treat instances as read-only.
+    at positions 0..p-1, so ``prefix[i][-1]`` is its sign total.
+    ``index[x]`` is P[pos(x-)] - P[pos(x+) + 1], with P the prefix sums
+    of the component each end lies on; a self-crossing whose - end comes
+    first also gets its component's sign total, so its index is always
+    its arc count from x+ to x-.  Treat instances as read-only.
     """
 
     def __init__(self, entries: dict[str, SelfCrossing | PairCrossing],
-                 prefix: list[list[int]]):
+                 prefix: list[list[int]], index: dict[str, int]):
         self.entries = dict(entries)
         self.prefix = prefix
+        self.index = index
         self._self: dict[int, list[str]] = {}
         self._pairs: dict[tuple[int, int], list[str]] = {}
         for x, e in self.entries.items():
@@ -245,13 +248,6 @@ class CrossingCatalog:
         plus.sort(key=lambda x: self.entries[x].plus_pos)
         minus.sort(key=lambda x: self.entries[x].minus_pos)
         return plus, minus
-
-    def arc(self, component: int, p: int, q: int) -> int:
-        """``intersection_number(code, component, p, q)`` for p != q, from
-        the prefix sums: a walk that wraps past the end adds the total."""
-        prefix = self.prefix[component]
-        count = prefix[q] - prefix[p + 1]
-        return count + prefix[-1] if q < p else count
 
     def position(self, x: str, sign: int) -> tuple[int, int]:
         """(component, position) of one end of a crossing."""
@@ -332,7 +328,8 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
     occur exactly twice with opposite signs.  Raises
     DuplicateComponentName, CrossingAppearsOnce, CrossingAppearsThrice,
     or SameSignTwice naming the offender; returns the catalog, with the
-    prefix sums of letter signs, so callers never re-derive either.
+    prefix sums of letter signs and the index of every crossing, so
+    callers never re-derive them.
     """
     names = set()
     for cw in code.components:
@@ -350,6 +347,7 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
         prefix.append(sums)
 
     entries: dict[str, SelfCrossing | PairCrossing] = {}
+    index: dict[str, int] = {}
     for x, occ in ends.items():
         if len(occ) == 1:
             raise CrossingAppearsOnce(x)
@@ -361,11 +359,14 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
         if first[2] == MINUS:
             first, second = second, first
         (pc, pp, _), (mc, mp, _) = first, second
+        index[x] = prefix[mc][mp] - prefix[pc][pp + 1]
         if pc == mc:
             entries[x] = SelfCrossing(pc, pp, mp)
+            if mp < pp:
+                index[x] += prefix[pc][-1]
         else:
             entries[x] = PairCrossing(pc, pp, mc, mp)
-    return CrossingCatalog(entries, prefix)
+    return CrossingCatalog(entries, prefix, index)
 
 
 def total_sign(code: FlatLinkCode, component: int) -> int:

@@ -1,25 +1,24 @@
 """The polynomial invariant of a flat link code.
 
-Every number here is read off the crossing catalog's prefix sums of
-letter signs (``CrossingCatalog.arc``), in one pass over the code.
-Each component contributes one polynomial: every self-crossing x adds its
-arc count from x+ to x- to the coefficient of t^|count|, so crossings
-with arc count zero drop out.  Each pair of components whose flat linking
-difference and two sign totals all vanish contributes a single linear
-coefficient: the k-th crossing with its + end on the first component (by
-position there) is paired with the k-th crossing with its - end there,
-and the pair arc counts are added up.
+Every number here is read off the crossing index that ``validate``
+stores in the catalog: for a crossing x,
+u(x) = P[pos(x-)] - P[pos(x+) + 1], with P the prefix sums of letter
+signs on the component each end lies on (plus the sign total for a
+self-crossing whose - end comes first).  A self-crossing's index is its
+arc count from x+ to x-, and each component contributes one polynomial:
+every self-crossing x adds u(x) to the coefficient of t^|u(x)|, so
+crossings of index zero drop out.  Each pair of components whose flat
+linking difference and two sign totals all vanish contributes a single
+linear coefficient, the sum of u over the crossings between them.
 
-When every component's sign total is zero, a crossing x has the index
-u(x) = P[pos(x-)] - P[pos(x+) + 1], with P the prefix sums of the
-component each end lies on.  A self-crossing's arc count is then u(x),
-and a pair's arc-count sum is u(x) + u(y), so the pair coefficient is
-the sum of u over the crossings between the two components and does not
-depend on the pairing.  These values are invariant under the flat
-Reidemeister moves only on such codes; with a nonzero sign total both
-the polynomial and the pair coefficients can change under moves.  A pair
-coefficient on a component with a nonzero sign total would depend on the
-pairing, and so on where the codewords start, so it is not published.
+With both sign totals zero, the arc-count sum of a pair {x, y} (x with
+its + end on the first component, y with its - end there) is
+u(x) + u(y), so that sum is the same for every pairing.  These values are
+invariant under the flat Reidemeister moves only when every component's
+sign total is zero; otherwise the polynomial can change under moves.
+A pair coefficient on a component with a nonzero sign total would depend
+on the pairing, and so on where the codewords start, so it is not
+published.
 """
 
 from __future__ import annotations
@@ -99,20 +98,6 @@ class SparsePoly:
 
 
 @dataclass(frozen=True)
-class PairPartition:
-    """A matching of the crossings between two components into pairs.
-
-    Every stored pair (x, y) is oriented: x is the crossing whose + end
-    lies on ``component_a`` and y the one whose - end lies there, so the
-    pair's contribution reads off as eta_a(x+, y-) + eta_b(y+, x-).
-    """
-
-    component_a: int
-    component_b: int
-    pairs: tuple[tuple[str, str], ...]
-
-
-@dataclass(frozen=True)
 class LinkInvariant:
     """The assembled invariant of a code.
 
@@ -180,8 +165,7 @@ class LinkInvariant:
         }
 
 
-def flat_linking_diff(code: FlatLinkCode, a: int, b: int,
-                      catalog: CrossingCatalog | None = None) -> int:
+def flat_linking_diff(catalog: CrossingCatalog, a: int, b: int) -> int:
     """(+ ends) minus (- ends), among crossings between a and b, on a.
 
     Antisymmetric in the two components.  Raises SameComponent when
@@ -189,22 +173,18 @@ def flat_linking_diff(code: FlatLinkCode, a: int, b: int,
     """
     if a == b:
         raise SameComponent(f"need two distinct components, got {a} twice")
-    catalog = catalog if catalog is not None else validate(code)
     diff = 0
     for x in catalog.pair_crossings(a, b):
         diff += 1 if catalog.kind(x).plus_component == a else -1
     return diff
 
 
-def self_polynomial(code: FlatLinkCode, component: int,
-                    catalog: CrossingCatalog | None = None) -> SparsePoly:
-    """The component's polynomial: sum of eta(x+, x-) * t^|eta| over its
-    self-crossings."""
-    catalog = catalog if catalog is not None else validate(code)
+def self_polynomial(catalog: CrossingCatalog, component: int) -> SparsePoly:
+    """The component's polynomial: sum of u(x) * t^|u(x)| over its
+    self-crossings, whose index u(x) is the arc count eta(x+, x-)."""
     coeffs: dict[int, int] = {}
     for x in catalog.self_crossings(component):
-        e = catalog.kind(x)
-        v = catalog.arc(component, e.plus_pos, e.minus_pos)
+        v = catalog.index[x]
         if v != 0:
             coeffs[abs(v)] = coeffs.get(abs(v), 0) + v
     return SparsePoly.from_dict(coeffs)
@@ -214,20 +194,15 @@ def link_polynomial(code: FlatLinkCode) -> LinkInvariant:
     """Assemble the whole invariant of a validated code."""
     catalog = validate(code)
     names = [cw.name for cw in code.components]
-    polys = sorted(((names[i], self_polynomial(code, i, catalog))
+    polys = sorted(((names[i], self_polynomial(catalog, i))
                     for i in range(len(names))), key=lambda t: t[0])
     diffs, coeffs = [], []
     for i, j in combinations(range(len(names)), 2):
         a, b = (i, j) if names[i] < names[j] else (j, i)
-        plus, minus = catalog.pair_ends(a, b)
-        d = len(plus) - len(minus)
+        d = flat_linking_diff(catalog, a, b)
         diffs.append(((names[a], names[b]), d))
         if d == 0 and catalog.prefix[a][-1] == 0 and catalog.prefix[b][-1] == 0:
-            coeff = 0
-            for x, y in zip(plus, minus):
-                ex, ey = catalog.kind(x), catalog.kind(y)
-                coeff += (catalog.arc(a, ex.plus_pos, ey.minus_pos)
-                          + catalog.arc(b, ey.plus_pos, ex.minus_pos))
+            coeff = sum(catalog.index[x] for x in catalog.pair_crossings(a, b))
             coeffs.append(((names[a], names[b]), coeff))
     return LinkInvariant(tuple(polys), tuple(sorted(coeffs)), tuple(sorted(diffs)))
 

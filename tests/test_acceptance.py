@@ -99,7 +99,7 @@ def test_criterion_02_pairing_independence():
         code = random_flat_link(spec)
         plus, minus = pair_ends_oracle(code, 0, 1)
         assert plus and len(plus) <= 5
-        assert flat_linking_diff(code, 0, 1) == 0
+        assert flat_linking_diff(validate(code), 0, 1) == 0
         values = set()
         for matching in all_matchings(plus, minus):
             values.add(matching_sum_oracle(code, 0, 1, matching))
@@ -140,8 +140,8 @@ def test_criterion_04_knot_filamentation_iff_zero_polynomial():
         codes.append(random_code(rng, max_crossings=8, max_components=1))
     filamentations = 0
     for code in codes:
-        constructed = component_filamentation(code, 0)
-        zero = self_polynomial(code, 0).is_zero
+        constructed = component_filamentation(validate(code), 0)
+        zero = self_polynomial(validate(code), 0).is_zero
         brute = brute_force_filamentation(code)
         assert (constructed is not None) == zero == (brute is not None)
         for witness in (constructed, brute):
@@ -181,11 +181,11 @@ def test_criterion_06_greedy_matching_completeness_and_switches():
         if not plus:
             continue
         assert len(plus) <= 6
-        greedy = greedy_zero_sum_partition(code, 0, 1)
+        greedy = greedy_zero_sum_partition(validate(code), 0, 1)
         assert (greedy is not None) == zero_matching_exists_oracle(code, 0, 1)
         if greedy is not None:
             ends = letter_ends(code)
-            for x, y in greedy.pairs:
+            for x, y in greedy:
                 assert (eta_oracle(code, 0, ends[x][1][1], ends[y][-1][1])
                         + eta_oracle(code, 1, ends[y][1][1], ends[x][-1][1])) == 0
             matchings_found += 1
@@ -239,7 +239,7 @@ def test_criterion_08_search_nonzero_multi_component():
 def test_criterion_09_golden_values():
     started = time.perf_counter()
     knot = parse_flat_link("a+ b+ a- c- b- c+")
-    assert self_polynomial(knot, 0).as_dict() == {1: 2, 2: -2}
+    assert self_polynomial(validate(knot), 0).as_dict() == {1: 2, 2: -2}
     assert self_poly_oracle(knot, 0) == {1: 2, 2: -2}
 
     link = parse_flat_link("x+ a+ y- a- ; y+ x-")

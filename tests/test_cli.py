@@ -219,6 +219,15 @@ def test_search_rejects_bad_limits():
     assert "12" in err
 
 
+def test_too_many_components_exits_1_without_traceback():
+    for argv in (["enumerate", "--crossings", "0", "--components", "3000"],
+                 ["search", "nonzero-multi-component", "--limits", "3000,0"]):
+        code, out, err = run_cli(argv)
+        assert code == 1, argv
+        assert out == ""
+        assert "components exceeds" in err and "Traceback" not in err
+
+
 def test_search_unknown_goal_exits_1():
     code, _, err = run_cli(["search", "shortest-proof"])
     assert code == 1

@@ -14,6 +14,7 @@ from flatlinks import (
     link_polynomial,
     parse_flat_link,
     self_polynomial,
+    validate,
     verify_filamentation,
 )
 from helpers import codes, matching_sum_oracle, zero_matching_exists_oracle
@@ -66,7 +67,7 @@ def test_verify_reports_misaligned_bifilament():
 
 def test_component_filamentation_golden():
     code = parse_flat_link("a+ b+ a- b-")
-    f = component_filamentation(code, 0)
+    f = component_filamentation(validate(code), 0)
     assert f == Filamentation((), (("a", "b"),))
     assert verify_filamentation(code, f) == []
 
@@ -74,21 +75,21 @@ def test_component_filamentation_golden():
 def test_component_filamentation_monofilament():
     # adjacent ends: zero letters strictly between them
     code = parse_flat_link("a+ a-")
-    assert component_filamentation(code, 0) == Filamentation(("a",), ())
+    assert component_filamentation(validate(code), 0) == Filamentation(("a",), ())
 
 
 def test_component_filamentation_none_when_poly_nonzero():
     code = parse_flat_link("a+ b+ a- c- b- c+")
-    assert not self_polynomial(code, 0).is_zero
-    assert component_filamentation(code, 0) is None
+    assert not self_polynomial(validate(code), 0).is_zero
+    assert component_filamentation(validate(code), 0) is None
     assert brute_force_filamentation(code) is None
 
 
 @settings(deadline=None)
 @given(codes(max_crossings=6, max_components=1))
 def test_component_filamentation_iff_zero_poly_iff_brute_force(code):
-    found = component_filamentation(code, 0)
-    zero = self_polynomial(code, 0).is_zero
+    found = component_filamentation(validate(code), 0)
+    zero = self_polynomial(validate(code), 0).is_zero
     brute = brute_force_filamentation(code)
     assert (found is not None) == zero == (brute is not None)
     if found is not None:
@@ -98,10 +99,9 @@ def test_component_filamentation_iff_zero_poly_iff_brute_force(code):
 
 def test_greedy_zero_sum_partition_golden():
     code = parse_flat_link("A: x1+ y1- x2+ y2-\nB: y1+ x1- y2+ x2-")
-    part = greedy_zero_sum_partition(code, 0, 1)
-    assert part is not None
-    assert part.pairs == (("x1", "y1"), ("x2", "y2"))
-    for pair in part.pairs:
+    pairs = greedy_zero_sum_partition(validate(code), 0, 1)
+    assert pairs == (("x1", "y1"), ("x2", "y2"))
+    for pair in pairs:
         assert matching_sum_oracle(code, 0, 1, [pair]) == 0
 
 
@@ -109,7 +109,7 @@ def test_greedy_zero_sum_partition_none_when_every_pair_misses():
     # every one of the four candidate pairs has arc-count sum +-1, so
     # no matching exists even though the total coefficient is 0
     code = parse_flat_link("A: x1+ x2+ y1- y2-\nB: y2+ x2- x1- y1+")
-    assert greedy_zero_sum_partition(code, 0, 1) is None
+    assert greedy_zero_sum_partition(validate(code), 0, 1) is None
     assert link_polynomial(code).is_zero
     assert brute_force_filamentation(code) is None
 
@@ -117,26 +117,26 @@ def test_greedy_zero_sum_partition_none_when_every_pair_misses():
 def test_greedy_zero_sum_partition_requires_balance():
     code = parse_flat_link("A: x+ y+\nB: x- y-")
     with pytest.raises(NonzeroFlatLinking):
-        greedy_zero_sum_partition(code, 0, 1)
+        greedy_zero_sum_partition(validate(code), 0, 1)
 
 
 def test_greedy_zero_sum_partition_requires_zero_sign_totals():
     # the A-B difference is 0, but A-C is +1, so A's sign total is +1
     code = parse_flat_link("A: x+ y- z+ ; B: y+ x- ; C: z-")
     with pytest.raises(NonzeroFlatLinking):
-        greedy_zero_sum_partition(code, 0, 1)
+        greedy_zero_sum_partition(validate(code), 0, 1)
     with pytest.raises(NonzeroFlatLinking):
-        greedy_zero_sum_partition(code, 1, 0)
+        greedy_zero_sum_partition(validate(code), 1, 0)
 
 
 @settings(deadline=None)
 @given(codes(max_crossings=6, min_components=2, max_components=2, balanced=True))
 def test_greedy_matches_exhaustive_existence(code):
-    part = greedy_zero_sum_partition(code, 0, 1)
+    pairs = greedy_zero_sum_partition(validate(code), 0, 1)
     exists = zero_matching_exists_oracle(code, 0, 1)
-    assert (part is not None) == exists
-    if part is not None:
-        for x, y in part.pairs:
+    assert (pairs is not None) == exists
+    if pairs is not None:
+        for x, y in pairs:
             assert matching_sum_oracle(code, 0, 1, [(x, y)]) == 0
 
 

@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,7 +24,13 @@ from flatlinks import (
     total_sign,
     validate,
 )
-from helpers import codes, eta_oracle, pair_ends_oracle
+from helpers import (
+    codes,
+    eta_oracle,
+    letter_ends,
+    matching_sum_oracle,
+    pair_ends_oracle,
+)
 
 
 def test_parse_single_knot():
@@ -143,18 +151,21 @@ def test_intersection_number_matches_oracle(code, data):
     assert intersection_number(code, ci, p, q) == eta_oracle(code, ci, p, q)
 
 
-@given(codes(max_crossings=8))
-def test_catalog_arc_and_pair_ends_match_references(code):
+@given(st.one_of(codes(max_crossings=8), codes(max_crossings=8, balanced=True)))
+def test_catalog_index_and_pair_ends_match_references(code):
     catalog = validate(code)
-    for ci, cw in enumerate(code.components):
-        for p in range(len(cw)):
-            for q in range(len(cw)):
-                if p != q:
-                    assert catalog.arc(ci, p, q) == intersection_number(code, ci, p, q)
-        for other in range(len(code.components)):
-            if other != ci:
-                assert (catalog.pair_ends(ci, other)
-                        == tuple(pair_ends_oracle(code, ci, other)))
+    ends = letter_ends(code)
+    for x, sides in ends.items():
+        (cp, pp), (cm, pm) = sides[PLUS], sides[MINUS]
+        if cp == cm:
+            assert catalog.index[x] == eta_oracle(code, cp, pp, pm)
+    for a, b in permutations(range(len(code.components)), 2):
+        plus, minus = pair_ends_oracle(code, a, b)
+        assert catalog.pair_ends(a, b) == (plus, minus)
+        if total_sign(code, a) == total_sign(code, b) == 0:
+            for x, y in product(plus, minus):
+                assert (catalog.index[x] + catalog.index[y]
+                        == matching_sum_oracle(code, a, b, [(x, y)]))
 
 
 @given(codes(max_crossings=6))

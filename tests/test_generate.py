@@ -4,7 +4,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flatlinks.generate as generate
 from flatlinks import (
+    COMPONENT_CAP,
     ENUMERATION_CAP,
     Codeword,
     FlatLinkCode,
@@ -65,7 +67,7 @@ def test_balanced_generation_kills_linking(seed):
     for a in range(k):
         assert total_sign(code, a) == 0
         for b in range(a + 1, k):
-            assert flat_linking_diff(code, a, b) == 0
+            assert flat_linking_diff(validate(code), a, b) == 0
 
 
 def test_enumerate_small_counts_frozen():
@@ -209,6 +211,39 @@ def test_search_is_deterministic_across_jobs():
     assert serial == parallel
 
 
+def test_search_workers_capped_by_chunks_and_cpus(monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(generate, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(generate.os, "cpu_count", lambda: 3)
+    goal = SearchGoal.ZERO_POLY_NO_FILAMENTATION
+    limits = SearchLimits(2, 4, 10, 0)
+    witness = search_examples(goal, limits, jobs=64)
+    assert started and set(started) == {3}
+    assert witness == search_examples(goal, limits, jobs=1)
+
+
+def test_component_cap():
+    assert len(list(enumerate_small_codes(0, COMPONENT_CAP))) == 1
+    with pytest.raises(InstanceTooLarge):
+        list(enumerate_small_codes(0, COMPONENT_CAP + 1))
+    with pytest.raises(InstanceTooLarge):
+        SearchLimits(COMPONENT_CAP + 1, 0)
+
+
 def test_search_rejects_unverifiable_bounds():
     with pytest.raises(InstanceTooLarge):
         search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION,
@@ -221,8 +256,7 @@ def test_sampled_stage_is_deterministic():
     assert len(first) == 7
     assert first == _stage_candidates(8, 2, limits)
     for code in first:
-        validate(code)
-        assert flat_linking_diff(code, 0, 1) == 0
+        assert flat_linking_diff(validate(code), 0, 1) == 0
     spec = _random_balanced_spec(8, 2, 42)
     assert spec.crossing_count == 8
     assert spec == _random_balanced_spec(8, 2, 42)

@@ -50,34 +50,35 @@ def test_sparse_poly_str():
 
 def test_self_polynomial_golden():
     code = parse_flat_link("a+ b+ a- c- b- c+")
-    assert self_polynomial(code, 0).as_dict() == {1: 2, 2: -2}
+    assert self_polynomial(validate(code), 0).as_dict() == {1: 2, 2: -2}
 
 
 def test_self_polynomial_cancels():
     # the two chords contribute +1 and -1 at the same exponent
     code = parse_flat_link("a+ b+ a- b-")
-    assert self_polynomial(code, 0).is_zero
+    assert self_polynomial(validate(code), 0).is_zero
 
 
 @given(codes(max_crossings=6))
 def test_self_polynomial_matches_oracle(code):
     for i in range(len(code.components)):
-        assert self_polynomial(code, i).as_dict() == self_poly_oracle(code, i)
+        assert self_polynomial(validate(code), i).as_dict() == self_poly_oracle(code, i)
 
 
 @given(codes(max_crossings=6))
 def test_self_polynomial_rotation_invariant(code):
     for i, cw in enumerate(code.components):
         for k in range(1, max(len(cw), 1)):
-            assert self_polynomial(code.rotated(i, k), i) == self_polynomial(code, i)
+            assert (self_polynomial(validate(code.rotated(i, k)), i)
+                    == self_polynomial(validate(code), i))
 
 
 def test_flat_linking_diff():
     code = parse_flat_link("A: x+ y+\nB: x- y-")
-    assert flat_linking_diff(code, 0, 1) == 2
-    assert flat_linking_diff(code, 1, 0) == -2
+    assert flat_linking_diff(validate(code), 0, 1) == 2
+    assert flat_linking_diff(validate(code), 1, 0) == -2
     with pytest.raises(SameComponent):
-        flat_linking_diff(code, 0, 0)
+        flat_linking_diff(validate(code), 0, 0)
 
 
 @given(codes(max_crossings=6, min_components=2))
@@ -85,7 +86,8 @@ def test_flat_linking_diff_matches_oracle(code):
     k = len(code.components)
     for a in range(k):
         for b in range(a + 1, k):
-            assert flat_linking_diff(code, a, b) == linking_diff_oracle(code, a, b)
+            assert (flat_linking_diff(validate(code), a, b)
+                    == linking_diff_oracle(code, a, b))
 
 
 def oracle_invariant(code) -> LinkInvariant:
@@ -199,9 +201,3 @@ def test_link_polynomial_drops_pair_on_nonzero_sign_total():
     assert inv.pair_coeff("A", "C") is None
     assert link_polynomial(code.rotated(0, 1)) == inv
 
-
-def test_catalog_reuse_gives_same_answers():
-    code = parse_flat_link("A: x+ a+ y- a-\nB: y+ x-")
-    catalog = validate(code)
-    assert self_polynomial(code, 0, catalog) == self_polynomial(code, 0)
-    assert flat_linking_diff(code, 0, 1, catalog) == flat_linking_diff(code, 0, 1)
