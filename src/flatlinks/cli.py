@@ -27,7 +27,6 @@ from .gausscode import (
     validate,
 )
 from .generate import (
-    ENUMERATION_CAP,
     SearchGoal,
     SearchLimits,
     enumerate_small_codes,
@@ -115,8 +114,6 @@ def _build_parser() -> _Parser:
                        help="all small codes up to rotation and relabeling")
     p.add_argument("--crossings", type=int, required=True)
     p.add_argument("--components", type=int, required=True)
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP,
-                   help=f"enumeration size cap (default {ENUMERATION_CAP})")
     _add_io(p, with_input=False)
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -126,7 +123,9 @@ def _build_parser() -> _Parser:
                    help="search bounds (defaults: %s)" % ", ".join(
                        f"{g.value}={v}" for g, v in _DEFAULT_LIMITS.items()))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    # search runs in one process; kept because benchmark command lines pass --jobs 1
+    p.add_argument("--jobs", type=int, choices=[1], default=1,
+                   help=argparse.SUPPRESS)
     _add_io(p, with_input=False)
     p.set_defaults(handler=_cmd_search)
 
@@ -279,8 +278,7 @@ def _cmd_moves_walk(args, stdin, out, err) -> int:
 def _cmd_enumerate(args, stdin, out, err) -> int:
     # bounds come from flags here, so exceeding a cap is a usage problem
     try:
-        codes = list(enumerate_small_codes(args.crossings, args.components,
-                                           cap=args.cap))
+        codes = enumerate_small_codes(args.crossings, args.components)
     except (ValueError, InstanceTooLarge) as exc:
         raise _UsageError(str(exc)) from None
     if args.format == "json":
@@ -310,10 +308,8 @@ def _parse_limits(text: str, seed: int) -> SearchLimits:
 def _cmd_search(args, stdin, out, err) -> int:
     goal = SearchGoal(args.goal)
     limits = _parse_limits(args.limits or _DEFAULT_LIMITS[goal], args.seed)
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be at least 1")
     try:
-        witness = search_examples(goal, limits, jobs=args.jobs)
+        witness = search_examples(goal, limits)
     except InstanceTooLarge as exc:
         raise _UsageError(str(exc)) from None
     if witness is None:

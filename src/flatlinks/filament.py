@@ -237,8 +237,7 @@ def link_filamentation(code: FlatLinkCode) -> Filamentation | None:
     return Filamentation(tuple(mono), tuple(bi))
 
 
-def brute_force_filamentation(code: FlatLinkCode,
-                              max_crossings: int = ORACLE_CAP) -> Filamentation | None:
+def brute_force_filamentation(code: FlatLinkCode) -> Filamentation | None:
     """Exhaustive backtracking search over all partitions into legal parts.
 
     Independent of the constructive route above, and used to test it.
@@ -247,9 +246,9 @@ def brute_force_filamentation(code: FlatLinkCode,
     """
     catalog = validate(code)
     ids = list(catalog.crossings())
-    if len(ids) > max_crossings:
+    if len(ids) > ORACLE_CAP:
         raise InstanceTooLarge(
-            f"{len(ids)} crossings exceeds the oracle cap of {max_crossings}")
+            f"{len(ids)} crossings exceeds the oracle cap of {ORACLE_CAP}")
 
     mono_ok: dict[str, bool] = {}
     for x in ids:

@@ -101,8 +101,7 @@ class Codeword:
     Which letter sits at index 0 is a representation artifact: semantic
     operations elsewhere never depend on the stored rotation, and tests
     hold them to that.  Dataclass equality is exact (name and rotation
-    included); use ``equals_up_to_rotation`` for the cyclic notion.
-    A codeword may be empty (a crossing-free component).
+    included).  A codeword may be empty (a crossing-free component).
     """
 
     name: str
@@ -114,25 +113,11 @@ class Codeword:
     def __iter__(self):
         return iter(self.letters)
 
-    def letter(self, pos: int) -> Letter:
-        """Letter at a position, index arithmetic modulo the length."""
-        return self.letters[pos % len(self.letters)]
-
     def rotated(self, k: int) -> "Codeword":
         if not self.letters:
             return self
         k %= len(self.letters)
         return Codeword(self.name, self.letters[k:] + self.letters[:k])
-
-    def equals_up_to_rotation(self, other: "Codeword") -> bool:
-        """Letter equality under some rotation; names are not compared."""
-        if len(self.letters) != len(other.letters):
-            return False
-        if not self.letters:
-            return True
-        doubled = self.letters + self.letters
-        n = len(self.letters)
-        return any(doubled[k:k + n] == other.letters for k in range(n))
 
     def __str__(self) -> str:
         return " ".join(str(l) for l in self.letters)
@@ -369,11 +354,6 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
     return CrossingCatalog(entries, prefix, index)
 
 
-def total_sign(code: FlatLinkCode, component: int) -> int:
-    """Sum of the letter signs on one component."""
-    return sum(l.sign for l in code.components[component].letters)
-
-
 def intersection_number(code: FlatLinkCode, component: int,
                         from_pos: int, to_pos: int) -> int:
     """Signed count of the letters strictly between two positions.
@@ -396,57 +376,3 @@ def intersection_number(code: FlatLinkCode, component: int,
         s += cw.letters[i].sign
         i = (i + 1) % n
     return s
-
-
-def codes_equivalent_syntactically(c1: FlatLinkCode, c2: FlatLinkCode,
-                                   allow_relabel: bool = False) -> bool:
-    """Equality of codes up to a rotation of each codeword.
-
-    With ``allow_relabel``, one bijective renaming of crossings (applied
-    consistently across the whole code) and arbitrary renaming of
-    components is also allowed.  Component order still matters, and
-    letter signs are never touched.
-    """
-    a, b = c1.components, c2.components
-    if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
-        return False
-    if not allow_relabel:
-        return all(x.name == y.name and x.equals_up_to_rotation(y)
-                   for x, y in zip(a, b))
-
-    def extend(i: int, fwd: dict[str, str], rev: dict[str, str]) -> bool:
-        if i == len(a):
-            return True
-        x, y = a[i], b[i]
-        if not x.letters:
-            return extend(i + 1, fwd, rev)
-        doubled = x.letters + x.letters
-        n = len(x.letters)
-        for k in range(n):
-            rot = doubled[k:k + n]
-            if any(l.sign != m.sign for l, m in zip(rot, y.letters)):
-                continue
-            trial_f, trial_r = dict(fwd), dict(rev)
-            ok = True
-            for l, m in zip(rot, y.letters):
-                u = trial_f.get(l.crossing)
-                v = trial_r.get(m.crossing)
-                if u is None and v is None:
-                    trial_f[l.crossing] = m.crossing
-                    trial_r[m.crossing] = l.crossing
-                elif u != m.crossing or v != l.crossing:
-                    ok = False
-                    break
-            if ok and extend(i + 1, trial_f, trial_r):
-                return True
-        return False
-
-    return extend(0, {}, {})
-
-
-def relabeled(code: FlatLinkCode, mapping: dict[str, str]) -> FlatLinkCode:
-    """Rename crossings; identifiers absent from the mapping are kept."""
-    return FlatLinkCode(tuple(
-        Codeword(cw.name, tuple(Letter(mapping.get(l.crossing, l.crossing), l.sign)
-                                for l in cw.letters))
-        for cw in code.components))

@@ -1,22 +1,21 @@
 """Random code generation, exhaustive small-code enumeration, and
 witness search for the two phenomena that separate the invariants:
 a zero polynomial without any filamentation, and a many-component
-link, every component carrying a crossing, whose pair coefficient is
-nonzero.
+link, every component sharing a crossing with another, whose pair
+coefficient is nonzero.
 
 Generation is seed-deterministic throughout.  Enumeration quotients the
-raw codes by rotation plus crossing relabeling (exactly the relation
-``codes_equivalent_syntactically`` decides with relabeling allowed) and
-streams one representative per class in canonical order.  Search scans
-code shapes smallest-first, verifying every candidate with the
-exhaustive filamentation oracle rather than the greedy constructor, so
-a returned witness is proof, not heuristic output.
+raw codes by a rotation of each codeword plus one renaming of crossings
+and components (component order and letter signs stay fixed; the
+reference that decides this relation is in ``tests/helpers.py``) and
+returns one representative per class in canonical order.  Search scans
+code shapes smallest-first in one process, verifying every candidate
+with the exhaustive filamentation oracle rather than the greedy
+constructor, so a returned witness is proof, not heuristic output.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
@@ -31,6 +30,7 @@ from .gausscode import (
     FlatLinkError,
     Letter,
     default_component_name,
+    validate,
 )
 from .invariant import link_polynomial
 
@@ -183,8 +183,9 @@ def _fillings(total: int):
 def _canonical_key(parts: tuple[tuple[tuple[int, int], ...], ...]):
     """Least relabeled form over all per-component rotations.
 
-    Component order stays fixed and names play no part, matching what
-    codes_equivalent_syntactically(..., allow_relabel=True) identifies.
+    Component order stays fixed and names play no part, so two codes get
+    the same key exactly when a rotation of each codeword and one
+    renaming of crossings carry one onto the other.
     """
     best = None
     ranges = [range(len(p)) if p else range(1) for p in parts]
@@ -213,20 +214,19 @@ def _code_from_key(key) -> FlatLinkCode:
     return FlatLinkCode(tuple(comps))
 
 
-def enumerate_small_codes(crossings: int, components: int,
-                          cap: int = ENUMERATION_CAP):
-    """Yield one code per rotation/relabel class with exactly the given
+def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]:
+    """One code per rotation/relabel class with exactly the given
     crossing and component counts, in canonical order.
 
-    The class count grows like (2n-1)!! 2^n, so the default cap keeps
-    this to desk scale; raise ``cap`` knowingly.  More than
-    COMPONENT_CAP components raises InstanceTooLarge whatever the cap.
+    The class count grows like (2n-1)!! 2^n, so more than
+    ENUMERATION_CAP crossings or COMPONENT_CAP components raises
+    InstanceTooLarge.
     """
     if crossings < 0 or components < 0:
         raise ValueError("counts must be nonnegative")
-    if crossings > cap:
+    if crossings > ENUMERATION_CAP:
         raise InstanceTooLarge(
-            f"{crossings} crossings exceeds the enumeration cap of {cap}")
+            f"{crossings} crossings exceeds the enumeration cap of {ENUMERATION_CAP}")
     if components > COMPONENT_CAP:
         raise InstanceTooLarge(
             f"{components} components exceeds the cap of {COMPONENT_CAP}")
@@ -239,8 +239,7 @@ def enumerate_small_codes(crossings: int, components: int,
                 parts.append(filling[at:at + s])
                 at += s
             keys.add(_canonical_key(tuple(parts)))
-    for key in sorted(keys):
-        yield _code_from_key(key)
+    return [_code_from_key(key) for key in sorted(keys)]
 
 
 class SearchGoal(str, Enum):
@@ -270,18 +269,15 @@ def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
     if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION:
         return (link_polynomial(code).is_zero
                 and brute_force_filamentation(code) is None)
-    # a crossing-free circle would pass a smaller link off as a bigger one
-    return (all(cw.letters for cw in code.components)
-            and any(c != 0 for _, c in link_polynomial(code).pair_coeffs))
-
-
-def _scan_chunk(args) -> int | None:
-    goal_value, codes = args
-    goal = SearchGoal(goal_value)
-    for at, code in enumerate(codes):
-        if _is_witness(goal, code):
-            return at
-    return None
+    if not any(c != 0 for _, c in link_polynomial(code).pair_coeffs):
+        return False
+    # a component sharing no crossing is split off (an empty circle, or a
+    # kink that r1 empties), which would pass a smaller link off as a
+    # bigger one
+    catalog = validate(code)
+    k = len(code.components)
+    return all(any(catalog.pair_crossings(i, j) for j in range(k) if j != i)
+               for i in range(k))
 
 
 def _random_balanced_spec(crossings: int, components: int, seed: int) -> GenSpec:
@@ -301,22 +297,21 @@ def _random_balanced_spec(crossings: int, components: int, seed: int) -> GenSpec
 def _stage_candidates(crossings: int, components: int,
                       limits: SearchLimits) -> list[FlatLinkCode]:
     if crossings <= ENUMERATION_CAP:
-        return list(enumerate_small_codes(crossings, components))
+        return enumerate_small_codes(crossings, components)
     base = limits.seed * 1_000_003 + crossings * 10_007 + components * 101
     return [random_flat_link(_random_balanced_spec(crossings, components, base + s))
             for s in range(limits.samples)]
 
 
-def search_examples(goal: SearchGoal | str, limits: SearchLimits,
-                    jobs: int = 1) -> FlatLinkCode | None:
+def search_examples(goal: SearchGoal | str,
+                    limits: SearchLimits) -> FlatLinkCode | None:
     """Scan small codes for a witness of the goal; None if none in bounds.
 
     Shapes are visited smallest-first (crossings, then components) and
-    candidates in canonical enumeration order, so the result does not
-    depend on ``jobs``; workers only split the verification of a stage.
-    Knots cannot witness the zero-poly goal (for one component the
-    polynomial decides filamentation), so that scan starts at two
-    components.  A witness is verified with the exhaustive oracle.
+    candidates in canonical enumeration order; the first witness in that
+    order is returned.  Knots cannot witness the zero-poly goal (for one
+    component the polynomial decides filamentation), so that scan starts
+    at two components.  A witness is verified with the exhaustive oracle.
     """
     goal = SearchGoal(goal)
     if limits.max_crossings > ORACLE_CAP:
@@ -325,30 +320,7 @@ def search_examples(goal: SearchGoal | str, limits: SearchLimits,
     least = 2 if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION else 3
     for crossings in range(limits.max_crossings + 1):
         for components in range(least, limits.max_components + 1):
-            candidates = _stage_candidates(crossings, components, limits)
-            hit = _scan_stage(goal, candidates, jobs)
-            if hit is not None:
-                return hit
+            for code in _stage_candidates(crossings, components, limits):
+                if _is_witness(goal, code):
+                    return code
     return None
-
-
-def _scan_stage(goal: SearchGoal, candidates: list[FlatLinkCode],
-                jobs: int) -> FlatLinkCode | None:
-    if jobs <= 1 or len(candidates) < 2 * jobs:
-        for code in candidates:
-            if _is_witness(goal, code):
-                return code
-        return None
-    size = (len(candidates) + jobs - 1) // jobs
-    chunks = [candidates[at:at + size] for at in range(0, len(candidates), size)]
-    tasks = [(goal.value, tuple(chunk)) for chunk in chunks]
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        firsts = list(pool.map(_scan_chunk, tasks))
-    best = None
-    for chunk_index, local in enumerate(firsts):
-        if local is not None:
-            at = chunk_index * size + local
-            if best is None or at < best:
-                best = at
-    return candidates[best] if best is not None else None

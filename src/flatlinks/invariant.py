@@ -24,7 +24,7 @@ published.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Mapping
 
 from .gausscode import (
@@ -142,18 +142,6 @@ class LinkInvariant:
                 and all(c == 0 for _, c in self.pair_coeffs)
                 and all(d == 0 for _, d in self.linking_diffs))
 
-    def renamed(self, mapping: dict[str, str]) -> "LinkInvariant":
-        def key(pair: tuple[str, str]) -> tuple[str, str]:
-            u, v = mapping[pair[0]], mapping[pair[1]]
-            return (min(u, v), max(u, v))
-
-        return LinkInvariant(
-            tuple(sorted(((mapping[n], p) for n, p in self.component_polys),
-                         key=lambda t: t[0])),
-            tuple(sorted((key(k), c) for k, c in self.pair_coeffs)),
-            tuple(sorted((key(k), d) for k, d in self.linking_diffs)),
-        )
-
     def to_json(self) -> dict:
         return {
             "components": [{"name": n, "poly": p.to_json()}
@@ -206,17 +194,3 @@ def link_polynomial(code: FlatLinkCode) -> LinkInvariant:
             coeffs.append(((names[a], names[b]), coeff))
     return LinkInvariant(tuple(polys), tuple(sorted(coeffs)), tuple(sorted(diffs)))
 
-
-def invariants_equal(i1: LinkInvariant, i2: LinkInvariant,
-                     up_to_component_bijection: bool = False) -> bool:
-    """Compare two invariants, optionally searching component renamings."""
-    if not up_to_component_bijection:
-        return i1 == i2
-    names1 = [n for n, _ in i1.component_polys]
-    names2 = [n for n, _ in i2.component_polys]
-    if len(names1) != len(names2):
-        return False
-    for image in permutations(names2):
-        if i1.renamed(dict(zip(names1, image))) == i2:
-            return True
-    return False

@@ -28,6 +28,59 @@ def eta_oracle(code: FlatLinkCode, component: int, p: int, q: int) -> int:
     return sum(l.sign for l in doubled[p + 1:end])
 
 
+def total_sign(code: FlatLinkCode, component: int) -> int:
+    """Sum of the letter signs on one component."""
+    return sum(l.sign for l in code.components[component].letters)
+
+
+def codes_equivalent_syntactically(c1: FlatLinkCode, c2: FlatLinkCode,
+                                   allow_relabel: bool = False) -> bool:
+    """Equality of codes up to a rotation of each codeword.
+
+    With ``allow_relabel``, one bijective renaming of crossings (applied
+    consistently across the whole code) and arbitrary renaming of
+    components is also allowed.  Component order still matters, and
+    letter signs are never touched.  This is the relation the
+    enumeration quotients by, decided here by backtracking search.
+    """
+    a, b = c1.components, c2.components
+    if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
+        return False
+
+    def rotations(letters):
+        n = len(letters)
+        doubled = letters + letters
+        return [doubled[k:k + n] for k in range(n)] if n else [letters]
+
+    if not allow_relabel:
+        return all(x.name == y.name and y.letters in rotations(x.letters)
+                   for x, y in zip(a, b))
+
+    def extend(i: int, fwd: dict[str, str], rev: dict[str, str]) -> bool:
+        if i == len(a):
+            return True
+        y = b[i].letters
+        for rot in rotations(a[i].letters):
+            if any(l.sign != m.sign for l, m in zip(rot, y)):
+                continue
+            trial_f, trial_r = dict(fwd), dict(rev)
+            ok = True
+            for l, m in zip(rot, y):
+                u = trial_f.get(l.crossing)
+                v = trial_r.get(m.crossing)
+                if u is None and v is None:
+                    trial_f[l.crossing] = m.crossing
+                    trial_r[m.crossing] = l.crossing
+                elif u != m.crossing or v != l.crossing:
+                    ok = False
+                    break
+            if ok and extend(i + 1, trial_f, trial_r):
+                return True
+        return False
+
+    return extend(0, {}, {})
+
+
 def letter_ends(code: FlatLinkCode) -> dict:
     """crossing id -> {sign: (component, position)} scanned from letters."""
     out: dict = {}
@@ -35,6 +88,16 @@ def letter_ends(code: FlatLinkCode) -> dict:
         for pos, letter in enumerate(cw.letters):
             out.setdefault(letter.crossing, {})[letter.sign] = (ci, pos)
     return out
+
+
+def every_component_shares_a_crossing(code: FlatLinkCode) -> bool:
+    """No component is split off: each has a crossing with another one."""
+    shared = set()
+    for sides in letter_ends(code).values():
+        comps = {ci for ci, _ in sides.values()}
+        if len(comps) == 2:
+            shared |= comps
+    return shared == set(range(len(code.components)))
 
 
 def self_poly_oracle(code: FlatLinkCode, component: int) -> dict[int, int]:

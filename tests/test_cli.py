@@ -219,6 +219,23 @@ def test_search_rejects_bad_limits():
     assert "12" in err
 
 
+def test_search_accepts_only_jobs_1():
+    argv = ["search", "zero-poly-no-filamentation", "--limits", "2,4"]
+    code, out, _ = run_cli(argv + ["--jobs", "1"])
+    assert code == 0
+    assert (code, out) == run_cli(argv)[:2]
+    code, out, err = run_cli(argv + ["--jobs", "2"])
+    assert code == 1 and out == ""
+    assert "--jobs" in err and "Traceback" not in err
+
+
+def test_enumerate_has_no_cap_flag():
+    code, _, err = run_cli(["enumerate", "--crossings", "1", "--components", "1",
+                            "--cap", "7"])
+    assert code == 1
+    assert "--cap" in err
+
+
 def test_too_many_components_exits_1_without_traceback():
     for argv in (["enumerate", "--crossings", "0", "--components", "3000"],
                  ["search", "nonzero-multi-component", "--limits", "3000,0"]):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from flatlinks import (
+    ORACLE_CAP,
     Filamentation,
     InstanceTooLarge,
     NonzeroFlatLinking,
@@ -194,6 +195,7 @@ def test_brute_force_cap():
     words = " ".join(f"c{i}+ c{i}-" for i in range(13))
     with pytest.raises(InstanceTooLarge):
         brute_force_filamentation(parse_flat_link(words))
-    # a wider explicit cap lifts the limit
-    f = brute_force_filamentation(parse_flat_link(words), max_crossings=13)
-    assert len(f.monofilaments) == 13
+    # ORACLE_CAP crossings are still searched
+    at_cap = " ".join(f"c{i}+ c{i}-" for i in range(ORACLE_CAP))
+    f = brute_force_filamentation(parse_flat_link(at_cap))
+    assert len(f.monofilaments) == ORACLE_CAP

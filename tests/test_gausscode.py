@@ -16,20 +16,19 @@ from flatlinks import (
     PositionOutOfRange,
     SamePosition,
     SameSignTwice,
-    codes_equivalent_syntactically,
     intersection_number,
     parse_flat_link,
-    relabeled,
     render_flat_link,
-    total_sign,
     validate,
 )
 from helpers import (
     codes,
+    codes_equivalent_syntactically,
     eta_oracle,
     letter_ends,
     matching_sum_oracle,
     pair_ends_oracle,
+    total_sign,
 )
 
 
@@ -259,12 +258,6 @@ def test_rotation_is_equivalent(code, data):
     for i, k in enumerate(rots):
         rotated = rotated.rotated(i, k)
     assert codes_equivalent_syntactically(code, rotated)
-
-
-def test_relabeled_keeps_unmapped_ids():
-    code = parse_flat_link("a+ b+ a- b-")
-    new = relabeled(code, {"a": "z"})
-    assert render_flat_link(new) == "z+ b+ z- b-"
 
 
 def test_letter_and_codeword_basics():

@@ -6,7 +6,6 @@ from flatlinks import (
     SameComponent,
     SparsePoly,
     flat_linking_diff,
-    invariants_equal,
     link_polynomial,
     parse_flat_link,
     self_polynomial,
@@ -165,22 +164,6 @@ def test_link_polynomial_orders_by_name():
     inv = link_polynomial(parse_flat_link("zz: a+ a-\nmm: b+ b-"))
     assert [n for n, _ in inv.component_polys] == ["mm", "zz"]
     assert inv.linking_diffs[0][0] == ("mm", "zz")
-
-
-def test_invariants_equal_up_to_renaming():
-    i1 = link_polynomial(parse_flat_link("A: x+ a+ y- a-\nB: y+ x-"))
-    i2 = link_polynomial(parse_flat_link("Q: x+ a+ y- a-\nP: y+ x-"))
-    assert not invariants_equal(i1, i2)
-    assert invariants_equal(i1, i2, up_to_component_bijection=True)
-    i3 = link_polynomial(parse_flat_link("P: x+ a+ y- a-\nQ: y+ x-"))
-    assert invariants_equal(i2, i3, up_to_component_bijection=True)
-
-
-def test_renamed_reorders():
-    inv = link_polynomial(parse_flat_link("A: x+ a+ y- a-\nB: y+ x-"))
-    swapped = inv.renamed({"A": "B", "B": "A"})
-    assert swapped.poly("B").as_dict() == {1: -1}
-    assert swapped.pair_coeff("A", "B") == 1
 
 
 @given(codes(max_crossings=6))
