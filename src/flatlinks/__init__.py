@@ -21,11 +21,9 @@ from .gausscode import (
     FlatLinkError,
     Letter,
     MalformedToken,
-    PairCrossing,
     PositionOutOfRange,
     SamePosition,
     SameSignTwice,
-    SelfCrossing,
     default_component_name,
     intersection_number,
     parse_flat_link,
@@ -83,8 +81,6 @@ __all__ = [
     "Letter",
     "Codeword",
     "FlatLinkCode",
-    "SelfCrossing",
-    "PairCrossing",
     "CrossingCatalog",
     "FlatLinkError",
     "MalformedToken",

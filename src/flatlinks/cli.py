@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .filament import (
@@ -156,7 +157,8 @@ def _print_invariant(inv, out) -> None:
               file=out)
         coeff = inv.pair_coeff(a, b)
         if coeff is None:
-            print(f"coeff {a},{b}: undefined (nonzero linking)", file=out)
+            reason = "nonzero linking" if diff else "nonzero sign total"
+            print(f"coeff {a},{b}: undefined ({reason})", file=out)
         else:
             print(f"coeff {a},{b}: {coeff}", file=out)
 
@@ -356,7 +358,15 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -26,12 +26,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .gausscode import (
-    PLUS,
-    MINUS,
     CrossingCatalog,
     FlatLinkCode,
     FlatLinkError,
-    SelfCrossing,
     intersection_number,
     validate,
 )
@@ -92,10 +89,8 @@ class FilamentViolation:
 def _bifilament_sum(code: FlatLinkCode, catalog: CrossingCatalog,
                     x: str, y: str) -> int | None:
     """Arc-count sum of the pair {x, y}, or None if the ends misalign."""
-    cxp, pxp = catalog.position(x, PLUS)
-    cxm, pxm = catalog.position(x, MINUS)
-    cyp, pyp = catalog.position(y, PLUS)
-    cym, pym = catalog.position(y, MINUS)
+    cxp, pxp, cxm, pxm = catalog.ends[x]
+    cyp, pyp, cym, pym = catalog.ends[y]
     if cxp != cym or cxm != cyp:
         return None
     if pxp == pym or pyp == pxm:
@@ -129,12 +124,12 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
 
     violations = []
     for x in f.monofilaments:
-        e = catalog.kind(x)
-        if not isinstance(e, SelfCrossing):
+        pc, pp, mc, mp = catalog.ends[x]
+        if pc != mc:
             violations.append(FilamentViolation(
                 (x,), "monofilament ends lie on two components"))
             continue
-        v = intersection_number(code, e.component, e.plus_pos, e.minus_pos)
+        v = intersection_number(code, pc, pp, mp)
         if v != 0:
             violations.append(FilamentViolation((x,), f"arc count {v:+d}, expected 0"))
     for x, y in f.bifilaments:
@@ -148,6 +143,23 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
     return violations
 
 
+def _match(catalog: CrossingCatalog, plus: list[str],
+           minus: list[str]) -> tuple[tuple[str, str], ...] | None:
+    """Pairs (x, y): each x of ``plus``, in order, takes the earliest
+    unused y of ``minus`` whose index is -u(x).  None unless every
+    crossing of both lists is matched."""
+    buckets: dict[int, list[str]] = {}
+    for y in reversed(minus):
+        buckets.setdefault(catalog.index[y], []).append(y)
+    pairs: list[tuple[str, str]] = []
+    for x in plus:
+        partners = buckets.get(-catalog.index[x])
+        if not partners:
+            return None
+        pairs.append((x, partners.pop()))
+    return tuple(pairs) if len(pairs) == len(minus) else None
+
+
 def component_filamentation(catalog: CrossingCatalog,
                             component: int) -> Filamentation | None:
     """Filamentation of one component's self-crossings, if one exists.
@@ -159,20 +171,14 @@ def component_filamentation(catalog: CrossingCatalog,
     is zero (true whenever all pairwise linking differences vanish).
     """
     mono: list[str] = []
-    by_value: dict[int, list[str]] = {}
+    plus, minus = [], []
     for x in catalog.self_crossings(component):
         v = catalog.index[x]
-        if v == 0:
-            mono.append(x)
-        else:
-            by_value.setdefault(v, []).append(x)
-    bi: list[tuple[str, str]] = []
-    for n in sorted({abs(k) for k in by_value}):
-        plus, minus = by_value.get(n, []), by_value.get(-n, [])
-        if len(plus) != len(minus):
-            return None
-        bi.extend(zip(plus, minus))
-    return Filamentation(tuple(mono), tuple(bi))
+        (mono if v == 0 else plus if v > 0 else minus).append(x)
+    bi = _match(catalog, plus, minus)
+    if bi is None:
+        return None
+    return Filamentation(tuple(mono), bi)
 
 
 def greedy_zero_sum_partition(catalog: CrossingCatalog, a: int,
@@ -192,19 +198,9 @@ def greedy_zero_sum_partition(catalog: CrossingCatalog, a: int,
     if diff != 0:
         raise NonzeroFlatLinking(diff)
     for c in (a, b):
-        if catalog.prefix[c][-1] != 0:
-            raise NonzeroFlatLinking(catalog.prefix[c][-1])
-    plus, minus = catalog.pair_ends(a, b)
-    buckets: dict[int, list[str]] = {}
-    for y in reversed(minus):
-        buckets.setdefault(catalog.index[y], []).append(y)
-    pairs: list[tuple[str, str]] = []
-    for x in plus:
-        partners = buckets.get(-catalog.index[x])
-        if not partners:
-            return None
-        pairs.append((x, partners.pop()))
-    return tuple(pairs)
+        if catalog.totals[c] != 0:
+            raise NonzeroFlatLinking(catalog.totals[c])
+    return _match(catalog, *catalog.pair_ends(a, b))
 
 
 def link_filamentation(code: FlatLinkCode) -> Filamentation | None:
@@ -252,9 +248,8 @@ def brute_force_filamentation(code: FlatLinkCode) -> Filamentation | None:
 
     mono_ok: dict[str, bool] = {}
     for x in ids:
-        e = catalog.kind(x)
-        mono_ok[x] = (isinstance(e, SelfCrossing)
-                      and intersection_number(code, e.component, e.plus_pos, e.minus_pos) == 0)
+        pc, pp, mc, mp = catalog.ends[x]
+        mono_ok[x] = pc == mc and intersection_number(code, pc, pp, mp) == 0
     pair_ok: dict[tuple[str, str], bool] = {}
     for x, y in combinations(ids, 2):
         pair_ok[(x, y)] = _bifilament_sum(code, catalog, x, y) == 0

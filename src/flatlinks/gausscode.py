@@ -155,68 +155,44 @@ class FlatLinkCode:
         return render_flat_link(self)
 
 
-@dataclass(frozen=True)
-class SelfCrossing:
-    """Both ends on one component."""
-
-    component: int
-    plus_pos: int
-    minus_pos: int
-
-
-@dataclass(frozen=True)
-class PairCrossing:
-    """One end on each of two distinct components."""
-
-    plus_component: int
-    plus_pos: int
-    minus_component: int
-    minus_pos: int
-
-
 class CrossingCatalog:
-    """Classification of every crossing of a validated code.
+    """Where every crossing of a validated code sits, and its index.
+
+    ``ends[x]`` is (plus component, plus position, minus component,
+    minus position); x is a self-crossing exactly when the two components
+    are equal.  ``index[x]`` is P[pos(x-)] - P[pos(x+) + 1], with P the
+    prefix sums of letter signs on the component each end lies on; a
+    self-crossing whose - end comes first also gets its component's sign
+    total, so its index is always its arc count from x+ to x-.
+    ``totals[i]`` is the sign total of component ``i``.
 
     ``self_crossings(i)`` lists the crossings with both letters on
     component ``i``, ordered by the + letter's position.
     ``pair_crossings(i, j)`` lists the crossings with one end on each of
     two distinct components, ordered by position on the smaller index.
-    ``prefix[i][p]`` is the sum of the signs of component ``i``'s letters
-    at positions 0..p-1, so ``prefix[i][-1]`` is its sign total.
-    ``index[x]`` is P[pos(x-)] - P[pos(x+) + 1], with P the prefix sums
-    of the component each end lies on; a self-crossing whose - end comes
-    first also gets its component's sign total, so its index is always
-    its arc count from x+ to x-.  Treat instances as read-only.
+    Treat instances as read-only.
     """
 
-    def __init__(self, entries: dict[str, SelfCrossing | PairCrossing],
-                 prefix: list[list[int]], index: dict[str, int]):
-        self.entries = dict(entries)
-        self.prefix = prefix
+    def __init__(self, ends: dict[str, tuple[int, int, int, int]],
+                 index: dict[str, int], totals: list[int]):
+        self.ends = ends
         self.index = index
+        self.totals = totals
         self._self: dict[int, list[str]] = {}
         self._pairs: dict[tuple[int, int], list[str]] = {}
-        for x, e in self.entries.items():
-            if isinstance(e, SelfCrossing):
-                self._self.setdefault(e.component, []).append(x)
+        # ``validate`` lists each crossing at its first letter, which for a
+        # crossing between components a < b lies on a, so the pair lists
+        # come out in position order on a; self-crossing lists need a sort
+        for x, (pc, _, mc, _) in ends.items():
+            if pc == mc:
+                self._self.setdefault(pc, []).append(x)
             else:
-                key = (min(e.plus_component, e.minus_component),
-                       max(e.plus_component, e.minus_component))
-                self._pairs.setdefault(key, []).append(x)
-        for comp, ids in self._self.items():
-            ids.sort(key=lambda x: self.entries[x].plus_pos)
-        for (a, _b), ids in self._pairs.items():
-            ids.sort(key=lambda x: self._position_on(x, a))
-
-    def _position_on(self, x: str, component: int) -> int:
-        e = self.entries[x]
-        return e.plus_pos if e.plus_component == component else e.minus_pos
-
-    def kind(self, x: str) -> SelfCrossing | PairCrossing:
-        return self.entries[x]
+                self._pairs.setdefault((min(pc, mc), max(pc, mc)), []).append(x)
+        for ids in self._self.values():
+            ids.sort(key=lambda x: ends[x][1])
 
     def crossings(self) -> tuple[str, ...]:
-        return tuple(self.entries)
+        return tuple(self.ends)
 
     def self_crossings(self, component: int) -> tuple[str, ...]:
         return tuple(self._self.get(component, ()))
@@ -229,19 +205,10 @@ class CrossingCatalog:
         resp. - end, lies on a, each ordered by that end's position."""
         plus, minus = [], []
         for x in self.pair_crossings(a, b):
-            (plus if self.entries[x].plus_component == a else minus).append(x)
-        plus.sort(key=lambda x: self.entries[x].plus_pos)
-        minus.sort(key=lambda x: self.entries[x].minus_pos)
+            (plus if self.ends[x][0] == a else minus).append(x)
+        plus.sort(key=lambda x: self.ends[x][1])
+        minus.sort(key=lambda x: self.ends[x][3])
         return plus, minus
-
-    def position(self, x: str, sign: int) -> tuple[int, int]:
-        """(component, position) of one end of a crossing."""
-        e = self.entries[x]
-        if isinstance(e, SelfCrossing):
-            return (e.component, e.plus_pos if sign == PLUS else e.minus_pos)
-        if sign == PLUS:
-            return (e.plus_component, e.plus_pos)
-        return (e.minus_component, e.minus_pos)
 
 
 def parse_flat_link(text: str) -> FlatLinkCode:
@@ -307,14 +274,14 @@ def render_flat_link(code: FlatLinkCode) -> str:
 
 
 def validate(code: FlatLinkCode) -> CrossingCatalog:
-    """Check the structural invariants and classify every crossing.
+    """Check the structural invariants and catalog every crossing.
 
     Component names must be distinct, and every crossing identifier must
     occur exactly twice with opposite signs.  Raises
     DuplicateComponentName, CrossingAppearsOnce, CrossingAppearsThrice,
     or SameSignTwice naming the offender; returns the catalog, with the
-    prefix sums of letter signs and the index of every crossing, so
-    callers never re-derive them.
+    ends and the index of every crossing and the sign total of every
+    component, so callers never re-derive them.
     """
     names = set()
     for cw in code.components:
@@ -322,18 +289,18 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
             raise DuplicateComponentName(cw.name)
         names.add(cw.name)
 
-    ends: dict[str, list[tuple[int, int, int]]] = {}
+    letters: dict[str, list[tuple[int, int, int]]] = {}
     prefix: list[list[int]] = []
     for ci, cw in enumerate(code.components):
         sums = [0]
         for pos, letter in enumerate(cw.letters):
-            ends.setdefault(letter.crossing, []).append((ci, pos, letter.sign))
+            letters.setdefault(letter.crossing, []).append((ci, pos, letter.sign))
             sums.append(sums[-1] + letter.sign)
         prefix.append(sums)
 
-    entries: dict[str, SelfCrossing | PairCrossing] = {}
+    ends: dict[str, tuple[int, int, int, int]] = {}
     index: dict[str, int] = {}
-    for x, occ in ends.items():
+    for x, occ in letters.items():
         if len(occ) == 1:
             raise CrossingAppearsOnce(x)
         if len(occ) > 2:
@@ -344,14 +311,11 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
         if first[2] == MINUS:
             first, second = second, first
         (pc, pp, _), (mc, mp, _) = first, second
+        ends[x] = (pc, pp, mc, mp)
         index[x] = prefix[mc][mp] - prefix[pc][pp + 1]
-        if pc == mc:
-            entries[x] = SelfCrossing(pc, pp, mp)
-            if mp < pp:
-                index[x] += prefix[pc][-1]
-        else:
-            entries[x] = PairCrossing(pc, pp, mc, mp)
-    return CrossingCatalog(entries, prefix, index)
+        if pc == mc and mp < pp:
+            index[x] += prefix[pc][-1]
+    return CrossingCatalog(ends, index, [sums[-1] for sums in prefix])
 
 
 def intersection_number(code: FlatLinkCode, component: int,

@@ -163,7 +163,7 @@ def flat_linking_diff(catalog: CrossingCatalog, a: int, b: int) -> int:
         raise SameComponent(f"need two distinct components, got {a} twice")
     diff = 0
     for x in catalog.pair_crossings(a, b):
-        diff += 1 if catalog.kind(x).plus_component == a else -1
+        diff += 1 if catalog.ends[x][0] == a else -1
     return diff
 
 
@@ -189,7 +189,7 @@ def link_polynomial(code: FlatLinkCode) -> LinkInvariant:
         a, b = (i, j) if names[i] < names[j] else (j, i)
         d = flat_linking_diff(catalog, a, b)
         diffs.append(((names[a], names[b]), d))
-        if d == 0 and catalog.prefix[a][-1] == 0 and catalog.prefix[b][-1] == 0:
+        if d == 0 and catalog.totals[a] == catalog.totals[b] == 0:
             coeff = sum(catalog.index[x] for x in catalog.pair_crossings(a, b))
             coeffs.append(((names[a], names[b]), coeff))
     return LinkInvariant(tuple(polys), tuple(sorted(coeffs)), tuple(sorted(diffs)))

@@ -232,17 +232,10 @@ def _find_r2_remove(code: FlatLinkCode) -> list[MoveSite]:
 
 
 def _find_r3(code: FlatLinkCode) -> list[MoveSite]:
-    spots = []
-    for ci, cw in enumerate(code.components):
-        n = len(cw)
-        if n < 2:
-            continue
-        for p in range(n):
-            a, b = _adjacent(cw, p)
-            if a.sign == PLUS and b.sign == MINUS and a.crossing != b.crossing:
-                spots.append((ci, p, a.crossing, b.crossing))
-    # every crossing has one plus letter, so these spots never overlap
-    # and map each plus crossing to at most one minus crossing
+    # every crossing has one plus letter, so the plus-first slide spots
+    # never overlap and map each plus crossing to at most one minus crossing
+    spots = [(ci, p, a.crossing, b.crossing)
+             for ci, p, a, b in _slide_spots(code) if a.sign == PLUS]
     spot_of = {x: i for i, (_, _, x, _) in enumerate(spots)}
     found = []
     for i, (_, _, x, y) in enumerate(spots):

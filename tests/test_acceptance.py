@@ -270,11 +270,12 @@ def test_criterion_10_same_component_crossing_pair_identity():
         for ci in range(len(code.components)):
             assert total_sign(code, ci) == 0
             for x, y in combinations(catalog.self_crossings(ci), 2):
-                ex, ey = catalog.kind(x), catalog.kind(y)
-                lhs = (intersection_number(code, ci, ex.plus_pos, ey.minus_pos)
-                       + intersection_number(code, ci, ey.plus_pos, ex.minus_pos))
-                rhs = (intersection_number(code, ci, ex.plus_pos, ex.minus_pos)
-                       + intersection_number(code, ci, ey.plus_pos, ey.minus_pos))
+                _, xp, _, xm = catalog.ends[x]
+                _, yp, _, ym = catalog.ends[y]
+                lhs = (intersection_number(code, ci, xp, ym)
+                       + intersection_number(code, ci, yp, xm))
+                rhs = (intersection_number(code, ci, xp, xm)
+                       + intersection_number(code, ci, yp, ym))
                 assert lhs == rhs
                 pairs_checked += 1
     _stamp(10, started, 10, f"1000 codes, {pairs_checked} crossing pairs")

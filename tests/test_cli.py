@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,11 @@ def test_invariant_text_reports_undefined_coeff():
     assert code == 0
     assert "linking A,B: 2 (flat linking number 1)" in out
     assert "coeff A,B: undefined (nonzero linking)" in out
+    # unlinked pair, but A's sign total is +1
+    code, out, _ = run_cli(["invariant"], "A: x+ y- z+ ; B: y+ x- ; C: z-")
+    assert code == 0
+    assert "linking A,B: 0 (flat linking number 0)" in out
+    assert "coeff A,B: undefined (nonzero sign total)" in out
 
 
 def test_linking():
@@ -243,6 +252,24 @@ def test_too_many_components_exits_1_without_traceback():
         assert code == 1, argv
         assert out == ""
         assert "components exceeds" in err and "Traceback" not in err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # enumerate (5, 1) prints about 120 KB, more than a pipe buffer holds,
+    # so the command is still writing when the reader goes away
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flatlinks.cli", "enumerate", "--crossings", "5",
+         "--components", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_search_unknown_goal_exits_1():

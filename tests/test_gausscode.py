@@ -97,9 +97,9 @@ def test_catalog_classifies_ends():
     catalog = validate(code)
     assert catalog.self_crossings(0) == ("a",)
     assert catalog.pair_crossings(0, 1) == ("x", "y")
-    x = catalog.kind("x")
-    assert (x.plus_component, x.plus_pos) == (0, 0)
-    assert (x.minus_component, x.minus_pos) == (1, 1)
+    assert catalog.ends["x"] == (0, 0, 1, 1)
+    assert catalog.ends["a"] == (0, 1, 0, 3)
+    assert catalog.totals == [0, 0]
 
 
 def test_render_round_trip_golden():
@@ -156,11 +156,17 @@ def test_catalog_index_and_pair_ends_match_references(code):
     ends = letter_ends(code)
     for x, sides in ends.items():
         (cp, pp), (cm, pm) = sides[PLUS], sides[MINUS]
+        assert catalog.ends[x] == (cp, pp, cm, pm)
         if cp == cm:
             assert catalog.index[x] == eta_oracle(code, cp, pp, pm)
+    for ci in range(len(code.components)):
+        assert catalog.totals[ci] == total_sign(code, ci)
     for a, b in permutations(range(len(code.components)), 2):
         plus, minus = pair_ends_oracle(code, a, b)
         assert catalog.pair_ends(a, b) == (plus, minus)
+        on_lo = {x: p for x in plus + minus
+                 for c, p in ends[x].values() if c == min(a, b)}
+        assert list(catalog.pair_crossings(a, b)) == sorted(on_lo, key=on_lo.get)
         if total_sign(code, a) == total_sign(code, b) == 0:
             for x, y in product(plus, minus):
                 assert (catalog.index[x] + catalog.index[y]
