@@ -34,7 +34,7 @@ from .generate import (
     search_examples,
 )
 from .invariant import link_polynomial
-from .moves import KINDS, MoveSite, apply_move, find_move_sites, random_walk
+from .moves import MoveSite, apply_move, find_move_sites, random_walk
 
 _DEFAULT_LIMITS = {
     SearchGoal.ZERO_POLY_NO_FILAMENTATION: "2,8",
@@ -93,10 +93,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("moves", help="Reidemeister move tools")
     moves_sub = p.add_subparsers(dest="moves_command", required=True)
 
-    q = moves_sub.add_parser("list", help="enumerate applicable move sites")
+    q = moves_sub.add_parser("list", help="list removal and triangle sites")
     _add_io(q)
-    q.add_argument("--kinds", default=",".join(KINDS),
-                   help="comma-joined subset of " + ",".join(KINDS))
+    q.add_argument("--kinds", default=None,
+                   help="comma-joined subset of r1_remove,r2_remove,r3 "
+                        "(default all three); insertion sites are "
+                        "parameters and are not listed")
     q.set_defaults(handler=_cmd_moves_list)
 
     q = moves_sub.add_parser("apply", help="apply move lines in order")
@@ -134,14 +136,17 @@ def _build_parser() -> _Parser:
 
 
 def _read_code(args, stdin) -> FlatLinkCode:
-    if args.input == "-":
-        text = stdin.read()
-    else:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise _UsageError(f"cannot read {args.input}: {exc}") from None
+    try:
+        if args.input == "-":
+            text = stdin.read()
+        else:
+            with open(args.input, "rb") as fh:
+                text = fh.read().decode("utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot read {args.input}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FlatLinkError(f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                            f"at offset {exc.start}") from None
     return parse_flat_link(text)
 
 
@@ -149,12 +154,17 @@ def _emit_json(payload, out) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True), file=out)
 
 
+def _print_linking(a, b, diff, out) -> None:
+    # the flat linking number is diff / 2, written exactly, not via a float
+    number = f"{'-' if diff < 0 else ''}{abs(diff) // 2}{'.5' if diff % 2 else ''}"
+    print(f"linking {a},{b}: {diff} (flat linking number {number})", file=out)
+
+
 def _print_invariant(inv, out) -> None:
     for name, poly in inv.component_polys:
         print(f"poly {name}: {poly}", file=out)
     for (a, b), diff in inv.linking_diffs:
-        print(f"linking {a},{b}: {diff} (flat linking number {diff / 2:g})",
-              file=out)
+        _print_linking(a, b, diff, out)
         coeff = inv.pair_coeff(a, b)
         if coeff is None:
             reason = "nonzero linking" if diff else "nonzero sign total"
@@ -206,8 +216,7 @@ def _cmd_linking(args, stdin, out, err) -> int:
         _emit_json({"linking": inv.to_json()["linking"]}, out)
     else:
         for (a, b), diff in inv.linking_diffs:
-            print(f"linking {a},{b}: {diff} (flat linking number {diff / 2:g})",
-                  file=out)
+            _print_linking(a, b, diff, out)
     return 0
 
 
@@ -234,7 +243,8 @@ def _cmd_oracle(args, stdin, out, err) -> int:
 def _cmd_moves_list(args, stdin, out, err) -> int:
     code = _read_code(args, stdin)
     validate(code)
-    kinds = tuple(k for k in args.kinds.split(",") if k)
+    kinds = None if args.kinds is None else tuple(
+        k for k in args.kinds.split(",") if k)
     try:
         sites = find_move_sites(code, kinds)
     except ValueError as exc:

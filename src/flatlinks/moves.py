@@ -12,14 +12,22 @@ The flat Reidemeister moves act on a code as local rewrites:
   place, where the three plus crossings are distinct and the minus
   crossings are the same three with no fixed point.
 
+``find_move_sites`` lists only the removal and triangle sites, whose
+existence depends on the letters.  An insertion site is a parameter,
+any gap (or gap pair) with any variant: ``MoveSite`` describes it,
+``apply_move`` applies it and ``random_walk`` samples it, but nothing
+lists them, since a code of n letters has about 2n^2 of them.
+
 Removal and triangle sites are found through an index in O(n log n),
 not by trying every pair or triple of spots.  Every crossing has one
 plus letter, so the triangle spots ``x+ y-`` form a partial
 permutation x -> y, and a triangle is one of its 3-cycles.  Slide spots
 are bucketed by their unordered crossing pair, which holds at most four
-of them, and only spots of one bucket are matched.  Either way sites are
-listed in lexicographic order of their spots, taken by component and
-then by position.
+of them, and only spots of one bucket are matched.  The index only
+proposes candidates: each pattern has one check, which decides both
+whether a finder lists a candidate and whether ``apply_move`` accepts
+a site.  Sites are listed in lexicographic order of their spots, taken
+by component and then by position.
 
 A site names components and positions, so it goes stale the moment the
 code changes; ``apply_move`` re-verifies every letter it touches and
@@ -27,11 +35,6 @@ raises StaleSite on any mismatch.  ``find_move_sites`` lists triangle
 spots in plus-first letter order only; applying a swap leaves the
 reversed order behind, which ``apply_move`` also accepts, so applying
 the same site twice is the identity.
-
-``random_walk`` drives a seeded sequence of random moves for
-equivalence fuzzing.  Insertion parameters are sampled directly rather
-than enumerated: the insertion sites of a long code number in the
-thousands, and a walk only needs one.
 """
 
 from __future__ import annotations
@@ -136,22 +139,6 @@ class MoveSite:
         return cls(kind, spots, ids, tuple(tokens[4:]))
 
 
-def _adjacent(cw: Codeword, p: int) -> tuple[Letter, Letter]:
-    return cw.letters[p], cw.letters[(p + 1) % len(cw)]
-
-
-def _disjoint(n: int, starts) -> bool:
-    """Whether the spots starting at ``starts`` on an n-letter codeword
-    cover pairwise distinct positions."""
-    seen: set[int] = set()
-    for p in starts:
-        spot = {p, (p + 1) % n}
-        if len(spot) < 2 or spot & seen:
-            return False
-        seen |= spot
-    return True
-
-
 def _fresh_ids(code: FlatLinkCode, n: int) -> tuple[str, ...]:
     used = set(code.crossing_ids())
     out: list[str] = []
@@ -165,23 +152,83 @@ def _fresh_ids(code: FlatLinkCode, n: int) -> tuple[str, ...]:
     return tuple(out)
 
 
+# One check per pattern.  Each takes (component index, position) spots,
+# returns the crossings a site of that kind names, and raises StaleSite
+# when the letters there do not form the pattern.  The finders propose
+# candidates and keep those that pass; apply_move calls the same check.
+
+def _spot_letters(code: FlatLinkCode, spots) -> list[tuple[Letter, Letter]]:
+    """The letter pairs at ``spots``, which must cover distinct positions."""
+    pairs = []
+    covered = set()
+    for ci, p in spots:
+        letters = code.components[ci].letters
+        n = len(letters)
+        if n < 2 or not 0 <= p < n:
+            raise StaleSite(f"no adjacent pair starts at position {p}")
+        q = (p + 1) % n
+        pairs.append((letters[p], letters[q]))
+        covered.update(((ci, p), (ci, q)))
+    if len(covered) < 2 * len(pairs):
+        raise StaleSite("spots overlap")
+    return pairs
+
+
+def _kink(code: FlatLinkCode, spots) -> tuple[str]:
+    ((a, b),) = _spot_letters(code, spots)
+    if a.crossing != b.crossing or a.sign == b.sign:
+        raise StaleSite("letters at the spot are not a kink pair")
+    return (a.crossing,)
+
+
+def _slide(code: FlatLinkCode, spots) -> tuple[str, str]:
+    (a1, b1), (a2, b2) = pairs = _spot_letters(code, spots)
+    for a, b in pairs:
+        if a.crossing == b.crossing or a.sign == b.sign:
+            raise StaleSite("letters at a spot are not a slide pair")
+    # the second spot holds the other ends of the first
+    if {(a2.crossing, -a2.sign), (b2.crossing, -b2.sign)} != {
+            (a1.crossing, a1.sign), (b1.crossing, b1.sign)}:
+        raise StaleSite("spots do not hold complementary ends")
+    return a1.crossing, b1.crossing
+
+
+def _triangle(code: FlatLinkCode, spots) -> tuple[str, ...]:
+    """Accepts the plus-first order that the finder lists and the
+    minus-first order that a swap leaves behind; returns the plus ends."""
+    pairs = _spot_letters(code, spots)
+    for a, b in pairs:
+        if a.crossing == b.crossing:
+            raise StaleSite("letters at a spot share a crossing")
+        if a.sign == b.sign:
+            raise StaleSite("letters at a spot carry equal signs")
+    if len({a.sign for a, _ in pairs}) != 1:
+        raise StaleSite("spots mix letter orders")
+    ends = [(a.crossing, b.crossing) if a.sign == PLUS else (b.crossing, a.crossing)
+            for a, b in pairs]
+    plus = tuple(x for x, _ in ends)
+    if len(set(plus)) != 3 or {y for _, y in ends} != set(plus):
+        raise StaleSite("crossings at the spots do not form a triangle")
+    return plus
+
+
+def _passes(check, code: FlatLinkCode, spots) -> tuple[str, ...] | None:
+    try:
+        return check(code, spots)
+    except StaleSite:
+        return None
+
+
 def _find_r1_remove(code: FlatLinkCode) -> list[MoveSite]:
     sites = []
-    seen = set()
     for ci, cw in enumerate(code.components):
         n = len(cw)
-        if n < 2:
-            continue
-        for p in range(n):
-            q = (p + 1) % n
-            a, b = cw.letters[p], cw.letters[q]
-            if a.crossing != b.crossing or a.sign == b.sign:
-                continue
-            key = (ci, frozenset((p, q)))  # p=0 and p=1 coincide when n == 2
-            if key in seen:
-                continue
-            seen.add(key)
-            sites.append(MoveSite("r1_remove", ((cw.name, p),), (a.crossing,)))
+        # on a 2-letter word the spots at 0 and 1 cover the same letters
+        for p in range(n if n > 2 else n - 1):
+            if cw.letters[p].crossing == cw.letters[(p + 1) % n].crossing:
+                ids = _passes(_kink, code, ((ci, p),))
+                if ids is not None:
+                    sites.append(MoveSite("r1_remove", ((cw.name, p),), ids))
     return sites
 
 
@@ -192,7 +239,7 @@ def _slide_spots(code: FlatLinkCode):
         if n < 2:
             continue
         for p in range(n):
-            a, b = _adjacent(cw, p)
+            a, b = cw.letters[p], cw.letters[(p + 1) % n]
             if a.crossing != b.crossing and a.sign == -b.sign:
                 yield ci, p, a, b
 
@@ -209,11 +256,9 @@ def _find_r2_remove(code: FlatLinkCode) -> list[MoveSite]:
     seen = set()
     for bucket in buckets.values():
         for i, j in combinations(bucket, 2):
-            (c1, p1, a1, b1), (c2, p2, a2, b2) = spots[i], spots[j]
-            if c1 == c2 and not _disjoint(len(code.components[c1]), (p1, p2)):
-                continue
-            signs1 = {a1.crossing: a1.sign, b1.crossing: b1.sign}
-            if a2.sign != -signs1[a2.crossing] or b2.sign != -signs1[b2.crossing]:
+            (c1, p1, _, _), (c2, p2, _, _) = spots[i], spots[j]
+            ids = _passes(_slide, code, ((c1, p1), (c2, p2)))
+            if ids is None:
                 continue
             # distinct spot pairs can cover the same four letters on short
             # codewords; removing them is one and the same move
@@ -222,13 +267,12 @@ def _find_r2_remove(code: FlatLinkCode) -> list[MoveSite]:
             if key in seen:
                 continue
             seen.add(key)
-            found.append((i, j))
+            found.append((i, j, ids))
     found.sort()
     return [MoveSite("r2_remove",
                      ((names[spots[i][0]], spots[i][1]),
-                      (names[spots[j][0]], spots[j][1])),
-                     (spots[i][2].crossing, spots[i][3].crossing))
-            for i, j in found]
+                      (names[spots[j][0]], spots[j][1])), ids)
+            for i, j, ids in found]
 
 
 def _find_r3(code: FlatLinkCode) -> list[MoveSite]:
@@ -246,60 +290,38 @@ def _find_r3(code: FlatLinkCode) -> list[MoveSite]:
         # a spot lies on at most one 3-cycle; taking each from its first
         # spot lists them in spot order
         if k is not None and spots[k][3] == x and i < min(j, k):
-            found.append(sorted((i, j, k)))
+            found.append([spots[s][:2] for s in sorted((i, j, k))])
     names = code.component_names()
-    return [MoveSite("r3",
-                     tuple((names[spots[s][0]], spots[s][1]) for s in triple),
-                     tuple(spots[s][2] for s in triple))
+    return [MoveSite("r3", tuple((names[ci], p) for ci, p in triple),
+                     _triangle(code, triple))
             for triple in found]
 
 
-def _find_r1_insert(code: FlatLinkCode) -> list[MoveSite]:
-    ids = _fresh_ids(code, 1)
-    sites = []
-    for cw in code.components:
-        for g in range(len(cw) + 1):
-            for order in ("+-", "-+"):
-                sites.append(MoveSite("r1_insert", ((cw.name, g),), ids, (order,)))
-    return sites
-
-
-def _find_r2_insert(code: FlatLinkCode) -> list[MoveSite]:
-    names = code.component_names()
-    ids = _fresh_ids(code, 2)
-    gaps = [(ci, g)
-            for ci, cw in enumerate(code.components)
-            for g in range(len(cw) + 1)]
-    sites = []
-    for i, (c1, g1) in enumerate(gaps):
-        for c2, g2 in gaps[i:]:
-            spots = ((names[c1], g1), (names[c2], g2))
-            for eps in ("+", "-"):
-                for order2 in ("ef", "fe"):
-                    sites.append(MoveSite("r2_insert", spots, ids, (eps, order2)))
-    return sites
-
-
-_FINDERS = {"r1_remove": _find_r1_remove, "r1_insert": _find_r1_insert,
-            "r2_remove": _find_r2_remove, "r2_insert": _find_r2_insert,
+_FINDERS = {"r1_remove": _find_r1_remove, "r2_remove": _find_r2_remove,
             "r3": _find_r3}
+_CHECKS = {"r1_remove": _kink, "r2_remove": _slide, "r3": _triangle}
 
 
 def find_move_sites(code: FlatLinkCode, kinds=None) -> list[MoveSite]:
-    """Enumerate applicable sites, grouped by kind, deterministically.
+    """List the sites of ``kinds``, grouped by kind in KINDS order.
 
-    Insertion kinds list every gap (or gap pair) with every sign
-    variant, which grows quadratically with code length; walks sample
-    those parameters directly instead of calling this.
+    Only ``r1_remove``, ``r2_remove`` and ``r3`` sites are listed, all
+    three by default; an insertion kind raises ValueError.  Insertion
+    sites are parameters (any gap, any variant): MoveSite describes
+    them, apply_move applies them and random_walk samples them, but
+    nothing lists them.
     """
-    wanted = KINDS if kinds is None else tuple(kinds)
+    wanted = tuple(_FINDERS) if kinds is None else tuple(kinds)
     for k in wanted:
         if k not in KINDS:
             raise ValueError(f"unknown move kind {k!r}")
+        if k not in _FINDERS:
+            raise ValueError(f"insertion kind {k!r} is not listed: its sites "
+                             "are parameters (any gap, any variant)")
     out: list[MoveSite] = []
-    for kind in KINDS:
+    for kind, finder in _FINDERS.items():
         if kind in wanted:
-            out.extend(_FINDERS[kind](code))
+            out.extend(finder(code))
     return out
 
 
@@ -317,149 +339,60 @@ def _with_letters(code: FlatLinkCode, new: dict[int, list[Letter]]) -> FlatLinkC
     return FlatLinkCode(tuple(comps))
 
 
-def _check_spot_position(code: FlatLinkCode, ci: int, p: int) -> None:
-    if len(code.components[ci]) < 2 or not 0 <= p < len(code.components[ci]):
-        raise StaleSite(f"no adjacent pair starts at position {p}")
-
-
-def _apply_r1_remove(code, site, idx):
-    (ci,) = idx
-    (_, p), = site.spots
-    _check_spot_position(code, ci, p)
-    cw = code.components[ci]
-    q = (p + 1) % len(cw)
-    a, b = cw.letters[p], cw.letters[q]
-    if a.crossing != b.crossing or a.sign == b.sign:
-        raise StaleSite("letters at the spot are not a kink pair")
-    _check_ids(site, (a.crossing,))
-    keep = [l for i, l in enumerate(cw.letters) if i not in (p, q)]
-    return _with_letters(code, {ci: keep})
-
-
-def _apply_r2_remove(code, site, idx):
-    c1, c2 = idx
-    (_, p1), (_, p2) = site.spots
-    _check_spot_position(code, c1, p1)
-    _check_spot_position(code, c2, p2)
-    if c1 == c2 and not _disjoint(len(code.components[c1]), (p1, p2)):
-        raise StaleSite("spots overlap")
-    a1, b1 = _adjacent(code.components[c1], p1)
-    a2, b2 = _adjacent(code.components[c2], p2)
-    for a, b in ((a1, b1), (a2, b2)):
-        if a.crossing == b.crossing or a.sign != -b.sign:
-            raise StaleSite("letters at a spot are not a slide pair")
-    signs1 = {a1.crossing: a1.sign, b1.crossing: b1.sign}
-    if ({a2.crossing, b2.crossing} != set(signs1)
-            or a2.sign != -signs1[a2.crossing]
-            or b2.sign != -signs1[b2.crossing]):
-        raise StaleSite("spots do not hold complementary ends")
-    _check_ids(site, (a1.crossing, b1.crossing))
-    drop = defaultdict(set)
-    drop[c1].update((p1, (p1 + 1) % len(code.components[c1])))
-    drop[c2].update((p2, (p2 + 1) % len(code.components[c2])))
-    new = {ci: [l for i, l in enumerate(code.components[ci].letters)
-                if i not in gone]
-           for ci, gone in drop.items()}
+def _insert(code: FlatLinkCode, site: MoveSite, gaps) -> FlatLinkCode:
+    for ci, g in gaps:
+        if not 0 <= g <= len(code.components[ci]):
+            raise StaleSite(f"gap {g} out of range")
+    n = len(gaps)
+    ids = site.crossings or _fresh_ids(code, n)
+    if len(set(ids)) != n or set(code.crossing_ids()) & set(ids):
+        raise StaleSite(f"insert needs {n} fresh crossing id(s)")
+    # the first variant token starts with the sign of the first letter
+    s = PLUS if site.variant[0][0] == "+" else MINUS
+    if site.kind == "r1_insert":
+        (x,) = ids
+        pairs = [[Letter(x, s), Letter(x, -s)]]
+    else:
+        e, f = ids
+        second = [Letter(e, -s), Letter(f, s)]
+        pairs = [[Letter(e, s), Letter(f, -s)],
+                 second if site.variant[1] == "ef" else second[::-1]]
+    new = {ci: list(code.components[ci].letters) for ci in {ci for ci, _ in gaps}}
+    # write later gaps first so an earlier gap's index stays valid; at
+    # equal gaps the first spot's pair ends up in front
+    for k in sorted(range(n), key=lambda k: (gaps[k][1], k), reverse=True):
+        ci, g = gaps[k]
+        new[ci][g:g] = pairs[k]
     return _with_letters(code, new)
 
 
-def _apply_r3(code, site, idx):
-    spots = [(ci, p) for ci, (_, p) in zip(idx, site.spots)]
+def _remove(code: FlatLinkCode, spots) -> FlatLinkCode:
+    drop = defaultdict(set)
     for ci, p in spots:
-        _check_spot_position(code, ci, p)
-    by_comp = defaultdict(list)
+        drop[ci].update((p, (p + 1) % len(code.components[ci])))
+    return _with_letters(code, {
+        ci: [l for i, l in enumerate(code.components[ci].letters) if i not in gone]
+        for ci, gone in drop.items()})
+
+
+def _swap(code: FlatLinkCode, spots) -> FlatLinkCode:
+    new = {ci: list(code.components[ci].letters) for ci in {ci for ci, _ in spots}}
     for ci, p in spots:
-        by_comp[ci].append(p)
-    for ci, starts in by_comp.items():
-        if not _disjoint(len(code.components[ci]), starts):
-            raise StaleSite("spots overlap")
-    modes = set()
-    plus, minus = [], []
-    for ci, p in spots:
-        a, b = _adjacent(code.components[ci], p)
-        if a.crossing == b.crossing:
-            raise StaleSite("letters at a spot share a crossing")
-        if a.sign == PLUS and b.sign == MINUS:
-            modes.add("pm")
-            plus.append(a.crossing)
-            minus.append(b.crossing)
-        elif a.sign == MINUS and b.sign == PLUS:
-            modes.add("mp")
-            plus.append(b.crossing)
-            minus.append(a.crossing)
-        else:
-            raise StaleSite("letters at a spot carry equal signs")
-    if len(modes) != 1:
-        raise StaleSite("spots mix letter orders")
-    if (len(set(plus)) != 3 or set(minus) != set(plus)
-            or any(x == y for x, y in zip(plus, minus))):
-        raise StaleSite("crossings at the spots do not form a triangle")
-    _check_ids(site, plus)
-    new = {ci: list(code.components[ci].letters) for ci in by_comp}
-    for ci, p in spots:
-        q = (p + 1) % len(code.components[ci])
+        q = (p + 1) % len(new[ci])
         new[ci][p], new[ci][q] = new[ci][q], new[ci][p]
     return _with_letters(code, new)
-
-
-def _check_gap(code: FlatLinkCode, ci: int, g: int) -> None:
-    if not 0 <= g <= len(code.components[ci]):
-        raise StaleSite(f"gap {g} out of range")
-
-
-def _claim_ids(code: FlatLinkCode, site: MoveSite, n: int) -> tuple[str, ...]:
-    ids = site.crossings or _fresh_ids(code, n)
-    used = set(code.crossing_ids())
-    if len(set(ids)) != n or used & set(ids):
-        raise StaleSite(f"insert needs {n} fresh crossing id(s)")
-    return ids
-
-
-def _apply_r1_insert(code, site, idx):
-    (ci,) = idx
-    (_, g), = site.spots
-    _check_gap(code, ci, g)
-    (x,) = _claim_ids(code, site, 1)
-    (order,) = site.variant
-    s = PLUS if order[0] == "+" else MINUS
-    letters = list(code.components[ci].letters)
-    letters[g:g] = [Letter(x, s), Letter(x, -s)]
-    return _with_letters(code, {ci: letters})
-
-
-def _apply_r2_insert(code, site, idx):
-    c1, c2 = idx
-    (_, g1), (_, g2) = site.spots
-    _check_gap(code, c1, g1)
-    _check_gap(code, c2, g2)
-    e, f = _claim_ids(code, site, 2)
-    eps, order2 = site.variant
-    s = PLUS if eps == "+" else MINUS
-    pair1 = [Letter(e, s), Letter(f, -s)]
-    pair2 = [Letter(e, -s), Letter(f, s)]
-    if order2 == "fe":
-        pair2.reverse()
-    new = {ci: list(code.components[ci].letters) for ci in {c1, c2}}
-    inserts = [(c1, g1, 0, pair1), (c2, g2, 1, pair2)]
-    # same component: write the later gap first so the earlier index
-    # stays valid; equal gaps put spot1's pair in front
-    for ci, g, _, pair in sorted(inserts, key=lambda t: (t[1], t[2]), reverse=True):
-        new[ci][g:g] = pair
-    return _with_letters(code, new)
-
-
-_APPLIERS = {"r1_remove": _apply_r1_remove, "r1_insert": _apply_r1_insert,
-             "r2_remove": _apply_r2_remove, "r2_insert": _apply_r2_insert,
-             "r3": _apply_r3}
 
 
 def apply_move(code: FlatLinkCode, site: MoveSite) -> FlatLinkCode:
     """Apply one move, re-verifying the site against this exact code."""
     try:
-        idx = tuple(code.component_index(name) for name, _ in site.spots)
+        spots = tuple((code.component_index(name), p) for name, p in site.spots)
     except KeyError as exc:
         raise StaleSite(f"no component named {exc.args[0]!r}") from None
-    return _APPLIERS[site.kind](code, site, idx)
+    if site.kind not in _CHECKS:
+        return _insert(code, site, spots)
+    _check_ids(site, _CHECKS[site.kind](code, spots))
+    return (_swap if site.kind == "r3" else _remove)(code, spots)
 
 
 DEFAULT_WEIGHTS = {kind: 1.0 for kind in KINDS}

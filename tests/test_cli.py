@@ -6,9 +6,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flatlinks import link_polynomial, parse_flat_link
-from flatlinks.cli import run
+from flatlinks import (
+    KINDS,
+    GenSpec,
+    LinkInvariant,
+    MoveSite,
+    apply_move,
+    link_polynomial,
+    parse_flat_link,
+    random_flat_link,
+    render_flat_link,
+)
+from flatlinks.cli import _print_invariant, run
+from helpers import codes
 
 GOLDEN_LINK = "x+ a+ y- a- ; y+ x-"
 
@@ -73,6 +85,41 @@ def test_file_input(tmp_path):
     assert "missing.txt" in err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_non_utf8_input_exits_2_naming_the_byte(tmp_path, source):
+    data = b"a+ \xff a-"
+    if source == "file":
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        argv, stdin = ["validate", str(path)], io.StringIO()
+    else:
+        argv = ["validate"]
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                 errors="strict")
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, stdin=stdin, stdout=out, stderr=err) == 2
+    assert out.getvalue() == ""
+    assert "0xff" in err.getvalue() and "offset 3" in err.getvalue()
+
+
+def test_flat_linking_number_is_exact():
+    lines = []
+    for diff in (200001, -200001, 0, 1, -1, 2, -3, 2000000):
+        out = io.StringIO()
+        _print_invariant(LinkInvariant((), (), ((("A", "B"), diff),)), out)
+        lines.append(out.getvalue().splitlines()[0])
+    assert lines == [
+        "linking A,B: 200001 (flat linking number 100000.5)",
+        "linking A,B: -200001 (flat linking number -100000.5)",
+        "linking A,B: 0 (flat linking number 0)",
+        "linking A,B: 1 (flat linking number 0.5)",
+        "linking A,B: -1 (flat linking number -0.5)",
+        "linking A,B: 2 (flat linking number 1)",
+        "linking A,B: -3 (flat linking number -1.5)",
+        "linking A,B: 2000000 (flat linking number 1000000)",
+    ]
+
+
 def test_invariant_text():
     code, out, _ = run_cli(["invariant"], "a+ b+ a- c- b- c+")
     assert code == 0
@@ -134,6 +181,25 @@ def test_moves_list_kinds_filter():
     assert payload == {"sites": ["r2_remove A,A 1,4 e,f"]}
     code, _, err = run_cli(["moves", "list", "--kinds", "bogus"], "a+ a-")
     assert code == 1
+
+
+def test_moves_list_default_lists_no_insertion_sites():
+    # insertion sites grow with the square of the code length (29,766 on
+    # this 120-letter knot), so no listing includes them
+    knot = random_flat_link(GenSpec.build(1, [60], {}, seed=1, balanced=True))
+    code, out, _ = run_cli(["moves", "list"], render_flat_link(knot))
+    assert code == 0
+    lines = out.splitlines()
+    assert all(line.split()[0] in ("r1_remove", "r2_remove", "r3")
+               for line in lines)
+    assert len(lines) <= sum(len(cw) for cw in knot.components)
+    kinked = apply_move(knot, MoveSite.parse("r1_insert A 0 - +-"))
+    code, out, _ = run_cli(["moves", "list"], render_flat_link(kinked))
+    assert code == 0 and out.splitlines() == ["r1_remove A 0 _1"]
+    for kind in ("r1_insert", "r2_insert"):
+        code, out, err = run_cli(["moves", "list", "--kinds", kind], "a+ a-")
+        assert code == 1 and out == ""
+        assert kind in err
 
 
 def test_moves_apply():
@@ -280,3 +346,45 @@ def test_search_unknown_goal_exits_1():
 def test_json_outputs_are_key_sorted():
     _, out, _ = run_cli(["invariant", "--format", "json"], GOLDEN_LINK)
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# fuzz: cli.run answers every input with exit 0, 1 or 2
+
+FUZZ_COMMANDS = (["validate"], ["invariant"], ["linking"], ["filament"],
+                 ["oracle"], ["moves", "list"],
+                 ["moves", "walk", "--steps", "4", "--seed", "7"])
+
+code_texts = st.one_of(
+    st.text(st.sampled_from("abxy_+-;:#AB1 \n"), max_size=30),
+    st.text(max_size=20),
+    st.builds(render_flat_link, codes(max_crossings=5)),
+)
+move_tokens = st.sampled_from([*KINDS, "r9", "A", "B", "A,A", "A,B", "A,A,A",
+                               "0", "1", "0,2", "0,2,4", "-1", "9", "a", "a,b",
+                               "a,b,c", "-", "_1", "+-", "-+", "+", "ef", "fe"])
+move_lines = st.one_of(st.lists(move_tokens, max_size=7).map(" ".join),
+                       st.text(max_size=20))
+
+
+def assert_clean_exit(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, stdin=stdin, stdout=out, stderr=err) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FUZZ_COMMANDS), code_texts)
+def test_fuzz_run_on_code_text(argv, text):
+    assert_clean_exit(argv, io.StringIO(text))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FUZZ_COMMANDS), st.binary(max_size=30))
+def test_fuzz_run_on_strictly_decoded_bytes(argv, data):
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+    assert_clean_exit(argv, stdin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(move_lines, min_size=1, max_size=3), code_texts)
+def test_fuzz_moves_apply(lines, text):
+    assert_clean_exit(["moves", "apply", *lines], io.StringIO(text))

@@ -215,22 +215,33 @@ def test_find_sites_match_pair_and_triple_scan(code, seed, shape):
 
 
 def test_find_move_sites_kind_filter_and_order():
-    code = parse_flat_link("a+ a-")
-    with pytest.raises(ValueError):
+    # a kink on B, a slide across B and C, a triangle and three slides on A
+    code = parse_flat_link("A: a+ c- b+ a- c+ b- ; B: k+ k- e+ f- ; C: e- f+")
+    listed = ["r1_remove B 0 k", "r2_remove A,A 0,3 a,c", "r2_remove A,A 1,4 c,b",
+              "r2_remove A,A 2,5 b,a", "r2_remove B,C 2,0 e,f",
+              "r3 A,A,A 0,2,4 a,b,c"]
+    assert [s.describe() for s in find_move_sites(code)] == listed
+    sites = find_move_sites(code, ("r3", "r1_remove"))
+    assert [s.describe() for s in sites] == [listed[0], listed[-1]]
+    with pytest.raises(ValueError, match="r4"):
         find_move_sites(code, ("r4",))
-    sites = find_move_sites(code)
-    kinds = [s.kind for s in sites]
-    assert kinds == sorted(kinds, key=["r1_remove", "r1_insert", "r2_remove",
-                                       "r2_insert", "r3"].index)
-    assert set(kinds) == {"r1_remove", "r1_insert", "r2_insert"}
+    with pytest.raises(ValueError, match="r1_insert"):
+        find_move_sites(code, ("r1_remove", "r1_insert"))
 
 
 def test_insert_sites_carry_fresh_ids():
     code = parse_flat_link("_1+ _1-")
-    sites = find_move_sites(code, ("r1_insert", "r2_insert"))
-    assert all("_1" not in s.crossings for s in sites)
-    assert any(s.crossings == ("_2",) for s in sites if s.kind == "r1_insert")
-    assert any(s.crossings == ("_2", "_3") for s in sites if s.kind == "r2_insert")
+    out = apply_move(code, MoveSite.parse("r1_insert A 0 - +-"))
+    assert render_flat_link(out) == "_2+ _2- _1+ _1-"
+    out = apply_move(code, MoveSite.parse("r2_insert A,A 0,2 - + ef"))
+    assert render_flat_link(out) == "_2+ _3- _1+ _1- _2- _3+"
+    final, log = random_walk(code, 6, 0, INSERT_ONLY)
+    assert len(log) == 6
+    used = {"_1"}
+    for site in log:
+        assert site.crossings and not used & set(site.crossings)
+        used |= set(site.crossings)
+    assert used == set(final.crossing_ids())
 
 
 @settings(deadline=None)
