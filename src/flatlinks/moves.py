@@ -299,7 +299,6 @@ def _find_r3(code: FlatLinkCode) -> list[MoveSite]:
 
 _FINDERS = {"r1_remove": _find_r1_remove, "r2_remove": _find_r2_remove,
             "r3": _find_r3}
-_CHECKS = {"r1_remove": _kink, "r2_remove": _slide, "r3": _triangle}
 
 
 def find_move_sites(code: FlatLinkCode, kinds=None) -> list[MoveSite]:
@@ -383,16 +382,23 @@ def _swap(code: FlatLinkCode, spots) -> FlatLinkCode:
     return _with_letters(code, new)
 
 
+# the check and the rewrite of each kind whose site depends on the letters
+_REWRITES = {"r1_remove": (_kink, _remove), "r2_remove": (_slide, _remove),
+             "r3": (_triangle, _swap)}
+
+
 def apply_move(code: FlatLinkCode, site: MoveSite) -> FlatLinkCode:
     """Apply one move, re-verifying the site against this exact code."""
     try:
         spots = tuple((code.component_index(name), p) for name, p in site.spots)
     except KeyError as exc:
         raise StaleSite(f"no component named {exc.args[0]!r}") from None
-    if site.kind not in _CHECKS:
+    rewrite = _REWRITES.get(site.kind)
+    if rewrite is None:
         return _insert(code, site, spots)
-    _check_ids(site, _CHECKS[site.kind](code, spots))
-    return (_swap if site.kind == "r3" else _remove)(code, spots)
+    check, change = rewrite
+    _check_ids(site, check(code, spots))
+    return change(code, spots)
 
 
 DEFAULT_WEIGHTS = {kind: 1.0 for kind in KINDS}

@@ -295,7 +295,15 @@ def test_walk_of_removals_only_shrinks(code, seed):
 
 def test_found_sites_all_apply():
     code = parse_flat_link("A: a+ c- b+ a- c+ b-\nB: e+ f- e- f+")
-    for site in find_move_sites(code):
+    # every insertion site too: each gap, each pair of gaps, each variant
+    gaps = [(cw.name, g) for cw in code.components for g in range(len(cw) + 1)]
+    kinks = [MoveSite("r1_insert", (gap,), (), (order,))
+             for gap in gaps for order in ("+-", "-+")]
+    slides = [MoveSite("r2_insert", (gap, other), (), (eps, order2))
+              for i, gap in enumerate(gaps) for other in gaps[i:]
+              for eps in "+-" for order2 in ("ef", "fe")]
+    assert (len(kinks), len(slides)) == (24, 312)
+    for site in find_move_sites(code) + kinks + slides:
         out = apply_move(code, site)
         validate(out)
         assert link_polynomial(out) == link_polynomial(code)
