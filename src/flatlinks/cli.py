@@ -138,15 +138,21 @@ def _build_parser() -> _Parser:
 def _read_code(args, stdin) -> FlatLinkCode:
     try:
         if args.input == "-":
-            text = stdin.read()
+            # under a C or POSIX locale stdin decodes with surrogateescape;
+            # encoding back recovers its bytes, which then decode as a file's
+            data = stdin.read().encode("utf-8", "surrogateescape")
         else:
             with open(args.input, "rb") as fh:
-                text = fh.read().decode("utf-8")
+                data = fh.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read {args.input}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise FlatLinkError(f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
                             f"at offset {exc.start}") from None
+    except UnicodeEncodeError as exc:  # a surrogate that no decoder yields
+        raise FlatLinkError(f"cannot read {exc.object[exc.start]!r} at offset "
+                            f"{exc.start}") from None
     return parse_flat_link(text)
 
 

@@ -8,7 +8,9 @@ Generation is seed-deterministic throughout.  Enumeration quotients the
 raw codes by a rotation of each codeword plus one renaming of crossings
 and components (component order and letter signs stay fixed; the
 reference that decides this relation is in ``tests/helpers.py``) and
-returns one representative per class in canonical order.  Search scans
+returns one representative per class in canonical order: it keeps each
+filling that is its own least key, so no set of seen keys is needed
+(orderly generation, after Read 1978 and McKay 1998).  Search scans
 code shapes smallest-first in one process, verifying every candidate
 with the exhaustive filamentation oracle rather than the greedy
 constructor, so a returned witness is proof, not heuristic output.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations
 from random import Random
 
 from .filament import ORACLE_CAP, InstanceTooLarge, brute_force_filamentation
@@ -36,8 +38,8 @@ from .invariant import link_polynomial
 
 ENUMERATION_CAP = 6
 # within ENUMERATION_CAP at most 12 components carry a letter; on 12
-# components, 2 crossings enumerate (10,740 classes) in about 1.3 s and
-# 3 crossings (580,800 classes) in about 140 s, on one 2-core VM
+# components, 2 crossings enumerate (10,740 classes) in about 0.6 s and
+# 3 crossings (580,800 classes) in about 46 s, on one 2-core VM
 COMPONENT_CAP = 12
 
 
@@ -140,14 +142,14 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
     return FlatLinkCode(tuple(comps))
 
 
-def _compositions(total: int, parts: int):
+def _cuts(total: int, parts: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every cut of ``total`` slots into ``parts`` (start, end) runs, by
+    stars and bars: bar i at position b leaves a run ending at b - i."""
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return [()] if total == 0 else []
+    ends = ([b - i for i, b in enumerate(bars)] + [total]
+            for bars in combinations(range(total + parts - 1), parts - 1))
+    return [tuple(zip([0] + e[:-1], e)) for e in ends]
 
 
 def _fillings(total: int):
@@ -180,44 +182,37 @@ def _fillings(total: int):
     yield from rec([], [])
 
 
-def _canonical_key(parts: tuple[tuple[tuple[int, int], ...], ...]):
-    """Least relabeled form over all per-component rotations.
-
-    Component order stays fixed and names play no part, so two codes get
-    the same key exactly when a rotation of each codeword and one
-    renaming of crossings carry one onto the other.
-    """
-    best = None
-    ranges = [range(len(p)) if p else range(1) for p in parts]
-    for rots in product(*ranges):
-        relabel: dict[int, int] = {}
-        key = []
-        for part, r in zip(parts, rots):
-            rotated = part[r:] + part[:r]
-            comp_key = []
-            for label, sign in rotated:
-                if label not in relabel:
-                    relabel[label] = len(relabel) + 1
-                comp_key.append((relabel[label], sign))
-            key.append(tuple(comp_key))
-        key = tuple(key)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _code_from_key(key) -> FlatLinkCode:
-    comps = []
-    for i, part in enumerate(key):
-        letters = tuple(Letter(f"c{label}", sign) for label, sign in part)
-        comps.append(Codeword(default_component_name(i), letters))
-    return FlatLinkCode(tuple(comps))
+def _is_least(parts: tuple[tuple[tuple[int, int], ...], ...]) -> bool:
+    """True when no rotation of the codewords, relabeled by first
+    occurrence, gives a key smaller than ``parts`` (its own key at
+    rotation 0).  Component j is compared under each relabel map of the
+    rotations that tie with ``parts`` on components 0..j-1."""
+    maps: list[dict[int, int]] = [{}]
+    for part in filter(None, parts):
+        n = len(part)
+        tied = []
+        for relabel in maps:
+            for r in range(n):
+                m = dict(relabel)
+                for i in range(n):
+                    label, sign = part[(r + i) % n]
+                    letter = (m.setdefault(label, len(m) + 1), sign)
+                    if letter != part[i]:
+                        if letter < part[i]:
+                            return False
+                        break
+                else:
+                    tied.append(m)
+        maps = tied
+    return True
 
 
 def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]:
     """One code per rotation/relabel class with exactly the given
     crossing and component counts, in canonical order.
 
+    Each first-occurrence filling of the slots, cut into codewords, is
+    kept when it is its own class's least key, so no class is met twice.
     The class count grows like (2n-1)!! 2^n, so more than
     ENUMERATION_CAP crossings or COMPONENT_CAP components raises
     InstanceTooLarge.
@@ -230,16 +225,20 @@ def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]
     if components > COMPONENT_CAP:
         raise InstanceTooLarge(
             f"{components} components exceeds the cap of {COMPONENT_CAP}")
-    keys = set()
-    for sizes in _compositions(2 * crossings, components):
-        for filling in _fillings(2 * crossings):
-            parts = []
-            at = 0
-            for s in sizes:
-                parts.append(filling[at:at + s])
-                at += s
-            keys.add(_canonical_key(tuple(parts)))
-    return [_code_from_key(key) for key in sorted(keys)]
+    cuts = _cuts(2 * crossings, components)
+    keys = []
+    for filling in _fillings(2 * crossings):
+        for cut in cuts:
+            parts = tuple(filling[lo:hi] for lo, hi in cut)
+            if _is_least(parts):
+                keys.append(parts)
+    keys.sort()
+    letters = {(x, s): Letter(f"c{x}", s)
+               for x in range(1, crossings + 1) for s in (PLUS, MINUS)}
+    names = [default_component_name(i) for i in range(components)]
+    return [FlatLinkCode(tuple(Codeword(name, tuple(map(letters.get, part)))
+                               for name, part in zip(names, key)))
+            for key in keys]
 
 
 class SearchGoal(str, Enum):

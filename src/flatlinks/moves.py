@@ -139,15 +139,12 @@ class MoveSite:
         return cls(kind, spots, ids, tuple(tokens[4:]))
 
 
-def _fresh_ids(code: FlatLinkCode, n: int) -> tuple[str, ...]:
-    used = set(code.crossing_ids())
+def _fresh_ids(used: set[str], n: int) -> tuple[str, ...]:
     out: list[str] = []
     k = 1
     while len(out) < n:
-        cand = f"_{k}"
-        if cand not in used:
-            out.append(cand)
-            used.add(cand)
+        if f"_{k}" not in used:
+            out.append(f"_{k}")
         k += 1
     return tuple(out)
 
@@ -338,13 +335,14 @@ def _with_letters(code: FlatLinkCode, new: dict[int, list[Letter]]) -> FlatLinkC
     return FlatLinkCode(tuple(comps))
 
 
-def _insert(code: FlatLinkCode, site: MoveSite, gaps) -> FlatLinkCode:
+def _insert(code: FlatLinkCode, site: MoveSite, gaps, used: set[str]) -> FlatLinkCode:
+    """Insert the site's pairs at ``gaps``; ``used`` holds the code's ids."""
     for ci, g in gaps:
         if not 0 <= g <= len(code.components[ci]):
             raise StaleSite(f"gap {g} out of range")
     n = len(gaps)
-    ids = site.crossings or _fresh_ids(code, n)
-    if len(set(ids)) != n or set(code.crossing_ids()) & set(ids):
+    ids = site.crossings or _fresh_ids(used, n)
+    if len(set(ids)) != n or used & set(ids):
         raise StaleSite(f"insert needs {n} fresh crossing id(s)")
     # the first variant token starts with the sign of the first letter
     s = PLUS if site.variant[0][0] == "+" else MINUS
@@ -395,7 +393,7 @@ def apply_move(code: FlatLinkCode, site: MoveSite) -> FlatLinkCode:
         raise StaleSite(f"no component named {exc.args[0]!r}") from None
     rewrite = _REWRITES.get(site.kind)
     if rewrite is None:
-        return _insert(code, site, spots)
+        return _insert(code, site, spots, set(code.crossing_ids()))
     check, change = rewrite
     _check_ids(site, check(code, spots))
     return change(code, spots)
@@ -421,39 +419,39 @@ def random_walk(code: FlatLinkCode, steps: int, seed: int = 0,
         w.update(weights)
     log: list[MoveSite] = []
     for _ in range(steps):
-        site = _random_site(code, rng, w)
-        if site is None:
+        step = _random_step(code, rng, w)
+        if step is None:
             break
-        code = apply_move(code, site)
+        site, code = step
         log.append(site)
     return code, log
 
 
-def _random_site(code: FlatLinkCode, rng: Random,
-                 w: dict[str, float]) -> MoveSite | None:
+def _random_step(code: FlatLinkCode, rng: Random, w: dict[str, float]
+                 ) -> tuple[MoveSite, FlatLinkCode] | None:
+    """Draw one site and apply it; an insertion collects the ids once."""
     if not code.components:
         return None
     names = code.component_names()
     candidates = [k for k in KINDS if w.get(k, 0) > 0]
     while candidates:
         kind = rng.choices(candidates, [w[k] for k in candidates])[0]
-        if kind == "r1_insert":
+        if kind in _FINDERS:
+            sites = _FINDERS[kind](code)
+            if sites:
+                site = rng.choice(sites)
+                return site, apply_move(code, site)
+            candidates.remove(kind)
+            continue
+        gaps = []
+        for _ in range(1 if kind == "r1_insert" else 2):
             ci = rng.randrange(len(names))
-            g = rng.randrange(len(code.components[ci]) + 1)
-            order = rng.choice(("+-", "-+"))
-            return MoveSite(kind, ((names[ci], g),), _fresh_ids(code, 1), (order,))
-        if kind == "r2_insert":
-            picks = []
-            for _ in range(2):
-                ci = rng.randrange(len(names))
-                picks.append((ci, rng.randrange(len(code.components[ci]) + 1)))
-            picks.sort()
-            spots = tuple((names[ci], g) for ci, g in picks)
-            eps = rng.choice("+-")
-            order2 = rng.choice(("ef", "fe"))
-            return MoveSite(kind, spots, _fresh_ids(code, 2), (eps, order2))
-        sites = _FINDERS[kind](code)
-        if sites:
-            return rng.choice(sites)
-        candidates.remove(kind)
+            gaps.append((ci, rng.randrange(len(code.components[ci]) + 1)))
+        gaps.sort()
+        variant = ((rng.choice(("+-", "-+")),) if kind == "r1_insert"
+                   else (rng.choice("+-"), rng.choice(("ef", "fe"))))
+        used = set(code.crossing_ids())
+        site = MoveSite(kind, tuple((names[ci], g) for ci, g in gaps),
+                        _fresh_ids(used, len(gaps)), variant)
+        return site, _insert(code, site, gaps, used)
     return None

@@ -5,7 +5,7 @@ list slicing, so they share no cyclic-walk arithmetic with the library.
 """
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
@@ -15,6 +15,7 @@ from flatlinks import (
     GenSpec,
     Letter,
     MoveSite,
+    default_component_name,
     random_flat_link,
 )
 
@@ -79,6 +80,105 @@ def codes_equivalent_syntactically(c1: FlatLinkCode, c2: FlatLinkCode,
         return False
 
     return extend(0, {}, {})
+
+
+def compositions(total: int, parts: int):
+    """Every tuple of ``parts`` nonnegative sizes summing to ``total``."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def signed_chord_diagrams(slots: int):
+    """Every pairing of range(slots) into chords, each chord written as
+    (slot of its + end, slot of its - end); each diagram comes out once."""
+
+    def pairings(rest):
+        if not rest:
+            yield []
+            return
+        first = rest[0]
+        for i in range(1, len(rest)):
+            for more in pairings(rest[1:i] + rest[i + 1:]):
+                yield [(first, rest[i])] + more
+
+    for pairing in pairings(list(range(slots))):
+        for flips in product((False, True), repeat=len(pairing)):
+            yield [(b, a) if flip else (a, b)
+                   for (a, b), flip in zip(pairing, flips)]
+
+
+def _runs(diagram, sizes) -> tuple:
+    """The diagram's slots as (chord number, sign) runs of the given sizes."""
+    flat = [None] * sum(sizes)
+    for label, (plus, minus) in enumerate(diagram, 1):
+        flat[plus], flat[minus] = (label, 1), (label, -1)
+    bounds = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    return tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+
+def _code(runs) -> FlatLinkCode:
+    return FlatLinkCode(tuple(
+        Codeword(default_component_name(i),
+                 tuple(Letter(f"c{label}", sign) for label, sign in run))
+        for i, run in enumerate(runs)))
+
+
+def raw_codes(crossings: int, components: int):
+    """Every letter arrangement: slots split, paired, and signed."""
+    for sizes in compositions(2 * crossings, components):
+        for diagram in signed_chord_diagrams(2 * crossings):
+            yield _code(_runs(diagram, sizes))
+
+
+def _canonical_key(runs) -> tuple:
+    """Least relabeled form over all per-component rotations."""
+    best = None
+    for rots in product(*(range(len(run)) or [0] for run in runs)):
+        relabel: dict[int, int] = {}
+        key = tuple(
+            tuple((relabel.setdefault(label, len(relabel) + 1), sign)
+                  for label, sign in run[r:] + run[:r])
+            for run, r in zip(runs, rots))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def reference_enumeration(crossings: int, components: int) -> list[FlatLinkCode]:
+    """enumerate_small_codes by generate-then-deduplicate: every raw
+    arrangement goes to its least key over the product of all codeword
+    rotations, and the set of keys comes out sorted."""
+    keys = {_canonical_key(_runs(diagram, sizes))
+            for sizes in compositions(2 * crossings, components)
+            for diagram in signed_chord_diagrams(2 * crossings)}
+    return [_code(key) for key in sorted(keys)]
+
+
+def burnside_class_count(crossings: int, components: int) -> int:
+    """Rotation/relabel classes counted by Burnside's lemma.
+
+    For each split of the slots into codewords, average over the product
+    of the codewords' cyclic groups the number of signed chord diagrams
+    that the rotation maps onto themselves.
+    """
+    count = 0
+    for sizes in compositions(2 * crossings, components):
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        group = list(product(*(range(n) or [0] for n in sizes)))
+        moved = [[start + (i + r) % n for start, n, r in zip(starts, sizes, rots)
+                  for i in range(n)] for rots in group]
+        fixed = 0
+        for diagram in signed_chord_diagrams(2 * crossings):
+            chords = set(diagram)
+            fixed += sum({(g[a], g[b]) for a, b in diagram} == chords for g in moved)
+        assert fixed % len(group) == 0
+        count += fixed // len(group)
+    return count
 
 
 def letter_ends(code: FlatLinkCode) -> dict:

@@ -218,7 +218,8 @@ def test_criterion_07_search_zero_polynomial_without_filamentation():
     started = time.perf_counter()
     witness = search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION,
                               SearchLimits(max_components=2, max_crossings=8))
-    assert witness is not None
+    # the first witness in canonical enumeration order, pinned
+    assert render_flat_link(witness) == "c1- c2- c3+ c4+ ; c1+ c2+ c4- c3-"
     assert link_polynomial(witness).is_zero
     assert brute_force_filamentation(witness) is None
     assert link_filamentation(witness) is None
@@ -229,7 +230,7 @@ def test_criterion_08_search_nonzero_multi_component():
     started = time.perf_counter()
     witness = search_examples(SearchGoal.NONZERO_MULTI_COMPONENT,
                               SearchLimits(max_components=3, max_crossings=6))
-    assert witness is not None
+    assert render_flat_link(witness) == "c1- c2- c3+ c4+ ; c1+ c3- ; c2+ c4-"
     assert len(witness.components) >= 3
     assert every_component_shares_a_crossing(witness)
     invariant = link_polynomial(witness)

@@ -102,6 +102,19 @@ def test_non_utf8_input_exits_2_naming_the_byte(tmp_path, source):
     assert "0xff" in err.getvalue() and "offset 3" in err.getvalue()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("a+ \udcff a-", "input is not UTF-8: byte 0xff at offset 3"),
+    ("a+ a- # \udcff\n", "input is not UTF-8: byte 0xff at offset 8"),
+    ("a+ \ud800 a-", "cannot read '\\ud800' at offset 3"),
+])
+def test_escaped_stdin_byte_exits_2_naming_the_byte(text, message):
+    # sys.stdin under a C or POSIX locale hands a stray byte on as a surrogate
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["validate"], stdin=io.StringIO(text), stdout=out, stderr=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == f"error: {message}\n"
+
+
 def test_flat_linking_number_is_exact():
     lines = []
     for diff in (200001, -200001, 0, 1, -1, 2, -3, 2000000):

@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 from flatlinks import (
     COMPONENT_CAP,
     ENUMERATION_CAP,
-    Codeword,
-    FlatLinkCode,
     GenSpec,
     InfeasibleSpec,
     InstanceTooLarge,
-    Letter,
     SearchGoal,
     SearchLimits,
     brute_force_filamentation,
@@ -26,9 +22,12 @@ from flatlinks import (
 )
 from flatlinks.generate import _random_balanced_spec, _stage_candidates
 from helpers import (
+    burnside_class_count,
     codes_equivalent_syntactically,
     every_component_shares_a_crossing,
     random_code,
+    raw_codes,
+    reference_enumeration,
     total_sign,
 )
 
@@ -89,45 +88,6 @@ def test_enumerate_contains_named_classes():
         assert len(hits) == 1, text
 
 
-def _all_raw_codes(crossings: int, components: int):
-    """Every letter arrangement: slots split, paired, and signed."""
-    total = 2 * crossings
-
-    def compositions(left, parts):
-        if parts == 1:
-            yield (left,)
-            return
-        for first in range(left + 1):
-            for rest in compositions(left - first, parts - 1):
-                yield (first,) + rest
-
-    def pairings(slots):
-        if not slots:
-            yield []
-            return
-        first, rest = slots[0], slots[1:]
-        for i in range(len(rest)):
-            for more in pairings(rest[:i] + rest[i + 1:]):
-                yield [(first, rest[i])] + more
-
-    for comp in compositions(total, components):
-        bounds = []
-        at = 0
-        for c in comp:
-            bounds.append((at, at + c))
-            at += c
-        for pairing in pairings(list(range(total))):
-            for signs in product((1, -1), repeat=crossings):
-                flat = [None] * total
-                for idx, ((a, b), s) in enumerate(zip(pairing, signs)):
-                    flat[a] = Letter(f"c{idx + 1}", s)
-                    flat[b] = Letter(f"c{idx + 1}", -s)
-                comps = tuple(
-                    Codeword(chr(65 + i), tuple(flat[lo:hi]))
-                    for i, (lo, hi) in enumerate(bounds))
-                yield FlatLinkCode(comps)
-
-
 @pytest.mark.parametrize("crossings,components", [
     (1, 1), (2, 1), (3, 1), (1, 2), (2, 2),
 ])
@@ -137,7 +97,7 @@ def test_enumerate_matches_raw_quotient(crossings, components):
         for other in reps[i + 1:]:
             assert not codes_equivalent_syntactically(r, other, allow_relabel=True)
     classes = []
-    for code in _all_raw_codes(crossings, components):
+    for code in raw_codes(crossings, components):
         if not any(codes_equivalent_syntactically(code, seen, allow_relabel=True)
                    for seen in classes):
             classes.append(code)
@@ -145,6 +105,23 @@ def test_enumerate_matches_raw_quotient(crossings, components):
     for code in classes:
         assert any(codes_equivalent_syntactically(code, r, allow_relabel=True)
                    for r in reps)
+
+
+@pytest.mark.parametrize("crossings,components", [
+    (c, k) for c in range(4) for k in range(4)] + [(4, 1), (4, 2)])
+def test_enumerate_equals_reference(crossings, components):
+    # same least keys in the same order as generate-then-deduplicate
+    assert (enumerate_small_codes(crossings, components)
+            == reference_enumeration(crossings, components))
+
+
+@pytest.mark.parametrize("crossings,components,count", [
+    (0, 1, 1), (1, 1, 1), (2, 1, 4), (3, 1, 22), (4, 1, 218), (5, 1, 3028),
+    (2, 2, 20), (3, 2, 140), (4, 2, 1548),
+])
+def test_class_count_matches_burnside(crossings, components, count):
+    assert burnside_class_count(crossings, components) == count
+    assert len(enumerate_small_codes(crossings, components)) == count
 
 
 def test_enumerate_is_deterministic_and_validates():

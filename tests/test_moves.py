@@ -244,6 +244,20 @@ def test_insert_sites_carry_fresh_ids():
     assert used == set(final.crossing_ids())
 
 
+def test_walk_log_is_pinned():
+    # a seed's walk never changes: the draws, the sites and the fresh ids,
+    # which reuse an id that a removal freed
+    code = parse_flat_link("A: a+ b+ a- b- ; B: c+ c-")
+    final, log = random_walk(code, 8, seed=3)
+    assert [site.describe() for site in log] == [
+        "r1_insert A 2 _1 -+", "r2_insert A,A 4,6 _2,_3 - fe",
+        "r2_remove A,A 4,8 _2,_3", "r1_insert B 1 _2 +-",
+        "r1_insert A 6 _3 -+", "r2_insert A,A 2,4 _4,_5 + fe",
+        "r2_remove A,A 2,6 _4,_5", "r2_insert B,B 1,3 _4,_5 - ef"]
+    assert render_flat_link(final) == (
+        "a+ b+ _1- _1+ a- b- _3- _3+ ; c+ _4- _5+ _2+ _2- _4+ _5- c-")
+
+
 @settings(deadline=None)
 @given(codes(max_crossings=4), st.integers(0, 2**31 - 1))
 def test_walk_replays_from_log(code, seed):
