@@ -11,6 +11,7 @@ reproducible from its argv.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -61,6 +62,10 @@ def _add_io(parser, with_input=True):
                         help="output format (default text)")
 
 
+# Built on the first run() and then reused: parse_args makes a fresh Namespace,
+# no action appends or has a mutable default, error() raises, help reads the
+# terminal width as it prints, and handlers look up library calls at call time.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flatlinks",
                      description="Gauss-code invariants and filamentations "

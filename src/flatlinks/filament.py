@@ -233,6 +233,24 @@ def link_filamentation(code: FlatLinkCode) -> Filamentation | None:
     return Filamentation(tuple(mono), tuple(bi))
 
 
+def _solve(remaining: tuple[str, ...], mono_ok, pair_ok
+           ) -> tuple[list[str], list[tuple[str, str]]] | None:
+    # not a closure: a self-calling closure is a garbage cycle per oracle call
+    if not remaining:
+        return ([], [])
+    x, rest = remaining[0], remaining[1:]
+    if mono_ok[x]:
+        sub = _solve(rest, mono_ok, pair_ok)
+        if sub is not None:
+            return ([x] + sub[0], sub[1])
+    for i, y in enumerate(rest):
+        if pair_ok[(x, y)]:
+            sub = _solve(rest[:i] + rest[i + 1:], mono_ok, pair_ok)
+            if sub is not None:
+                return (sub[0], [(x, y)] + sub[1])
+    return None
+
+
 def brute_force_filamentation(code: FlatLinkCode) -> Filamentation | None:
     """Exhaustive backtracking search over all partitions into legal parts.
 
@@ -250,26 +268,7 @@ def brute_force_filamentation(code: FlatLinkCode) -> Filamentation | None:
     for x in ids:
         pc, pp, mc, mp = catalog.ends[x]
         mono_ok[x] = pc == mc and intersection_number(code, pc, pp, mp) == 0
-    pair_ok: dict[tuple[str, str], bool] = {}
-    for x, y in combinations(ids, 2):
-        pair_ok[(x, y)] = _bifilament_sum(code, catalog, x, y) == 0
-
-    def solve(remaining: tuple[str, ...]) -> tuple[list[str], list[tuple[str, str]]] | None:
-        if not remaining:
-            return ([], [])
-        x, rest = remaining[0], remaining[1:]
-        if mono_ok[x]:
-            sub = solve(rest)
-            if sub is not None:
-                return ([x] + sub[0], sub[1])
-        for i, y in enumerate(rest):
-            if pair_ok[(x, y)]:
-                sub = solve(rest[:i] + rest[i + 1:])
-                if sub is not None:
-                    return (sub[0], [(x, y)] + sub[1])
-        return None
-
-    found = solve(tuple(ids))
-    if found is None:
-        return None
-    return Filamentation(tuple(found[0]), tuple(found[1]))
+    pair_ok = {(x, y): _bifilament_sum(code, catalog, x, y) == 0
+               for x, y in combinations(ids, 2)}
+    found = _solve(tuple(ids), mono_ok, pair_ok)
+    return None if found is None else Filamentation(tuple(found[0]), tuple(found[1]))

@@ -393,7 +393,8 @@ def apply_move(code: FlatLinkCode, site: MoveSite) -> FlatLinkCode:
         raise StaleSite(f"no component named {exc.args[0]!r}") from None
     rewrite = _REWRITES.get(site.kind)
     if rewrite is None:
-        return _insert(code, site, spots, set(code.crossing_ids()))
+        return _insert(code, site, spots,
+                       {l.crossing for cw in code.components for l in cw.letters})
     check, change = rewrite
     _check_ids(site, check(code, spots))
     return change(code, spots)
@@ -450,7 +451,7 @@ def _random_step(code: FlatLinkCode, rng: Random, w: dict[str, float]
         gaps.sort()
         variant = ((rng.choice(("+-", "-+")),) if kind == "r1_insert"
                    else (rng.choice("+-"), rng.choice(("ef", "fe"))))
-        used = set(code.crossing_ids())
+        used = {l.crossing for cw in code.components for l in cw.letters}
         site = MoveSite(kind, tuple((names[ci], g) for ci, g in gaps),
                         _fresh_ids(used, len(gaps)), variant)
         return site, _insert(code, site, gaps, used)

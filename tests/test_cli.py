@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from flatlinks import (
     random_flat_link,
     render_flat_link,
 )
-from flatlinks.cli import _print_invariant, run
+from flatlinks.cli import _build_parser, _print_invariant, run
 from helpers import codes
 
 GOLDEN_LINK = "x+ a+ y- a- ; y+ x-"
@@ -73,6 +74,40 @@ def test_usage_error_exits_1():
 def test_help_exits_0():
     code, out, err = run_cli(["--help"])
     assert code == 0
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls():
+    assert _build_parser() is _build_parser()
+    calls = [
+        (["no-such-command"], ""),
+        (["--help"], ""),
+        (["moves", "apply", "r1_insert A 1 - +-", "r1_remove A 1 _1"], "a+ a-"),
+        (["moves", "list", "--kinds", "r1_remove"], "a+ a-"),
+        (["invariant"], GOLDEN_LINK),
+        (["filament", "--format", "json"], GOLDEN_LINK),
+        (["search", "zero-poly-no-filamentation", "--limits", "2,4",
+          "--jobs", "1"], ""),
+        (["enumerate", "--crossings", "2", "--components", "1"], ""),
+    ]
+
+    def outcomes(fresh_parser):
+        results = []
+        for argv, stdin in calls:
+            if fresh_parser:
+                _build_parser.cache_clear()
+            # argparse prints help to sys.stdout, not to run's stdout
+            sys_out, sys_err = io.StringIO(), io.StringIO()
+            with redirect_stdout(sys_out), redirect_stderr(sys_err):
+                code, out, err = run_cli(argv, stdin)
+            results.append((code, out, err, sys_out.getvalue(), sys_err.getvalue()))
+        return results
+
+    fresh = outcomes(fresh_parser=True)
+    assert [r[0] for r in fresh] == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert "usage:" in fresh[1][3]
+    # twice on one parser, so that every call also follows itself
+    _build_parser.cache_clear()
+    assert outcomes(fresh_parser=False) + outcomes(fresh_parser=False) == fresh * 2
 
 
 def test_file_input(tmp_path):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 
@@ -189,6 +191,19 @@ def test_greedy_link_filamentation_matches_brute_force(code):
 def test_filamentation_forces_zero_invariant(code):
     if brute_force_filamentation(code) is not None:
         assert link_polynomial(code).is_zero
+
+
+@pytest.mark.parametrize("text", ["x+ a+ y- a- ; y+ x-", "a+ b+ a- b-",
+                                  "a+ b+ c+ a- b- c-"])
+def test_oracle_leaves_no_reference_cycles(text):
+    code = parse_flat_link(text)
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_filamentation(code)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_brute_force_cap():
