@@ -138,14 +138,6 @@ class FlatLinkCode:
                 return i
         raise KeyError(name)
 
-    def crossing_ids(self) -> tuple[str, ...]:
-        """Distinct crossing identifiers in first-occurrence order."""
-        seen: dict[str, None] = {}
-        for cw in self.components:
-            for letter in cw.letters:
-                seen.setdefault(letter.crossing)
-        return tuple(seen)
-
     def rotated(self, component: int, k: int) -> "FlatLinkCode":
         parts = list(self.components)
         parts[component] = parts[component].rotated(k)

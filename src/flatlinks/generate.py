@@ -8,8 +8,10 @@ Generation is seed-deterministic throughout.  Enumeration quotients the
 raw codes by a rotation of each codeword plus one renaming of crossings
 and components (component order and letter signs stay fixed; the
 reference that decides this relation is in ``tests/helpers.py``) and
-returns one representative per class in canonical order: it keeps each
-filling that is its own least key, so no set of seen keys is needed
+returns one representative per class in canonical order.  It grows the
+keys slot by slot and drops a prefix as soon as one of its rotations,
+relabeled, is smaller on the letters placed so far, so what survives is
+exactly each class's least key and no set of seen keys is needed
 (orderly generation, after Read 1978 and McKay 1998).  Search scans
 code shapes smallest-first in one process, verifying every candidate
 with the exhaustive filamentation oracle rather than the greedy
@@ -38,8 +40,8 @@ from .invariant import link_polynomial
 
 ENUMERATION_CAP = 6
 # within ENUMERATION_CAP at most 12 components carry a letter; on 12
-# components, 2 crossings enumerate (10,740 classes) in about 0.6 s and
-# 3 crossings (580,800 classes) in about 46 s, on one 2-core VM
+# components, 2 crossings enumerate (10,740 classes) in about 0.07 s and
+# 3 crossings (580,800 classes) in about 5.5 s, on one 2-core VM
 COMPONENT_CAP = 12
 
 
@@ -142,77 +144,125 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
     return FlatLinkCode(tuple(comps))
 
 
-def _cuts(total: int, parts: int) -> list[tuple[tuple[int, int], ...]]:
-    """Every cut of ``total`` slots into ``parts`` (start, end) runs, by
-    stars and bars: bar i at position b leaves a run ending at b - i."""
-    if parts == 0:
-        return [()] if total == 0 else []
-    ends = ([b - i for i, b in enumerate(bars)] + [total]
-            for bars in combinations(range(total + parts - 1), parts - 1))
-    return [tuple(zip([0] + e[:-1], e)) for e in ends]
+def _least_keys(crossings: int, components: int) -> list[tuple]:
+    """Every key, cut into ``components`` codewords, that is the least
+    of its rotation/relabel class, in generation order.
 
-
-def _fillings(total: int):
-    """Every way to fill ``total`` slots with the two ends of total/2
-    chords, labels numbered by first occurrence, each end signed.
-
-    First-occurrence labeling means every labeled sequence comes out
-    exactly once; the sign of a chord's second end is forced.
+    A depth-first walk puts one signed chord end per slot, labels chords
+    by first occurrence, and treats "end this codeword here" as one more
+    branch, so every cut shares its prefixes.  For the codeword being
+    filled it keeps each rotation that still ties with the prefix, with
+    its relabel map.  A placed letter advances each rotation by one
+    comparison: a smaller one prunes the branch, a larger one drops the
+    rotation.  At the codeword's end only the wrap-around letters remain,
+    and the maps of the rotations that still tie are carried into the
+    next codeword, where rotation 0 is tested under each of them too.
+    Maps and open chords are undo stacks, not copies per node.
     """
+    total = 2 * crossings
+    if components == 0:
+        return [()] if total == 0 else []
+    out: list[tuple[int, int]] = []  # every codeword's letters, run together
+    parts: list[tuple] = []          # the finished codewords
+    open_: list[tuple[int, int]] = []
+    keys: list[tuple] = []
 
-    def rec(out: list, open_: list):
+    def relabel(m: dict, label: int, added: list) -> int:
+        x = m.get(label)
+        if x is None:
+            x = m[label] = len(m) + 1
+            added.append((m, label))
+        return x
+
+    def undo(added: list) -> None:
+        for m, label in added:
+            del m[label]
+
+    def grow(start: int, started: int, maps: list, live: list) -> None:
+        # maps: the relabel maps under which the finished codewords tie,
+        # the identity first; live: the (map, r) rotations of this
+        # codeword that tie with its letters so far
         slot = len(out)
+        if slot == total or len(parts) < components - 1:
+            end_codeword(start, started, maps, live)
         if slot == total:
-            if not open_:
-                yield tuple(out)
             return
-        for i, (label, sign) in enumerate(open_):
-            out.append((label, -sign))
-            yield from rec(out, open_[:i] + open_[i + 1:])
-            out.pop()
+        for i in range(len(open_)):
+            label, sign = open_.pop(i)
+            place((label, -sign), start, started, maps, live)
+            open_.insert(i, (label, sign))
         # feasible iff every open chord (incl. this one) still fits a
         # closing end; parity works out because slot == open (mod 2)
         if len(open_) + 2 <= total - slot:
-            label = (slot + len(open_)) // 2 + 1  # chords started so far, plus one
             for sign in (PLUS, MINUS):
-                out.append((label, sign))
-                yield from rec(out, open_ + [(label, sign)])
+                open_.append((started + 1, sign))
+                place((started + 1, sign), start, started + 1, maps, live)
+                open_.pop()
+
+    def place(letter, start, started, maps, live) -> None:
+        p = len(out) - start
+        out.append(letter)
+        label, sign = letter
+        added: list = []
+        kept = []
+        # rotation p starts under every map, rotation 0 only under a
+        # non-identity one; a new rotation gets its own map once it ties
+        for m, r in live + [(m, p) for m in (maps if p else maps[1:])]:
+            if r == p:
+                x = m.get(label) or len(m) + 1
+                if (x, sign) == out[start]:
+                    m = {**m, label: x}
+            else:
+                x = relabel(m, label, added)
+            t = out[start + p - r]
+            if (x, sign) < t:
+                undo(added)
                 out.pop()
+                return
+            if (x, sign) == t:
+                kept.append((m, r))
+        grow(start, started, maps, kept)
+        undo(added)
+        out.pop()
 
-    yield from rec([], [])
+    def end_codeword(start, started, maps, live) -> None:
+        slot = len(out)
+        added: list = []
+        # an empty codeword ties under every map it got
+        carried = [{x: x for x in range(1, started + 1)}] if slot > start else maps
+        for m, r in live:
+            for i in range(r):
+                label, sign = out[start + i]
+                y = (relabel(m, label, added), sign)
+                t = out[slot - r + i]
+                if y != t:
+                    break
+            else:
+                carried.append(m)
+                continue
+            if y < t:
+                undo(added)
+                return
+        parts.append(tuple(out[start:]))
+        if slot == total:  # the codewords left are empty
+            keys.append(tuple(parts) + ((),) * (components - len(parts)))
+        else:
+            grow(slot, started, carried, [])
+        parts.pop()
+        undo(added)
 
-
-def _is_least(parts: tuple[tuple[tuple[int, int], ...], ...]) -> bool:
-    """True when no rotation of the codewords, relabeled by first
-    occurrence, gives a key smaller than ``parts`` (its own key at
-    rotation 0).  Component j is compared under each relabel map of the
-    rotations that tie with ``parts`` on components 0..j-1."""
-    maps: list[dict[int, int]] = [{}]
-    for part in filter(None, parts):
-        n = len(part)
-        tied = []
-        for relabel in maps:
-            for r in range(n):
-                m = dict(relabel)
-                for i in range(n):
-                    label, sign = part[(r + i) % n]
-                    letter = (m.setdefault(label, len(m) + 1), sign)
-                    if letter != part[i]:
-                        if letter < part[i]:
-                            return False
-                        break
-                else:
-                    tied.append(m)
-        maps = tied
-    return True
+    grow(0, 0, [{}], [])
+    return keys
 
 
 def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]:
     """One code per rotation/relabel class with exactly the given
     crossing and component counts, in canonical order.
 
-    Each first-occurrence filling of the slots, cut into codewords, is
-    kept when it is its own class's least key, so no class is met twice.
+    The slots are filled depth first, codeword ends included as
+    branches, and a prefix is pruned as soon as a rotation of the
+    codeword being filled beats it; the keys that reach the last slot
+    are each their own class's least key, so no class is met twice.
     The class count grows like (2n-1)!! 2^n, so more than
     ENUMERATION_CAP crossings or COMPONENT_CAP components raises
     InstanceTooLarge.
@@ -225,20 +275,21 @@ def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]
     if components > COMPONENT_CAP:
         raise InstanceTooLarge(
             f"{components} components exceeds the cap of {COMPONENT_CAP}")
-    cuts = _cuts(2 * crossings, components)
-    keys = []
-    for filling in _fillings(2 * crossings):
-        for cut in cuts:
-            parts = tuple(filling[lo:hi] for lo, hi in cut)
-            if _is_least(parts):
-                keys.append(parts)
+    keys = _least_keys(crossings, components)
     keys.sort()
     letters = {(x, s): Letter(f"c{x}", s)
                for x in range(1, crossings + 1) for s in (PLUS, MINUS)}
     names = [default_component_name(i) for i in range(components)]
-    return [FlatLinkCode(tuple(Codeword(name, tuple(map(letters.get, part)))
-                               for name, part in zip(names, key)))
-            for key in keys]
+    # codewords are immutable, so codes share the ones they have in common
+    words: dict[tuple[int, tuple], Codeword] = {}
+
+    def word(i: int, part: tuple) -> Codeword:
+        w = words.get((i, part))
+        if w is None:
+            w = words[i, part] = Codeword(names[i], tuple(map(letters.get, part)))
+        return w
+
+    return [FlatLinkCode(tuple(map(word, range(components), key))) for key in keys]
 
 
 class SearchGoal(str, Enum):

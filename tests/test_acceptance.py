@@ -318,3 +318,44 @@ def test_criterion_12_move_sites_on_a_thousand_crossings():
     assert planted in sites
     _stamp(12, started, 2,
            f"1000 crossings, {len(sites)} sites, planted {planted.describe()}")
+
+
+# (crossings, components) -> (classes, with a filamentation, with a zero
+# polynomial but no filamentation), for every class of the shape
+CENSUS = {
+    (0, 1): (1, 1, 0), (0, 2): (1, 1, 0), (0, 3): (1, 1, 0),
+    (1, 1): (1, 1, 0), (1, 2): (4, 2, 0), (1, 3): (9, 3, 0),
+    (2, 1): (4, 4, 0), (2, 2): (20, 10, 0), (2, 3): (66, 18, 0),
+    (3, 1): (22, 20, 0), (3, 2): (140, 56, 0), (3, 3): (588, 112, 0),
+    (4, 1): (218, 174, 0), (4, 2): (1548, 492, 2), (4, 3): (7344, 1014, 6),
+    (5, 1): (3028, 2016, 0), (5, 2): (23244, 5632, 44),
+}
+
+
+def test_criterion_14_census_of_the_paper_claims():
+    # every class up to 5 crossings and 3 components, (5, 3) aside: a
+    # filamentation forces a zero polynomial, the converse fails first
+    # at (4, 2), and on one component a zero polynomial means a
+    # filamentation exists
+    started = time.perf_counter()
+    census = {}
+    for crossings, components in CENSUS:
+        filamentable = zero_without = 0
+        codes = enumerate_small_codes(crossings, components)
+        for code in codes:
+            constructed = link_filamentation(code)
+            assert (constructed is None) == (brute_force_filamentation(code) is None)
+            zero = link_polynomial(code).is_zero
+            if constructed is not None:
+                assert verify_filamentation(code, constructed) == []
+                assert zero
+                filamentable += 1
+            elif zero:
+                assert components > 1
+                zero_without += 1
+        census[crossings, components] = (len(codes), filamentable, zero_without)
+    assert census == CENSUS
+    _stamp(14, started, 30,
+           f"{sum(n for n, _, _ in census.values())} classes, "
+           f"{sum(f for _, f, _ in census.values())} filamentations, "
+           f"{sum(z for _, _, z in census.values())} zero without one")

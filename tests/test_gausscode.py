@@ -274,4 +274,4 @@ def test_letter_and_codeword_basics():
     assert len(cw) == 2
     assert cw.rotated(1).letters == (l.partner, l)
     code = FlatLinkCode((cw,))
-    assert code.crossing_ids() == ("x",)
+    assert {l.crossing for cw in code.components for l in cw.letters} == {"x"}

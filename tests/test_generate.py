@@ -25,6 +25,7 @@ from helpers import (
     burnside_class_count,
     codes_equivalent_syntactically,
     every_component_shares_a_crossing,
+    fill_then_test_enumeration,
     random_code,
     raw_codes,
     reference_enumeration,
@@ -77,6 +78,9 @@ def test_enumerate_small_counts_frozen():
     assert sum(1 for _ in enumerate_small_codes(2, 1)) == 4
     assert sum(1 for _ in enumerate_small_codes(3, 1)) == 22
     assert sum(1 for _ in enumerate_small_codes(4, 1)) == 218
+    # past what Burnside checks in time; both match fill-then-test
+    assert len(enumerate_small_codes(5, 2)) == 23244
+    assert len(enumerate_small_codes(6, 1)) == 55540
 
 
 def test_enumerate_contains_named_classes():
@@ -115,9 +119,16 @@ def test_enumerate_equals_reference(crossings, components):
             == reference_enumeration(crossings, components))
 
 
+@pytest.mark.parametrize("crossings,components", [(4, 3), (5, 1), (3, 4), (2, 6)])
+def test_enumerate_equals_fill_then_test(crossings, components):
+    # prefix pruning keeps exactly the fillings that the complete test keeps
+    assert (enumerate_small_codes(crossings, components)
+            == fill_then_test_enumeration(crossings, components))
+
+
 @pytest.mark.parametrize("crossings,components,count", [
     (0, 1, 1), (1, 1, 1), (2, 1, 4), (3, 1, 22), (4, 1, 218), (5, 1, 3028),
-    (2, 2, 20), (3, 2, 140), (4, 2, 1548),
+    (2, 2, 20), (3, 2, 140), (4, 2, 1548), (4, 3, 7344), (3, 4, 1952),
 ])
 def test_class_count_matches_burnside(crossings, components, count):
     assert burnside_class_count(crossings, components) == count

@@ -241,7 +241,7 @@ def test_insert_sites_carry_fresh_ids():
     for site in log:
         assert site.crossings and not used & set(site.crossings)
         used |= set(site.crossings)
-    assert used == set(final.crossing_ids())
+    assert used == {l.crossing for cw in final.components for l in cw.letters}
 
 
 def test_walk_log_is_pinned():
