@@ -12,10 +12,11 @@ Construction is therefore componentwise, and it reads only the crossing
 index u that ``validate`` stores in the catalog (see ``invariant``).
 Within one component a self-crossing's index is its arc count, and
 chords of index +n are matched against chords of index -n.  Across two
-components whose sign totals are zero, the pair {x, y} sums to
-u(x) + u(y), so a zero-sum matching exists exactly when the indices on
-the + side are the negated indices on the - side, as multisets, and
-matching equal buckets finds one in linear time.
+components whose sign totals are zero the route is exact: the alignment
+fixes which crossings may pair (a + end on the first component with a -
+end there), every such pair {x, y} sums to u(x) + u(y), so each index
+bucket is complete bipartite, and matching equal buckets decides in
+linear time whether a perfect zero-sum matching exists.
 ``brute_force_filamentation`` is the independent exhaustive check used
 to test the constructive route.
 """

@@ -16,8 +16,12 @@ from dataclasses import dataclass
 PLUS = 1
 MINUS = -1
 
-_TOKEN = re.compile(r"([A-Za-z0-9_]+)([+-])\Z")
+_TOKEN = re.compile(r"[A-Za-z0-9_]+[+-]\Z")
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
+_SIGN_CHAR = {PLUS: "+", MINUS: "-"}
+# a body whose ``str.split()`` tokens all match ``_TOKEN`` (``\s`` is the same
+# set); its three classes are disjoint, so a failed match backtracks linearly
+_BODY = re.compile(r"\s*(?:[A-Za-z0-9_]+[+-](?:\s+|\Z))*")
 
 
 class FlatLinkError(Exception):
@@ -63,16 +67,12 @@ class PositionOutOfRange(FlatLinkError):
     pass
 
 
-def sign_char(sign: int) -> str:
-    return "+" if sign == PLUS else "-"
-
-
 def default_component_name(index: int) -> str:
     # A, B, ..., Z, then C26, C27, ...
     return chr(ord("A") + index) if index < 26 else f"C{index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Letter:
     """One end of a crossing: the crossing's identifier plus this end's sign."""
 
@@ -88,10 +88,22 @@ class Letter:
     @property
     def partner(self) -> "Letter":
         """The other end of the same crossing."""
-        return Letter(self.crossing, -self.sign)
+        return _letter(self.crossing, -self.sign)
 
     def __str__(self) -> str:
-        return f"{self.crossing}{sign_char(self.sign)}"
+        return self.crossing + _SIGN_CHAR[self.sign]
+
+
+# the slot setters, which the frozen ``__setattr__`` guards
+_set_crossing, _set_sign = Letter.crossing.__set__, Letter.sign.__set__
+
+
+def _letter(crossing: str, sign: int) -> Letter:
+    """A letter from fields already checked, skipping ``__post_init__``."""
+    letter = object.__new__(Letter)
+    _set_crossing(letter, crossing)
+    _set_sign(letter, sign)
+    return letter
 
 
 @dataclass(frozen=True)
@@ -219,20 +231,16 @@ def parse_flat_link(text: str) -> FlatLinkCode:
     cleaned = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     segments: list[tuple[str | None, tuple[Letter, ...]]] = []
     for raw in cleaned.replace("\n", ";").split(";"):
-        name = None
-        body = raw
-        if ":" in raw:
-            head, body = raw.split(":", 1)
-            head = head.strip()
-            if not _IDENT.match(head):
-                raise MalformedToken(head)
-            name = head
-        letters = []
-        for token in body.split():
-            m = _TOKEN.match(token)
-            if not m:
-                raise MalformedToken(token)
-            letters.append(Letter(m.group(1), PLUS if m.group(2) == "+" else MINUS))
+        head, colon, body = raw.partition(":")
+        name = head.strip() if colon else None
+        if not colon:
+            body = raw
+        elif not _IDENT.match(name):
+            raise MalformedToken(name)
+        if not _BODY.fullmatch(body):
+            raise MalformedToken(next(t for t in body.split() if not _TOKEN.match(t)))
+        letters = [_letter(t[:-1], PLUS if t[-1] == "+" else MINUS)
+                   for t in body.split()]
         if name is None and not letters:
             continue
         segments.append((name, tuple(letters)))
@@ -258,7 +266,7 @@ def render_flat_link(code: FlatLinkCode) -> str:
     """
     parts = []
     for i, cw in enumerate(code.components):
-        body = " ".join(str(l) for l in cw.letters)
+        body = " ".join([l.crossing + _SIGN_CHAR[l.sign] for l in cw.letters])
         if cw.name != default_component_name(i) or not cw.letters:
             body = f"{cw.name}: {body}" if body else f"{cw.name}:"
         parts.append(body)

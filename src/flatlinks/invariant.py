@@ -78,9 +78,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
     def to_json(self) -> dict[str, int]:
         return {str(e): c for e, c in self.terms}
 
@@ -113,12 +110,6 @@ class LinkInvariant:
     component_polys: tuple[tuple[str, SparsePoly], ...]
     pair_coeffs: tuple[tuple[tuple[str, str], int], ...]
     linking_diffs: tuple[tuple[tuple[str, str], int], ...]
-
-    def poly(self, name: str) -> SparsePoly:
-        for n, p in self.component_polys:
-            if n == name:
-                return p
-        raise KeyError(name)
 
     def pair_coeff(self, a: str, b: str) -> int | None:
         """The pair coefficient, or None when the pair is linked or either

@@ -5,19 +5,64 @@ list slicing, so they share no cyclic-walk arithmetic with the library.
 """
 
 import random
+import re
 from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
 from flatlinks import (
+    MINUS,
+    PLUS,
     Codeword,
+    DuplicateComponentName,
     FlatLinkCode,
     GenSpec,
     Letter,
+    MalformedToken,
     MoveSite,
     default_component_name,
     random_flat_link,
 )
+
+_TOKEN = re.compile(r"([A-Za-z0-9_]+)([+-])\Z")
+_IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
+
+
+def reference_parse(text: str) -> FlatLinkCode:
+    """``parse_flat_link`` as a per-token scan: each ``str.split()`` token
+    is matched on its own and becomes a letter through the public,
+    checking ``Letter`` constructor."""
+    cleaned = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    segments: list[tuple[str | None, tuple[Letter, ...]]] = []
+    for raw in cleaned.replace("\n", ";").split(";"):
+        name = None
+        body = raw
+        if ":" in raw:
+            head, body = raw.split(":", 1)
+            head = head.strip()
+            if not _IDENT.match(head):
+                raise MalformedToken(head)
+            name = head
+        letters = []
+        for token in body.split():
+            m = _TOKEN.match(token)
+            if not m:
+                raise MalformedToken(token)
+            letters.append(Letter(m.group(1), PLUS if m.group(2) == "+" else MINUS))
+        if name is None and not letters:
+            continue
+        segments.append((name, tuple(letters)))
+
+    components = []
+    used = set()
+    for i, (name, letters) in enumerate(segments):
+        if name is None:
+            name = default_component_name(i)
+        if name in used:
+            raise DuplicateComponentName(name)
+        used.add(name)
+        components.append(Codeword(name, letters))
+    return FlatLinkCode(tuple(components))
 
 
 def eta_oracle(code: FlatLinkCode, component: int, p: int, q: int) -> int:
@@ -285,6 +330,19 @@ def self_poly_oracle(code: FlatLinkCode, component: int) -> dict[int, int]:
             if v != 0:
                 coeffs[abs(v)] = coeffs.get(abs(v), 0) + v
     return {e: c for e, c in coeffs.items() if c != 0}
+
+
+def poly_dict(poly) -> dict[int, int]:
+    """Exponent -> coefficient dict of a polynomial, read off its JSON."""
+    return {int(e): c for e, c in poly.to_json().items()}
+
+
+def component_poly(invariant, name: str) -> dict[int, int]:
+    """One component's polynomial in a link invariant's JSON, as a dict."""
+    for entry in invariant.to_json()["components"]:
+        if entry["name"] == name:
+            return {int(e): c for e, c in entry["poly"].items()}
+    raise KeyError(name)
 
 
 def linking_diff_oracle(code: FlatLinkCode, a: int, b: int) -> int:

@@ -1,7 +1,9 @@
+import time
+from dataclasses import FrozenInstanceError
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flatlinks import (
     MINUS,
@@ -11,6 +13,7 @@ from flatlinks import (
     CrossingAppearsThrice,
     DuplicateComponentName,
     FlatLinkCode,
+    FlatLinkError,
     Letter,
     MalformedToken,
     PositionOutOfRange,
@@ -28,6 +31,7 @@ from helpers import (
     letter_ends,
     matching_sum_oracle,
     pair_ends_oracle,
+    reference_parse,
     total_sign,
 )
 
@@ -66,6 +70,64 @@ def test_parse_rejects_malformed_token():
     with pytest.raises(MalformedToken) as exc:
         parse_flat_link("a+ b* a-")
     assert "b*" in str(exc.value)
+
+
+BAD_TOKENS = ("b*", "a+-", "+", "\u00e9+", "a+b-")
+# str.split and the parser's regex both split on these; \x1c also ends a line
+SPACES = (" ", "  ", "\t", "\u00a0", "\u2003", "\x1c")
+
+
+@st.composite
+def code_texts(draw):
+    """Texts of named and unnamed segments, ``;`` or newline separated,
+    with ``#`` comments and Unicode whitespace; half of them carry one
+    malformed token."""
+    token = st.builds(str.__add__, st.sampled_from(["a", "b", "x1", "_", "C26"]),
+                      st.sampled_from("+-"))
+    bodies = draw(st.lists(st.lists(token, max_size=5), max_size=4))
+    if draw(st.booleans()):
+        bodies = bodies or [[]]
+        body = draw(st.sampled_from(bodies))
+        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(BAD_TOKENS)))
+    text = ""
+    for body in bodies:
+        words = draw(st.sampled_from(["", "A:", "k: ", " B :"])).split() + body
+        for word in words:
+            text += word + draw(st.sampled_from(SPACES))
+        if draw(st.booleans()):
+            text += "# c* ; d:"
+        text += draw(st.sampled_from([";", "\n", " ; "]))
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except FlatLinkError as exc:
+        return type(exc), exc.args, vars(exc)
+
+
+@settings(max_examples=300)
+@given(code_texts())
+def test_parse_equals_reference_parse(text):
+    got = _parse_outcome(parse_flat_link, text)
+    assert got == _parse_outcome(reference_parse, text)
+    if isinstance(got, FlatLinkCode):
+        for cw in got.components:
+            for l in cw.letters:
+                assert type(l) is Letter and Letter(l.crossing, l.sign) == l
+
+
+def test_parse_long_malformed_body_fails_at_once():
+    # a regex that backtracks over the whole body would take minutes here
+    valid = " ".join(f"x{i}+" for i in range(100_000))
+    for text, bad in ((valid + " b*", "b*"), (valid + "-", "x99999+-"),
+                      ("a+" * 100_000, "a+" * 100_000)):
+        started = time.perf_counter()
+        with pytest.raises(MalformedToken) as exc:
+            parse_flat_link(text)
+        assert exc.value.token == bad
+        assert time.perf_counter() - started < 5
 
 
 def test_parse_rejects_duplicate_component_name():
@@ -275,3 +337,17 @@ def test_letter_and_codeword_basics():
     assert cw.rotated(1).letters == (l.partner, l)
     code = FlatLinkCode((cw,))
     assert {l.crossing for cw in code.components for l in cw.letters} == {"x"}
+
+
+def test_letter_checks_its_fields_and_is_frozen():
+    with pytest.raises(MalformedToken):
+        Letter("a b", PLUS)
+    with pytest.raises(ValueError):
+        Letter("x", 0)
+    l = Letter("x", PLUS)
+    with pytest.raises(FrozenInstanceError):
+        l.sign = MINUS
+    with pytest.raises(FrozenInstanceError):
+        l.crossing = "y"
+    assert not hasattr(l, "__dict__")
+    assert hash(l.partner.partner) == hash(l)
