@@ -32,12 +32,8 @@ from .gausscode import (
 )
 from .invariant import (
     LinkInvariant,
-    NonzeroFlatLinking,
-    SameComponent,
     SparsePoly,
-    flat_linking_diff,
     link_polynomial,
-    self_polynomial,
 )
 from .filament import (
     ORACLE_CAP,
@@ -47,7 +43,6 @@ from .filament import (
     PartitionNotCovering,
     PartsOverlap,
     brute_force_filamentation,
-    component_filamentation,
     greedy_zero_sum_partition,
     link_filamentation,
     verify_filamentation,
@@ -97,10 +92,6 @@ __all__ = [
     "default_component_name",
     "SparsePoly",
     "LinkInvariant",
-    "SameComponent",
-    "NonzeroFlatLinking",
-    "flat_linking_diff",
-    "self_polynomial",
     "link_polynomial",
     "ORACLE_CAP",
     "Filamentation",
@@ -109,7 +100,6 @@ __all__ = [
     "PartsOverlap",
     "InstanceTooLarge",
     "verify_filamentation",
-    "component_filamentation",
     "greedy_zero_sum_partition",
     "link_filamentation",
     "brute_force_filamentation",

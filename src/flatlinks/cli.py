@@ -202,7 +202,7 @@ def _cmd_validate(args, stdin, out, err) -> int:
     code = _read_code(args, stdin)
     catalog = validate(code)
     n_comp = len(code.components)
-    n_cross = len(catalog.crossings())
+    n_cross = len(catalog.ends)
     if args.format == "json":
         _emit_json({"ok": True, "components": n_comp, "crossings": n_cross}, out)
     else:

@@ -4,19 +4,27 @@ A monofilament is a single self-crossing x with arc count
 ``intersection_number(x+, x-) == 0``.  A bifilament is a pair {x, y}
 whose ends align into two filaments, x+ with y- on one codeword and y+
 with x- on another (possibly the same), such that the two arc counts sum
-to zero.  The alignment forces the decomposition: a self-crossing can
-only pair with a self-crossing of the same component, and a crossing
-between components A and B only with another A-B crossing.
+to zero.
 
-Construction is therefore componentwise, and it reads only the crossing
-index u that ``validate`` stores in the catalog (see ``invariant``).
-Within one component a self-crossing's index is its arc count, and
-chords of index +n are matched against chords of index -n.  Across two
-components whose sign totals are zero the route is exact: the alignment
-fixes which crossings may pair (a + end on the first component with a -
-end there), every such pair {x, y} sums to u(x) + u(y), so each index
-bucket is complete bipartite, and matching equal buckets decides in
-linear time whether a perfect zero-sum matching exists.
+Construction reads only the crossing index u that ``validate`` stores in
+the catalog (see ``invariant``), and it is exact once every component's
+sign total is zero (a nonzero total rules a filamentation out, since the
+total is the sum of the component's linking differences):
+
+- Alignment fixes which crossings may pair.  A self-crossing pairs only
+  with a self-crossing of its own component; a crossing between
+  components a < b whose + end lies on a (the + side) pairs only with an
+  a-b crossing whose - end lies on a (the - side).
+- Every such pair {x, y} sums to u(x) + u(y).  A self-crossing of index
+  zero is a monofilament; one of index n != 0 is on the + side of its
+  component's bucket |n| exactly when n > 0.
+- So each bucket, keyed by group (component or component pair) and the
+  index on the + side, is complete bipartite between its two sides: a
+  filamentation exists exactly when every bucket's two sides are equal
+  in size.  A nonzero linking difference is a surplus on one side of
+  its pair, so it breaks some bucket's count, and needs no check of its
+  own.
+
 ``brute_force_filamentation`` is the independent exhaustive check used
 to test the constructive route.
 """
@@ -33,7 +41,6 @@ from .gausscode import (
     intersection_number,
     validate,
 )
-from .invariant import NonzeroFlatLinking, flat_linking_diff
 
 ORACLE_CAP = 12
 
@@ -94,8 +101,6 @@ def _bifilament_sum(code: FlatLinkCode, catalog: CrossingCatalog,
     cyp, pyp, cym, pym = catalog.ends[y]
     if cxp != cym or cxm != cyp:
         return None
-    if pxp == pym or pyp == pxm:
-        return None  # a letter cannot start and end the same filament
     return (intersection_number(code, cxp, pxp, pym)
             + intersection_number(code, cyp, pyp, pxm))
 
@@ -109,7 +114,7 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
     (misaligned ends, nonzero arc counts) come back as violations.
     """
     catalog = validate(code)
-    all_ids = set(catalog.crossings())
+    all_ids = set(catalog.ends)
     seen: set[str] = set()
     for part in f.parts():
         for x in part:
@@ -144,94 +149,50 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
     return violations
 
 
-def _match(catalog: CrossingCatalog, plus: list[str],
-           minus: list[str]) -> tuple[tuple[str, str], ...] | None:
-    """Pairs (x, y): each x of ``plus``, in order, takes the earliest
-    unused y of ``minus`` whose index is -u(x).  None unless every
-    crossing of both lists is matched."""
-    buckets: dict[int, list[str]] = {}
-    for y in reversed(minus):
-        buckets.setdefault(catalog.index[y], []).append(y)
-    pairs: list[tuple[str, str]] = []
-    for x in plus:
-        partners = buckets.get(-catalog.index[x])
-        if not partners:
-            return None
-        pairs.append((x, partners.pop()))
-    return tuple(pairs) if len(pairs) == len(minus) else None
+def greedy_zero_sum_partition(catalog: CrossingCatalog) -> Filamentation | None:
+    """Filamentation of the whole code, or None when none exists.
 
-
-def component_filamentation(catalog: CrossingCatalog,
-                            component: int) -> Filamentation | None:
-    """Filamentation of one component's self-crossings, if one exists.
-
-    Chords of index zero become monofilaments; for each n > 0 the chords
-    of index +n are matched, in position order, against those of index
-    -n.  Returns None on a count mismatch, which is exactly when the
-    component polynomial is nonzero.  Assumes the component's total sign
-    is zero (true whenever all pairwise linking differences vanish).
+    One pass puts every crossing into its index bucket (see the module
+    docstring); only when every bucket balances are its two sides
+    sorted by position on the lower-index component (a self-crossing by
+    its + end) and paired in that order.  The name is kept because
+    ``perfbench/tracer.py`` wraps it by name.
     """
-    mono: list[str] = []
-    plus, minus = [], []
-    for x in catalog.self_crossings(component):
-        v = catalog.index[x]
-        (mono if v == 0 else plus if v > 0 else minus).append(x)
-    bi = _match(catalog, plus, minus)
-    if bi is None:
+    if any(catalog.totals):
         return None
-    return Filamentation(tuple(mono), bi)
-
-
-def greedy_zero_sum_partition(catalog: CrossingCatalog, a: int,
-                              b: int) -> tuple[tuple[str, str], ...] | None:
-    """Zero-sum matching of the crossings between two components.
-
-    Returns pairs (x, y), x with its + end on ``a`` and y with its - end
-    there.  Each x, in position order on ``a``, takes the earliest unused
-    y whose index is the negation of its own; None when some x finds no
-    partner, which proves that no zero-sum matching exists.  Raises
-    NonzeroFlatLinking when the end counts differ, and also when the
-    sign total of ``a`` or ``b`` is nonzero (the total is that
-    component's linking difference with all the others): the indices
-    decide the pair sums only when both totals vanish.
-    """
-    diff = flat_linking_diff(catalog, a, b)
-    if diff != 0:
-        raise NonzeroFlatLinking(diff)
-    for c in (a, b):
-        if catalog.totals[c] != 0:
-            raise NonzeroFlatLinking(catalog.totals[c])
-    return _match(catalog, *catalog.pair_ends(a, b))
+    index = catalog.index
+    mono: list[str] = []
+    # (lower component, upper component, index on the + side)
+    # -> (+ side, - side), each as (position on the lower component, id)
+    buckets: dict[tuple[int, int, int], tuple[list, list]] = {}
+    for x, (pc, pp, mc, mp) in catalog.ends.items():
+        v = index[x]
+        if pc == mc:
+            if v == 0:
+                mono.append(x)
+                continue
+            key, side, pos = (pc, pc, abs(v)), 0 if v > 0 else 1, pp
+        elif pc < mc:
+            key, side, pos = (pc, mc, v), 0, pp
+        else:
+            key, side, pos = (mc, pc, -v), 1, mp
+        sides = buckets.get(key)
+        if sides is None:
+            sides = buckets[key] = ([], [])
+        sides[side].append((pos, x))
+    if any(len(plus) != len(minus) for plus, minus in buckets.values()):
+        return None
+    bi: list[tuple[str, str]] = []
+    for plus, minus in buckets.values():
+        plus.sort()
+        minus.sort()
+        bi.extend((x, y) for (_, x), (_, y) in zip(plus, minus))
+    return Filamentation(tuple(mono), tuple(bi))
 
 
 def link_filamentation(code: FlatLinkCode) -> Filamentation | None:
-    """Greedy filamentation of the whole code, or None.
-
-    Returns None immediately when some flat linking difference is
-    nonzero; otherwise combines the componentwise matchings with a
-    zero-sum matching for every component pair.
-    """
-    catalog = validate(code)
-    k = len(code.components)
-    for i, j in combinations(range(k), 2):
-        if flat_linking_diff(catalog, i, j) != 0:
-            return None
-    mono: list[str] = []
-    bi: list[tuple[str, str]] = []
-    for i in range(k):
-        part = component_filamentation(catalog, i)
-        if part is None:
-            return None
-        mono.extend(part.monofilaments)
-        bi.extend(part.bifilaments)
-    for i, j in combinations(range(k), 2):
-        if not catalog.pair_crossings(i, j):
-            continue
-        pairs = greedy_zero_sum_partition(catalog, i, j)
-        if pairs is None:
-            return None
-        bi.extend(pairs)
-    return Filamentation(tuple(mono), tuple(bi))
+    """Greedy filamentation of the whole code, or None."""
+    return greedy_zero_sum_partition(validate(code))
 
 
 def _solve(remaining: tuple[str, ...], mono_ok, pair_ok
@@ -260,7 +221,7 @@ def brute_force_filamentation(code: FlatLinkCode) -> Filamentation | None:
     error.  Raises InstanceTooLarge over the crossing cap.
     """
     catalog = validate(code)
-    ids = list(catalog.crossings())
+    ids = list(catalog.ends)
     if len(ids) > ORACLE_CAP:
         raise InstanceTooLarge(
             f"{len(ids)} crossings exceeds the oracle cap of {ORACLE_CAP}")

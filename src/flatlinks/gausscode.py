@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 PLUS = 1
 MINUS = -1
@@ -159,7 +160,7 @@ class FlatLinkCode:
         return render_flat_link(self)
 
 
-class CrossingCatalog:
+class CrossingCatalog(NamedTuple):
     """Where every crossing of a validated code sits, and its index.
 
     ``ends[x]`` is (plus component, plus position, minus component,
@@ -168,51 +169,13 @@ class CrossingCatalog:
     prefix sums of letter signs on the component each end lies on; a
     self-crossing whose - end comes first also gets its component's sign
     total, so its index is always its arc count from x+ to x-.
-    ``totals[i]`` is the sign total of component ``i``.
-
-    ``self_crossings(i)`` lists the crossings with both letters on
-    component ``i``, ordered by the + letter's position.
-    ``pair_crossings(i, j)`` lists the crossings with one end on each of
-    two distinct components, ordered by position on the smaller index.
-    Treat instances as read-only.
+    ``totals[i]`` is the sign total of component ``i``.  Treat the
+    tables as read-only.
     """
 
-    def __init__(self, ends: dict[str, tuple[int, int, int, int]],
-                 index: dict[str, int], totals: list[int]):
-        self.ends = ends
-        self.index = index
-        self.totals = totals
-        self._self: dict[int, list[str]] = {}
-        self._pairs: dict[tuple[int, int], list[str]] = {}
-        # ``validate`` lists each crossing at its first letter, which for a
-        # crossing between components a < b lies on a, so the pair lists
-        # come out in position order on a; self-crossing lists need a sort
-        for x, (pc, _, mc, _) in ends.items():
-            if pc == mc:
-                self._self.setdefault(pc, []).append(x)
-            else:
-                self._pairs.setdefault((min(pc, mc), max(pc, mc)), []).append(x)
-        for ids in self._self.values():
-            ids.sort(key=lambda x: ends[x][1])
-
-    def crossings(self) -> tuple[str, ...]:
-        return tuple(self.ends)
-
-    def self_crossings(self, component: int) -> tuple[str, ...]:
-        return tuple(self._self.get(component, ()))
-
-    def pair_crossings(self, a: int, b: int) -> tuple[str, ...]:
-        return tuple(self._pairs.get((min(a, b), max(a, b)), ()))
-
-    def pair_ends(self, a: int, b: int) -> tuple[list[str], list[str]]:
-        """(plus, minus): the crossings between a and b whose + end,
-        resp. - end, lies on a, each ordered by that end's position."""
-        plus, minus = [], []
-        for x in self.pair_crossings(a, b):
-            (plus if self.ends[x][0] == a else minus).append(x)
-        plus.sort(key=lambda x: self.ends[x][1])
-        minus.sort(key=lambda x: self.ends[x][3])
-        return plus, minus
+    ends: dict[str, tuple[int, int, int, int]]
+    index: dict[str, int]
+    totals: list[int]
 
 
 def parse_flat_link(text: str) -> FlatLinkCode:

@@ -324,10 +324,11 @@ def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
     # a component sharing no crossing is split off (an empty circle, or a
     # kink that r1 empties), which would pass a smaller link off as a
     # bigger one
-    catalog = validate(code)
-    k = len(code.components)
-    return all(any(catalog.pair_crossings(i, j) for j in range(k) if j != i)
-               for i in range(k))
+    shared = set()
+    for pc, _, mc, _ in validate(code).ends.values():
+        if pc != mc:
+            shared.update((pc, mc))
+    return len(shared) == len(code.components)
 
 
 def _random_balanced_spec(crossings: int, components: int, seed: int) -> GenSpec:

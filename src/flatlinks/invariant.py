@@ -1,24 +1,19 @@
 """The polynomial invariant of a flat link code.
 
-Every number here is read off the crossing index that ``validate``
-stores in the catalog: for a crossing x,
-u(x) = P[pos(x-)] - P[pos(x+) + 1], with P the prefix sums of letter
-signs on the component each end lies on (plus the sign total for a
-self-crossing whose - end comes first).  A self-crossing's index is its
-arc count from x+ to x-, and each component contributes one polynomial:
-every self-crossing x adds u(x) to the coefficient of t^|u(x)|, so
-crossings of index zero drop out.  Each pair of components whose flat
-linking difference and two sign totals all vanish contributes a single
-linear coefficient, the sum of u over the crossings between them.
+Every number here is read off the crossing index u that ``validate``
+stores in the catalog, in one pass over the crossings.  A self-crossing
+x adds u(x), its arc count from x+ to x-, to the coefficient of
+t^|u(x)| in its component's polynomial, so crossings of index zero drop
+out.  A crossing between components a and b adds +1 or -1 to the pair's
+flat linking difference and u(x) to the pair's linear coefficient.
 
-With both sign totals zero, the arc-count sum of a pair {x, y} (x with
-its + end on the first component, y with its - end there) is
-u(x) + u(y), so that sum is the same for every pairing.  These values are
-invariant under the flat Reidemeister moves only when every component's
-sign total is zero; otherwise the polynomial can change under moves.
-A pair coefficient on a component with a nonzero sign total would depend
-on the pairing, and so on where the codewords start, so it is not
-published.
+The coefficient is the arc-count sum of every pairing of the pair's
+crossings (x with its + end on a, y with its - end there) only when both
+sign totals are zero: then each pair {x, y} sums to u(x) + u(y).  So a
+pair coefficient is published only when the pair's linking difference
+and both sign totals vanish; otherwise it would depend on where the
+codewords start.  The component polynomials are invariant under the flat
+Reidemeister moves only when every component's sign total is zero.
 """
 
 from __future__ import annotations
@@ -27,22 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .gausscode import (
-    CrossingCatalog,
-    FlatLinkCode,
-    FlatLinkError,
-    validate,
-)
-
-
-class SameComponent(FlatLinkError):
-    pass
-
-
-class NonzeroFlatLinking(FlatLinkError):
-    def __init__(self, diff: int):
-        super().__init__(f"flat linking difference is {diff:+d}, no pairing exists")
-        self.diff = diff
+from .gausscode import FlatLinkCode, validate
 
 
 @dataclass(frozen=True)
@@ -67,12 +47,6 @@ class SparsePoly:
     @classmethod
     def from_dict(cls, coeffs: Mapping[int, int]) -> "SparsePoly":
         return cls(tuple(sorted((e, c) for e, c in coeffs.items() if c != 0)))
-
-    def coefficient(self, exponent: int) -> int:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return 0
 
     @property
     def is_zero(self) -> bool:
@@ -144,44 +118,38 @@ class LinkInvariant:
         }
 
 
-def flat_linking_diff(catalog: CrossingCatalog, a: int, b: int) -> int:
-    """(+ ends) minus (- ends), among crossings between a and b, on a.
-
-    Antisymmetric in the two components.  Raises SameComponent when
-    a == b.  The classical flat linking number is half of this value.
-    """
-    if a == b:
-        raise SameComponent(f"need two distinct components, got {a} twice")
-    diff = 0
-    for x in catalog.pair_crossings(a, b):
-        diff += 1 if catalog.ends[x][0] == a else -1
-    return diff
-
-
-def self_polynomial(catalog: CrossingCatalog, component: int) -> SparsePoly:
-    """The component's polynomial: sum of u(x) * t^|u(x)| over its
-    self-crossings, whose index u(x) is the arc count eta(x+, x-)."""
-    coeffs: dict[int, int] = {}
-    for x in catalog.self_crossings(component):
-        v = catalog.index[x]
-        if v != 0:
-            coeffs[abs(v)] = coeffs.get(abs(v), 0) + v
-    return SparsePoly.from_dict(coeffs)
-
-
 def link_polynomial(code: FlatLinkCode) -> LinkInvariant:
     """Assemble the whole invariant of a validated code."""
     catalog = validate(code)
     names = [cw.name for cw in code.components]
-    polys = sorted(((names[i], self_polynomial(catalog, i))
-                    for i in range(len(names))), key=lambda t: t[0])
+    polys: list[dict[int, int]] = [{} for _ in names]
+    # (i, j) with i < j -> [linking difference measured on i, sum of u]
+    pairs: dict[tuple[int, int], list[int]] = {}
+    index = catalog.index
+    for x, (pc, _, mc, _) in catalog.ends.items():
+        v = index[x]
+        if pc == mc:
+            if v:
+                poly = polys[pc]
+                poly[abs(v)] = poly.get(abs(v), 0) + v
+            continue
+        key = (pc, mc) if pc < mc else (mc, pc)
+        acc = pairs.get(key)
+        if acc is None:
+            acc = pairs[key] = [0, 0]
+        acc[0] += 1 if pc < mc else -1
+        acc[1] += v
+    totals = catalog.totals
     diffs, coeffs = [], []
     for i, j in combinations(range(len(names)), 2):
-        a, b = (i, j) if names[i] < names[j] else (j, i)
-        d = flat_linking_diff(catalog, a, b)
-        diffs.append(((names[a], names[b]), d))
-        if d == 0 and catalog.totals[a] == catalog.totals[b] == 0:
-            coeff = sum(catalog.index[x] for x in catalog.pair_crossings(a, b))
-            coeffs.append(((names[a], names[b]), coeff))
-    return LinkInvariant(tuple(polys), tuple(sorted(coeffs)), tuple(sorted(diffs)))
-
+        d, coeff = pairs.get((i, j), (0, 0))
+        key = (names[i], names[j])
+        if names[j] < names[i]:
+            d, key = -d, (names[j], names[i])
+        diffs.append((key, d))
+        if d == 0 and totals[i] == totals[j] == 0:
+            coeffs.append((key, coeff))
+    polys_by_name = sorted(zip(names, map(SparsePoly.from_dict, polys)),
+                           key=lambda t: t[0])
+    return LinkInvariant(tuple(polys_by_name), tuple(sorted(coeffs)),
+                         tuple(sorted(diffs)))

