@@ -13,9 +13,12 @@ keys slot by slot and drops a prefix as soon as one of its rotations,
 relabeled, is smaller on the letters placed so far, so what survives is
 exactly each class's least key and no set of seen keys is needed
 (orderly generation, after Read 1978 and McKay 1998).  Search scans
-code shapes smallest-first in one process, verifying every candidate
-with the exhaustive filamentation oracle rather than the greedy
-constructor, so a returned witness is proof, not heuristic output.
+code shapes smallest-first in one process.  A zero-polynomial candidate
+is screened from its one catalog: the invariant's zero test and the
+linear bucket test for a filamentation read the same crossing indices.
+Only a candidate that passes both goes to the exhaustive filamentation
+oracle, which confirms it, so a returned witness is proof, not
+heuristic output.
 """
 
 from __future__ import annotations
@@ -25,14 +28,21 @@ from enum import Enum
 from itertools import combinations
 from random import Random
 
-from .filament import ORACLE_CAP, InstanceTooLarge, brute_force_filamentation
+from .filament import (
+    ORACLE_CAP,
+    InstanceTooLarge,
+    brute_force_filamentation,
+    greedy_zero_sum_partition,
+)
 from .gausscode import (
     PLUS,
     MINUS,
     Codeword,
+    CrossingCatalog,
     FlatLinkCode,
     FlatLinkError,
     Letter,
+    _letter,
     default_component_name,
     validate,
 )
@@ -112,6 +122,8 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
 
     Crossing ids are c1, c2, ... in allocation order (self-crossings by
     component, then pair crossings by pair).  Deterministic in the seed.
+    The ids are well formed by construction, so the letters skip the
+    identifier check.
     """
     rng = Random(spec.seed)
     pools: list[list[Letter]] = [[] for _ in range(spec.component_count)]
@@ -125,8 +137,8 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
     for i, m in enumerate(spec.self_counts):
         for _ in range(m):
             x = fresh()
-            pools[i].append(Letter(x, PLUS))
-            pools[i].append(Letter(x, MINUS))
+            pools[i].append(_letter(x, PLUS))
+            pools[i].append(_letter(x, MINUS))
     for (i, j), m in spec.pair_counts:
         if spec.balanced:
             plus_on_i = set(rng.sample(range(m), m // 2))
@@ -135,8 +147,8 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
         for t in range(m):
             x = fresh()
             si, sj = (PLUS, MINUS) if t in plus_on_i else (MINUS, PLUS)
-            pools[i].append(Letter(x, si))
-            pools[j].append(Letter(x, sj))
+            pools[i].append(_letter(x, si))
+            pools[j].append(_letter(x, sj))
     comps = []
     for i, pool in enumerate(pools):
         rng.shuffle(pool)
@@ -146,18 +158,21 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
 
 def _least_keys(crossings: int, components: int) -> list[tuple]:
     """Every key, cut into ``components`` codewords, that is the least
-    of its rotation/relabel class, in generation order.
+    of its rotation/relabel class, in ascending order.
 
     A depth-first walk puts one signed chord end per slot, labels chords
     by first occurrence, and treats "end this codeword here" as one more
-    branch, so every cut shares its prefixes.  For the codeword being
-    filled it keeps each rotation that still ties with the prefix, with
-    its relabel map.  A placed letter advances each rotation by one
-    comparison: a smaller one prunes the branch, a larger one drops the
-    rotation.  At the codeword's end only the wrap-around letters remain,
-    and the maps of the rotations that still tie are carried into the
-    next codeword, where rotation 0 is tested under each of them too.
-    Maps and open chords are undo stacks, not copies per node.
+    branch, so every cut shares its prefixes.  The branches of a slot are
+    tried smallest first (end the codeword, close an open chord, open a
+    new one with its - end before its + end), so the keys come out
+    sorted.  For the codeword being filled it keeps each rotation that
+    still ties with the prefix, with its relabel map.  A placed letter
+    advances each rotation by one comparison: a smaller one prunes the
+    branch, a larger one drops the rotation.  At the codeword's end only
+    the wrap-around letters remain, and the maps of the rotations that
+    still tie are carried into the next codeword, where rotation 0 is
+    tested under each of them too.  Maps and open chords are undo
+    stacks, not copies per node.
     """
     total = 2 * crossings
     if components == 0:
@@ -194,7 +209,7 @@ def _least_keys(crossings: int, components: int) -> list[tuple]:
         # feasible iff every open chord (incl. this one) still fits a
         # closing end; parity works out because slot == open (mod 2)
         if len(open_) + 2 <= total - slot:
-            for sign in (PLUS, MINUS):
+            for sign in (MINUS, PLUS):
                 open_.append((started + 1, sign))
                 place((started + 1, sign), start, started + 1, maps, live)
                 open_.pop()
@@ -276,7 +291,6 @@ def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]
         raise InstanceTooLarge(
             f"{components} components exceeds the cap of {COMPONENT_CAP}")
     keys = _least_keys(crossings, components)
-    keys.sort()
     letters = {(x, s): Letter(f"c{x}", s)
                for x in range(1, crossings + 1) for s in (PLUS, MINUS)}
     names = [default_component_name(i) for i in range(components)]
@@ -315,9 +329,39 @@ class SearchLimits:
                 f"{self.max_components} components exceeds the cap of {COMPONENT_CAP}")
 
 
+def _invariant_is_zero(catalog: CrossingCatalog) -> bool:
+    """Whether the code's ``link_polynomial`` is zero, read off the
+    crossing indices without assembling it.
+
+    Every self-crossing bucket (component, |u|) must sum to 0, and every
+    pair must have linking difference 0 and u-sum 0.  Zero linking
+    differences force every sign total to 0, so each pair coefficient is
+    then published, and it is that u-sum.
+    """
+    # (i, i, |u|) sums a self-crossing bucket of component i; for a pair
+    # i < j, (i, j, 0) sums u and (i, j, -1) the linking difference
+    sums: dict[tuple[int, int, int], int] = {}
+    index = catalog.index
+    for x, (pc, _, mc, _) in catalog.ends.items():
+        v = index[x]
+        if pc == mc:
+            key = (pc, pc, abs(v))
+            sums[key] = sums.get(key, 0) + v
+            continue
+        lo, hi, d = (pc, mc, 1) if pc < mc else (mc, pc, -1)
+        sums[lo, hi, 0] = sums.get((lo, hi, 0), 0) + v
+        sums[lo, hi, -1] = sums.get((lo, hi, -1), 0) + d
+    return not any(sums.values())
+
+
 def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
     if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION:
-        return (link_polynomial(code).is_zero
+        # screen with one catalog, linear in the code; the exhaustive
+        # oracle confirms the survivor, so a screening fault could only
+        # skip a witness, never return a false one
+        catalog = validate(code)
+        return (_invariant_is_zero(catalog)
+                and greedy_zero_sum_partition(catalog) is None
                 and brute_force_filamentation(code) is None)
     if not any(c != 0 for _, c in link_polynomial(code).pair_coeffs):
         return False
@@ -362,7 +406,10 @@ def search_examples(goal: SearchGoal | str,
     candidates in canonical enumeration order; the first witness in that
     order is returned.  Knots cannot witness the zero-poly goal (for one
     component the polynomial decides filamentation), so that scan starts
-    at two components.  A witness is verified with the exhaustive oracle.
+    at two components.  For that goal each candidate is screened by the
+    zero test and the linear bucket test on its one catalog, and the
+    exhaustive oracle confirms the candidate that passes both, so a
+    returned witness is always oracle-verified.
     """
     goal = SearchGoal(goal)
     if limits.max_crossings > ORACLE_CAP:

@@ -20,7 +20,9 @@ from flatlinks import (
     Letter,
     MalformedToken,
     MoveSite,
+    brute_force_filamentation,
     default_component_name,
+    link_polynomial,
     random_flat_link,
 )
 
@@ -318,6 +320,12 @@ def every_component_shares_a_crossing(code: FlatLinkCode) -> bool:
         if len(comps) == 2:
             shared |= comps
     return shared == set(range(len(code.components)))
+
+
+def reference_zero_poly_witness(code: FlatLinkCode) -> bool:
+    """The zero-poly search goal as defined: the assembled invariant is
+    zero and the exhaustive oracle finds no filamentation."""
+    return link_polynomial(code).is_zero and brute_force_filamentation(code) is None
 
 
 def self_poly_oracle(code: FlatLinkCode, component: int) -> dict[int, int]:

@@ -16,10 +16,18 @@ from flatlinks import (
     link_polynomial,
     parse_flat_link,
     random_flat_link,
+    render_flat_link,
     search_examples,
     validate,
 )
-from flatlinks.generate import _random_balanced_spec, _stage_candidates
+from flatlinks import generate
+from flatlinks.generate import (
+    _invariant_is_zero,
+    _is_witness,
+    _least_keys,
+    _random_balanced_spec,
+    _stage_candidates,
+)
 from helpers import (
     burnside_class_count,
     codes_equivalent_syntactically,
@@ -28,8 +36,11 @@ from helpers import (
     random_code,
     raw_codes,
     reference_enumeration,
+    reference_zero_poly_witness,
     total_sign,
 )
+
+ZERO_POLY = SearchGoal.ZERO_POLY_NO_FILAMENTATION
 
 
 def test_genspec_build_normalizes_pairs():
@@ -58,6 +69,22 @@ def test_random_flat_link_is_deterministic_and_valid():
                     for pc, _, mc, _ in validate(code).ends.values())
     assert groups == [(0, 0), (0, 0), (0, 1), (0, 1), (0, 1), (1, 1)]
     assert code != random_flat_link(GenSpec.build(2, (2, 1), {(0, 1): 3}, seed=6))
+
+
+@pytest.mark.parametrize("spec,text", [
+    (GenSpec.build(1, (5,), seed=7),
+     "c5+ c2- c1- c3+ c4- c1+ c5- c4+ c2+ c3-"),
+    (GenSpec.build(3, (1, 2, 0), {(0, 1): 2, (0, 2): 4, (1, 2): 2},
+                   seed=11, balanced=True),
+     "c9+ c7+ c1+ c1- c5+ c6- c8- c4- ; c3- c10+ c3+ c5- c11- c2+ c2- c4+ ; "
+     "c11+ c6+ c8+ c7- c10- c9-"),
+    (GenSpec.build(3, (2, 0, 1), {(0, 1): 3, (1, 2): 1, (0, 2): 2}, seed=3),
+     "c8- c2- c6+ c5- c1- c4+ c2+ c7- c1+ ; c6- c4- c5+ c9+ ; c3+ c8+ c7+ c9- c3-"),
+])
+def test_random_flat_link_text_is_pinned(spec, text):
+    # a knot, a balanced and an unbalanced link; the benchmark's input
+    # pools are checked in by digests of this text, so it must not drift
+    assert render_flat_link(random_flat_link(spec)) == text
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -131,6 +158,13 @@ def test_class_count_matches_burnside(crossings, components, count):
     assert len(enumerate_small_codes(crossings, components)) == count
 
 
+@pytest.mark.parametrize("crossings,components", [
+    (3, 1), (4, 2), (5, 1), (4, 3), (3, 4), (2, 6)])
+def test_least_keys_come_out_sorted(crossings, components):
+    keys = _least_keys(crossings, components)
+    assert keys == sorted(keys)
+
+
 def test_enumerate_is_deterministic_and_validates():
     first = list(enumerate_small_codes(3, 2))
     second = list(enumerate_small_codes(3, 2))
@@ -174,6 +208,48 @@ def test_search_finds_zero_poly_witness():
     assert witness is not None
     assert link_polynomial(witness).is_zero
     assert brute_force_filamentation(witness) is None
+
+
+def test_is_witness_matches_reference_on_every_small_class():
+    shapes = [(c, 2) for c in range(6)] + [(c, 3) for c in range(5)]
+    witnesses = 0
+    for crossings, components in shapes:
+        for code in enumerate_small_codes(crossings, components):
+            expected = reference_zero_poly_witness(code)
+            assert _is_witness(ZERO_POLY, code) == expected, code
+            assert _invariant_is_zero(validate(code)) == link_polynomial(code).is_zero
+            witnesses += expected
+    assert witnesses == 2 + 44 + 6  # (4, 2), (5, 2) and (4, 3)
+
+
+def _count_oracle_calls(monkeypatch) -> list:
+    calls = []
+    oracle = generate.brute_force_filamentation
+
+    def counted(code):
+        calls.append(code)
+        return oracle(code)
+
+    monkeypatch.setattr(generate, "brute_force_filamentation", counted)
+    return calls
+
+
+def test_search_runs_the_oracle_only_on_the_witness(monkeypatch):
+    calls = _count_oracle_calls(monkeypatch)
+    witness = search_examples(ZERO_POLY, SearchLimits(2, 8))
+    assert witness is not None
+    assert calls == [witness]
+
+
+def test_search_witness_is_oracle_confirmed_without_the_bucket_test(monkeypatch):
+    expected = search_examples(ZERO_POLY, SearchLimits(2, 8))
+    monkeypatch.setattr(generate, "greedy_zero_sum_partition", lambda catalog: None)
+    calls = _count_oracle_calls(monkeypatch)
+    # every zero-polynomial candidate now reaches the oracle, which
+    # rejects the ones that do have a filamentation
+    assert search_examples(ZERO_POLY, SearchLimits(2, 8)) == expected
+    assert len(calls) > 1
+    assert calls[-1] == expected
 
 
 def test_search_finds_nonzero_multi_component_witness():
