@@ -127,11 +127,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("search", help="search for a separating example")
     p.add_argument("goal", choices=[g.value for g in SearchGoal])
-    p.add_argument("--limits", default=None, metavar="COMPS,CROSSINGS[,SAMPLES]",
+    p.add_argument("--limits", default=None, metavar="COMPS,CROSSINGS",
                    help="search bounds (defaults: %s)" % ", ".join(
                        f"{g.value}={v}" for g, v in _DEFAULT_LIMITS.items()))
-    p.add_argument("--seed", type=int, default=0)
-    # search runs in one process; kept because benchmark command lines pass --jobs 1
+    # search is exhaustive and runs in one process, so neither flag has an
+    # effect; kept because benchmark command lines pass --seed N --jobs 1
+    p.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     p.add_argument("--jobs", type=int, choices=[1], default=1,
                    help=argparse.SUPPRESS)
     _add_io(p, with_input=False)
@@ -313,24 +314,23 @@ def _cmd_enumerate(args, stdin, out, err) -> int:
     return 0
 
 
-def _parse_limits(text: str, seed: int) -> SearchLimits:
+def _parse_limits(text: str) -> SearchLimits:
     fields = text.split(",")
-    if len(fields) not in (2, 3):
-        raise _UsageError("--limits takes COMPS,CROSSINGS[,SAMPLES]")
+    if len(fields) != 2:
+        raise _UsageError("--limits takes COMPS,CROSSINGS")
     try:
         numbers = [int(f) for f in fields]
     except ValueError:
         raise _UsageError(f"unreadable --limits {text!r}") from None
-    samples = numbers[2] if len(numbers) == 3 else 2000
     try:
-        return SearchLimits(numbers[0], numbers[1], samples, seed)
+        return SearchLimits(*numbers)
     except (ValueError, InstanceTooLarge) as exc:
         raise _UsageError(str(exc)) from None
 
 
 def _cmd_search(args, stdin, out, err) -> int:
     goal = SearchGoal(args.goal)
-    limits = _parse_limits(args.limits or _DEFAULT_LIMITS[goal], args.seed)
+    limits = _parse_limits(args.limits or _DEFAULT_LIMITS[goal])
     try:
         witness = search_examples(goal, limits)
     except InstanceTooLarge as exc:

@@ -6,27 +6,11 @@ whose ends align into two filaments, x+ with y- on one codeword and y+
 with x- on another (possibly the same), such that the two arc counts sum
 to zero.
 
-Construction reads only the crossing index u that ``validate`` stores in
-the catalog (see ``invariant``), and it is exact once every component's
-sign total is zero (a nonzero total rules a filamentation out, since the
-total is the sum of the component's linking differences):
-
-- Alignment fixes which crossings may pair.  A self-crossing pairs only
-  with a self-crossing of its own component; a crossing between
-  components a < b whose + end lies on a (the + side) pairs only with an
-  a-b crossing whose - end lies on a (the - side).
-- Every such pair {x, y} sums to u(x) + u(y).  A self-crossing of index
-  zero is a monofilament; one of index n != 0 is on the + side of its
-  component's bucket |n| exactly when n > 0.
-- So each bucket, keyed by group (component or component pair) and the
-  index on the + side, is complete bipartite between its two sides: a
-  filamentation exists exactly when every bucket's two sides are equal
-  in size.  A nonzero linking difference is a surplus on one side of
-  its pair, so it breaks some bucket's count, and needs no check of its
-  own.
-
-``brute_force_filamentation`` is the independent exhaustive check used
-to test the constructive route.
+Construction reads only the index buckets of ``index_buckets`` (in
+``gausscode``), whose docstring shows why they decide the question: a
+filamentation exists exactly when every bucket balances, a component's
+index-0 bucket of monofilaments aside.  ``brute_force_filamentation`` is
+the independent exhaustive check used to test the constructive route.
 """
 
 from __future__ import annotations
@@ -38,6 +22,7 @@ from .gausscode import (
     CrossingCatalog,
     FlatLinkCode,
     FlatLinkError,
+    index_buckets,
     intersection_number,
     validate,
 )
@@ -149,44 +134,39 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
     return violations
 
 
+def _balanced(buckets) -> bool:
+    """Whether every bucket of ``index_buckets`` has sides of equal size;
+    a component's index-0 bucket, its monofilaments, is exempt."""
+    return all(len(plus) == len(minus) or (a == b and not v)
+               for (a, b, v), (plus, minus) in buckets.items())
+
+
 def greedy_zero_sum_partition(catalog: CrossingCatalog) -> Filamentation | None:
     """Filamentation of the whole code, or None when none exists.
 
-    One pass puts every crossing into its index bucket (see the module
-    docstring); only when every bucket balances are its two sides
-    sorted by position on the lower-index component (a self-crossing by
-    its + end) and paired in that order.  The name is kept because
-    ``perfbench/tracer.py`` wraps it by name.
+    Only when every index bucket balances are its two sides sorted by
+    position on the lower-numbered component (a self-crossing by its +
+    end) and paired in that order.  A nonzero sign total unbalances some
+    bucket, and is tested first because it is cheaper.  The name is kept
+    because ``perfbench/tracer.py`` wraps it by name.
     """
     if any(catalog.totals):
         return None
-    index = catalog.index
-    mono: list[str] = []
-    # (lower component, upper component, index on the + side)
-    # -> (+ side, - side), each as (position on the lower component, id)
-    buckets: dict[tuple[int, int, int], tuple[list, list]] = {}
-    for x, (pc, pp, mc, mp) in catalog.ends.items():
-        v = index[x]
-        if pc == mc:
-            if v == 0:
-                mono.append(x)
-                continue
-            key, side, pos = (pc, pc, abs(v)), 0 if v > 0 else 1, pp
-        elif pc < mc:
-            key, side, pos = (pc, mc, v), 0, pp
-        else:
-            key, side, pos = (mc, pc, -v), 1, mp
-        sides = buckets.get(key)
-        if sides is None:
-            sides = buckets[key] = ([], [])
-        sides[side].append((pos, x))
-    if any(len(plus) != len(minus) for plus, minus in buckets.values()):
+    buckets = index_buckets(catalog)
+    if not _balanced(buckets):
         return None
+    ends = catalog.ends
+    mono: list[str] = []
     bi: list[tuple[str, str]] = []
-    for plus, minus in buckets.values():
-        plus.sort()
-        minus.sort()
-        bi.extend((x, y) for (_, x), (_, y) in zip(plus, minus))
+    for (a, b, v), (plus, minus) in buckets.items():
+        if a == b and not v:
+            mono.extend(plus)
+            continue
+        # by the end on a: the + end, except on the - side of a pair
+        end = 1 if a == b else 3
+        plus.sort(key=lambda x: ends[x][1])
+        minus.sort(key=lambda x: ends[x][end])
+        bi.extend(zip(plus, minus))
     return Filamentation(tuple(mono), tuple(bi))
 
 

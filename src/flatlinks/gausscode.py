@@ -4,8 +4,9 @@ A link is stored as an ordered tuple of cyclic codewords, one per
 component.  Every crossing appears exactly twice in the whole code, once
 as ``x+`` and once as ``x-``; the two letters may sit on the same
 codeword (a self-crossing) or on two different ones.  This module owns
-the data model, the text format, structural validation, and the signed
-arc-count primitive that everything else in the package is built from.
+the data model, the text format, structural validation, the signed
+arc-count primitive, and the index buckets that the invariant and the
+filamentations are both read from.
 """
 
 from __future__ import annotations
@@ -279,6 +280,51 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
         if pc == mc and mp < pp:
             index[x] += prefix[pc][-1]
     return CrossingCatalog(ends, index, [sums[-1] for sums in prefix])
+
+
+def index_buckets(catalog: CrossingCatalog) -> dict[tuple[int, int, int],
+                                                    tuple[list, list]]:
+    """Put every crossing into its index bucket, on one of two sides.
+
+    A self-crossing of component c with index u goes to key (c, c, |u|),
+    on the + side when u >= 0.  A crossing between components a < b goes
+    to (a, b, u) on the + side when its + end lies on a, and to
+    (a, b, -u) on the - side otherwise.  Each side lists crossing ids.
+
+    Once every sign total is zero, the invariant and the filamentations
+    are read off this table alone:
+
+    - Alignment fixes which crossings may form a bifilament: a
+      self-crossing only with a self-crossing of its own component, and
+      an a-b crossing only with one on the other side of the pair's
+      buckets.  Every such pair {x, y} sums to u(x) + u(y), zero exactly
+      when the two share a bucket.  So each bucket is complete bipartite
+      between its sides, and (c, c, 0) holds the monofilaments of c.
+    - A filamentation therefore exists exactly when every other bucket's
+      two sides are equal in size.  A nonzero linking difference, or a
+      nonzero sign total (the sum of its component's linking
+      differences), is a surplus on one side of some pair bucket, so it
+      needs no check of its own.
+    - With n = |+ side| - |- side|, a bucket (c, c, v) adds v n to the
+      coefficient of t^v in the polynomial of c, and a bucket (a, b, v)
+      adds n to the pair's linking difference and v n to its linear
+      coefficient.
+    """
+    index = catalog.index
+    buckets: dict[tuple[int, int, int], tuple[list, list]] = {}
+    for x, (pc, _, mc, _) in catalog.ends.items():
+        v = index[x]
+        if pc == mc:
+            key, side = (pc, pc, abs(v)), v < 0
+        elif pc < mc:
+            key, side = (pc, mc, v), 0
+        else:
+            key, side = (mc, pc, -v), 1
+        sides = buckets.get(key)
+        if sides is None:
+            sides = buckets[key] = ([], [])
+        sides[side].append(x)
+    return buckets
 
 
 def intersection_number(code: FlatLinkCode, component: int,

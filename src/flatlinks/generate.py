@@ -13,40 +13,39 @@ keys slot by slot and drops a prefix as soon as one of its rotations,
 relabeled, is smaller on the letters placed so far, so what survives is
 exactly each class's least key and no set of seen keys is needed
 (orderly generation, after Read 1978 and McKay 1998).  Search scans
-code shapes smallest-first in one process.  A zero-polynomial candidate
-is screened from its one catalog: the invariant's zero test and the
-linear bucket test for a filamentation read the same crossing indices.
-Only a candidate that passes both goes to the exhaustive filamentation
-oracle, which confirms it, so a returned witness is proof, not
-heuristic output.
+the enumerated code shapes smallest-first in one process.  A
+zero-polynomial candidate is screened on its one table of
+``index_buckets`` (in ``gausscode``): the invariant's zero test and the
+balance test for a filamentation both read it.  Only a candidate that
+passes both goes to the exhaustive filamentation oracle, which confirms
+it, so a returned witness is proof, not heuristic output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from random import Random
 
 from .filament import (
     ORACLE_CAP,
     InstanceTooLarge,
+    _balanced,
     brute_force_filamentation,
-    greedy_zero_sum_partition,
 )
 from .gausscode import (
     PLUS,
     MINUS,
     Codeword,
-    CrossingCatalog,
     FlatLinkCode,
     FlatLinkError,
     Letter,
     _letter,
     default_component_name,
+    index_buckets,
     validate,
 )
-from .invariant import link_polynomial
+from .invariant import _tally, link_polynomial
 
 ENUMERATION_CAP = 6
 # within ENUMERATION_CAP at most 12 components carry a letter; on 12
@@ -313,55 +312,31 @@ class SearchGoal(str, Enum):
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Bounds for search_examples: component and crossing maxima, plus
-    how many random codes to try per shape past the enumeration cap."""
+    """Bounds for search_examples: component and crossing maxima."""
 
     max_components: int = 2
     max_crossings: int = 8
-    samples: int = 2000
-    seed: int = 0
 
     def __post_init__(self):
-        if self.max_components < 0 or self.max_crossings < 0 or self.samples < 0:
+        if self.max_components < 0 or self.max_crossings < 0:
             raise ValueError("limits must be nonnegative")
         if self.max_components > COMPONENT_CAP:
             raise InstanceTooLarge(
                 f"{self.max_components} components exceeds the cap of {COMPONENT_CAP}")
 
 
-def _invariant_is_zero(catalog: CrossingCatalog) -> bool:
-    """Whether the code's ``link_polynomial`` is zero, read off the
-    crossing indices without assembling it.
-
-    Every self-crossing bucket (component, |u|) must sum to 0, and every
-    pair must have linking difference 0 and u-sum 0.  Zero linking
-    differences force every sign total to 0, so each pair coefficient is
-    then published, and it is that u-sum.
-    """
-    # (i, i, |u|) sums a self-crossing bucket of component i; for a pair
-    # i < j, (i, j, 0) sums u and (i, j, -1) the linking difference
-    sums: dict[tuple[int, int, int], int] = {}
-    index = catalog.index
-    for x, (pc, _, mc, _) in catalog.ends.items():
-        v = index[x]
-        if pc == mc:
-            key = (pc, pc, abs(v))
-            sums[key] = sums.get(key, 0) + v
-            continue
-        lo, hi, d = (pc, mc, 1) if pc < mc else (mc, pc, -1)
-        sums[lo, hi, 0] = sums.get((lo, hi, 0), 0) + v
-        sums[lo, hi, -1] = sums.get((lo, hi, -1), 0) + d
-    return not any(sums.values())
-
-
 def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
     if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION:
-        # screen with one catalog, linear in the code; the exhaustive
-        # oracle confirms the survivor, so a screening fault could only
-        # skip a witness, never return a false one
-        catalog = validate(code)
-        return (_invariant_is_zero(catalog)
-                and greedy_zero_sum_partition(catalog) is None
+        # screen on one table, linear in the code; the exhaustive oracle
+        # confirms the survivor, so a screening fault could only skip a
+        # witness, never return a false one.  Zero linking differences
+        # force every sign total to 0, so then every pair coefficient is
+        # published and the balance test needs no check of the totals
+        buckets = index_buckets(validate(code))
+        polys, pairs = _tally(buckets, len(code.components))
+        return (not any(polys)
+                and not any(d or c for d, c in pairs.values())
+                and not _balanced(buckets)
                 and brute_force_filamentation(code) is None)
     if not any(c != 0 for _, c in link_polynomial(code).pair_coeffs):
         return False
@@ -375,29 +350,6 @@ def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
     return len(shared) == len(code.components)
 
 
-def _random_balanced_spec(crossings: int, components: int, seed: int) -> GenSpec:
-    rng = Random(seed)
-    pair_keys = list(combinations(range(components), 2))
-    counts = {key: 0 for key in pair_keys}
-    matched = rng.randint(0, crossings // 2) if pair_keys else 0
-    for _ in range(matched):
-        counts[pair_keys[rng.randrange(len(pair_keys))]] += 2
-    selfs = [0] * components
-    for _ in range(crossings - 2 * matched):
-        selfs[rng.randrange(components)] += 1
-    return GenSpec.build(components, selfs, counts,
-                         seed=rng.randrange(2 ** 30), balanced=True)
-
-
-def _stage_candidates(crossings: int, components: int,
-                      limits: SearchLimits) -> list[FlatLinkCode]:
-    if crossings <= ENUMERATION_CAP:
-        return enumerate_small_codes(crossings, components)
-    base = limits.seed * 1_000_003 + crossings * 10_007 + components * 101
-    return [random_flat_link(_random_balanced_spec(crossings, components, base + s))
-            for s in range(limits.samples)]
-
-
 def search_examples(goal: SearchGoal | str,
                     limits: SearchLimits) -> FlatLinkCode | None:
     """Scan small codes for a witness of the goal; None if none in bounds.
@@ -407,9 +359,11 @@ def search_examples(goal: SearchGoal | str,
     order is returned.  Knots cannot witness the zero-poly goal (for one
     component the polynomial decides filamentation), so that scan starts
     at two components.  For that goal each candidate is screened by the
-    zero test and the linear bucket test on its one catalog, and the
-    exhaustive oracle confirms the candidate that passes both, so a
-    returned witness is always oracle-verified.
+    zero test and the balance test on its one table of index buckets,
+    and the exhaustive oracle confirms the candidate that passes both,
+    so a returned witness is always oracle-verified.  Both goals have a
+    witness at 4 crossings, so no scan enumerates a larger shape; past
+    ENUMERATION_CAP crossings enumeration would raise InstanceTooLarge.
     """
     goal = SearchGoal(goal)
     if limits.max_crossings > ORACLE_CAP:
@@ -418,7 +372,7 @@ def search_examples(goal: SearchGoal | str,
     least = 2 if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION else 3
     for crossings in range(limits.max_crossings + 1):
         for components in range(least, limits.max_components + 1):
-            for code in _stage_candidates(crossings, components, limits):
+            for code in enumerate_small_codes(crossings, components):
                 if _is_witness(goal, code):
                     return code
     return None

@@ -1,16 +1,12 @@
 """The polynomial invariant of a flat link code.
 
-Every number here is read off the crossing index u that ``validate``
-stores in the catalog, in one pass over the crossings.  A self-crossing
-x adds u(x), its arc count from x+ to x-, to the coefficient of
-t^|u(x)| in its component's polynomial, so crossings of index zero drop
-out.  A crossing between components a and b adds +1 or -1 to the pair's
-flat linking difference and u(x) to the pair's linear coefficient.
+Every number here is read off the index buckets of ``index_buckets``
+(in ``gausscode``), which also states how: a component's polynomial
+comes from its self-crossing buckets, and a pair's flat linking
+difference and linear coefficient from the pair's buckets.  Crossings
+of index zero drop out of the polynomials.
 
-The coefficient is the arc-count sum of every pairing of the pair's
-crossings (x with its + end on a, y with its - end there) only when both
-sign totals are zero: then each pair {x, y} sums to u(x) + u(y).  So a
-pair coefficient is published only when the pair's linking difference
+A pair coefficient is published only when the pair's linking difference
 and both sign totals vanish; otherwise it would depend on where the
 codewords start.  The component polynomials are invariant under the flat
 Reidemeister moves only when every component's sign total is zero.
@@ -22,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .gausscode import FlatLinkCode, validate
+from .gausscode import FlatLinkCode, index_buckets, validate
 
 
 @dataclass(frozen=True)
@@ -118,27 +114,39 @@ class LinkInvariant:
         }
 
 
+def _tally(buckets, k: int) -> tuple[list[dict[int, int]],
+                                      dict[tuple[int, int], list[int]]]:
+    """The raw values of the invariant from the side counts of
+    ``index_buckets`` on k components.
+
+    With n = |+ side| - |- side| of a bucket (a, b, v): for a == b, the
+    coefficient v n of t^v in the polynomial of a (nonzero ones only);
+    for a < b, n added to the pair's linking difference, measured on a,
+    and v n to its coefficient, as pairs[a, b] = [difference, coeff].
+    """
+    polys: list[dict[int, int]] = [{} for _ in range(k)]
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for (a, b, v), (plus, minus) in buckets.items():
+        n = len(plus) - len(minus)
+        if not n:
+            continue
+        if a == b:
+            if v:
+                polys[a][v] = v * n
+            continue
+        acc = pairs.get((a, b))
+        if acc is None:
+            acc = pairs[a, b] = [0, 0]
+        acc[0] += n
+        acc[1] += v * n
+    return polys, pairs
+
+
 def link_polynomial(code: FlatLinkCode) -> LinkInvariant:
     """Assemble the whole invariant of a validated code."""
     catalog = validate(code)
     names = [cw.name for cw in code.components]
-    polys: list[dict[int, int]] = [{} for _ in names]
-    # (i, j) with i < j -> [linking difference measured on i, sum of u]
-    pairs: dict[tuple[int, int], list[int]] = {}
-    index = catalog.index
-    for x, (pc, _, mc, _) in catalog.ends.items():
-        v = index[x]
-        if pc == mc:
-            if v:
-                poly = polys[pc]
-                poly[abs(v)] = poly.get(abs(v), 0) + v
-            continue
-        key = (pc, mc) if pc < mc else (mc, pc)
-        acc = pairs.get(key)
-        if acc is None:
-            acc = pairs[key] = [0, 0]
-        acc[0] += 1 if pc < mc else -1
-        acc[1] += v
+    polys, pairs = _tally(index_buckets(catalog), len(names))
     totals = catalog.totals
     diffs, coeffs = [], []
     for i, j in combinations(range(len(names)), 2):

@@ -24,6 +24,7 @@ from flatlinks import (
     render_flat_link,
     validate,
 )
+from flatlinks.gausscode import index_buckets
 from helpers import (
     codes,
     codes_equivalent_syntactically,
@@ -227,6 +228,29 @@ def test_catalog_matches_references(code):
             for x, y in product(plus, minus):
                 assert (catalog.index[x] + catalog.index[y]
                         == matching_sum_oracle(code, a, b, [(x, y)]))
+    # every crossing in exactly one bucket, the + side with its + end on a
+    # and the - side with its - end there; index-0 self-crossings are
+    # monofilaments; once the totals vanish, each bucket's + side / - side
+    # pairs all vanish (aligned across a pair, opposite on one component)
+    buckets = index_buckets(catalog)
+    placed = [x for sides in buckets.values() for side in sides for x in side]
+    assert sorted(placed) == sorted(ends)
+    for (a, b, v), (plus, minus) in buckets.items():
+        assert all((ends[x][PLUS][0], ends[x][MINUS][0]) == (a, b) for x in plus)
+        assert all((ends[x][MINUS][0], ends[x][PLUS][0]) == (a, b) for x in minus)
+        if a == b and v == 0:
+            assert not minus
+            for x in plus:
+                (_, pp), (_, pm) = ends[x][PLUS], ends[x][MINUS]
+                assert eta_oracle(code, a, pp, pm) == 0
+        if total_sign(code, a) == total_sign(code, b) == 0:
+            for x, y in product(plus, minus):
+                if a != b:
+                    assert matching_sum_oracle(code, a, b, [(x, y)]) == 0
+                    continue
+                (_, xp), (_, xm) = ends[x][PLUS], ends[x][MINUS]
+                (_, yp), (_, ym) = ends[y][PLUS], ends[y][MINUS]
+                assert eta_oracle(code, a, xp, xm) == -eta_oracle(code, a, yp, ym)
 
 
 @given(codes(max_crossings=6))
