@@ -13,7 +13,8 @@ keys slot by slot and drops a prefix as soon as one of its rotations,
 relabeled, is smaller on the letters placed so far, so what survives is
 exactly each class's least key and no set of seen keys is needed
 (orderly generation, after Read 1978 and McKay 1998).  Search scans
-the enumerated code shapes smallest-first in one process.  A
+the code shapes smallest-first in one process, screening each code as
+the enumeration emits it, and stops the enumeration at the witness.  A
 zero-polynomial candidate is screened on its one table of
 ``index_buckets`` (in ``gausscode``): the invariant's zero test and the
 balance test for a filamentation both read it.  Only a candidate that
@@ -155,9 +156,21 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
     return FlatLinkCode(tuple(comps))
 
 
-def _least_keys(crossings: int, components: int) -> list[tuple]:
-    """Every key, cut into ``components`` codewords, that is the least
-    of its rotation/relabel class, in ascending order.
+class _Stop(Exception):
+    """Unwinds the walk of ``_least_keys`` from the key that stopped it."""
+
+
+def _least_keys(crossings: int, components: int, emit) -> tuple | None:
+    """Pass to ``emit``, in ascending order, every key, cut into
+    ``components`` codewords, that is the least of its rotation/relabel
+    class; stop at the first key on which ``emit`` returns true and
+    return that key, or return None once every key has been passed.
+
+    A key is a tuple of codewords, each a tuple of letters, and the
+    letter of chord ``label`` with sign ``s`` is the int
+    ``2*label + (s is PLUS)``.  That code orders letters as their
+    (label, sign) tuples do, with the - end first, so keys compare as
+    they would in tuple form, and a chord's other end is ``letter ^ 1``.
 
     A depth-first walk puts one signed chord end per slot, labels chords
     by first occurrence, and treats "end this codeword here" as one more
@@ -171,26 +184,27 @@ def _least_keys(crossings: int, components: int) -> list[tuple]:
     the wrap-around letters remain, and the maps of the rotations that
     still tie are carried into the next codeword, where rotation 0 is
     tested under each of them too.  Maps and open chords are undo
-    stacks, not copies per node.
+    stacks, not copies per node; a map sends ``2*label`` to twice the
+    new label, so a relabeled letter is the map's value plus the sign
+    bit.
     """
     total = 2 * crossings
     if components == 0:
-        return [()] if total == 0 else []
-    out: list[tuple[int, int]] = []  # every codeword's letters, run together
-    parts: list[tuple] = []          # the finished codewords
-    open_: list[tuple[int, int]] = []
-    keys: list[tuple] = []
+        return () if total == 0 and emit(()) else None
+    out: list[int] = []      # every codeword's letters, run together
+    parts: list[tuple] = []  # the finished codewords
+    open_: list[int] = []    # the first ends of the open chords
 
-    def relabel(m: dict, label: int, added: list) -> int:
-        x = m.get(label)
+    def relabel(m: dict, base: int, added: list) -> int:
+        x = m.get(base)
         if x is None:
-            x = m[label] = len(m) + 1
-            added.append((m, label))
+            x = m[base] = 2 * len(m) + 2
+            added.append((m, base))
         return x
 
     def undo(added: list) -> None:
-        for m, label in added:
-            del m[label]
+        for m, base in added:
+            del m[base]
 
     def grow(start: int, started: int, maps: list, live: list) -> None:
         # maps: the relabel maps under which the finished codewords tie,
@@ -202,38 +216,40 @@ def _least_keys(crossings: int, components: int) -> list[tuple]:
         if slot == total:
             return
         for i in range(len(open_)):
-            label, sign = open_.pop(i)
-            place((label, -sign), start, started, maps, live)
-            open_.insert(i, (label, sign))
+            letter = open_.pop(i)
+            place(letter ^ 1, start, started, maps, live)
+            open_.insert(i, letter)
         # feasible iff every open chord (incl. this one) still fits a
         # closing end; parity works out because slot == open (mod 2)
         if len(open_) + 2 <= total - slot:
-            for sign in (MINUS, PLUS):
-                open_.append((started + 1, sign))
-                place((started + 1, sign), start, started + 1, maps, live)
+            base = 2 * started + 2
+            for letter in (base, base + 1):  # the - end, then the + end
+                open_.append(letter)
+                place(letter, start, started + 1, maps, live)
                 open_.pop()
 
     def place(letter, start, started, maps, live) -> None:
         p = len(out) - start
         out.append(letter)
-        label, sign = letter
+        sign = letter & 1
+        base = letter ^ sign
         added: list = []
         kept = []
         # rotation p starts under every map, rotation 0 only under a
         # non-identity one; a new rotation gets its own map once it ties
         for m, r in live + [(m, p) for m in (maps if p else maps[1:])]:
             if r == p:
-                x = m.get(label) or len(m) + 1
-                if (x, sign) == out[start]:
-                    m = {**m, label: x}
+                x = m.get(base) or 2 * len(m) + 2
+                if x + sign == out[start]:
+                    m = {**m, base: x}
             else:
-                x = relabel(m, label, added)
-            t = out[start + p - r]
-            if (x, sign) < t:
+                x = relabel(m, base, added)
+            y, t = x + sign, out[start + p - r]
+            if y < t:
                 undo(added)
                 out.pop()
                 return
-            if (x, sign) == t:
+            if y == t:
                 kept.append((m, r))
         grow(start, started, maps, kept)
         undo(added)
@@ -243,11 +259,13 @@ def _least_keys(crossings: int, components: int) -> list[tuple]:
         slot = len(out)
         added: list = []
         # an empty codeword ties under every map it got
-        carried = [{x: x for x in range(1, started + 1)}] if slot > start else maps
+        carried = ([{x: x for x in range(2, 2 * started + 1, 2)}]
+                   if slot > start else maps)
         for m, r in live:
             for i in range(r):
-                label, sign = out[start + i]
-                y = (relabel(m, label, added), sign)
+                letter = out[start + i]
+                sign = letter & 1
+                y = relabel(m, letter ^ sign, added) + sign
                 t = out[slot - r + i]
                 if y != t:
                     break
@@ -259,14 +277,50 @@ def _least_keys(crossings: int, components: int) -> list[tuple]:
                 return
         parts.append(tuple(out[start:]))
         if slot == total:  # the codewords left are empty
-            keys.append(tuple(parts) + ((),) * (components - len(parts)))
+            key = tuple(parts) + ((),) * (components - len(parts))
+            if emit(key):
+                raise _Stop(key)
         else:
             grow(slot, started, carried, [])
         parts.pop()
         undo(added)
 
-    grow(0, 0, [{}], [])
-    return keys
+    try:
+        grow(0, 0, [{}], [])
+    except _Stop as stop:
+        return stop.args[0]
+    return None
+
+
+def _scan(crossings: int, components: int, stop) -> FlatLinkCode | None:
+    """Pass one code per rotation/relabel class of the shape to ``stop``,
+    in canonical order; return the first code on which ``stop`` returns
+    true, or None.  Raises as ``enumerate_small_codes`` documents."""
+    if crossings < 0 or components < 0:
+        raise ValueError("counts must be nonnegative")
+    if crossings > ENUMERATION_CAP:
+        raise InstanceTooLarge(
+            f"{crossings} crossings exceeds the enumeration cap of {ENUMERATION_CAP}")
+    if components > COMPONENT_CAP:
+        raise InstanceTooLarge(
+            f"{components} components exceeds the cap of {COMPONENT_CAP}")
+    letters = {2 * x + (s is PLUS): Letter(f"c{x}", s)
+               for x in range(1, crossings + 1) for s in (PLUS, MINUS)}
+    names = [default_component_name(i) for i in range(components)]
+    # codewords are immutable, so codes share the ones they have in common
+    words: dict[tuple[int, tuple], Codeword] = {}
+
+    def word(i: int, part: tuple) -> Codeword:
+        w = words.get((i, part))
+        if w is None:
+            w = words[i, part] = Codeword(names[i], tuple(map(letters.get, part)))
+        return w
+
+    def code(key: tuple) -> FlatLinkCode:
+        return FlatLinkCode(tuple(map(word, range(components), key)))
+
+    key = _least_keys(crossings, components, lambda key: stop(code(key)))
+    return None if key is None else code(key)
 
 
 def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]:
@@ -281,28 +335,9 @@ def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]
     ENUMERATION_CAP crossings or COMPONENT_CAP components raises
     InstanceTooLarge.
     """
-    if crossings < 0 or components < 0:
-        raise ValueError("counts must be nonnegative")
-    if crossings > ENUMERATION_CAP:
-        raise InstanceTooLarge(
-            f"{crossings} crossings exceeds the enumeration cap of {ENUMERATION_CAP}")
-    if components > COMPONENT_CAP:
-        raise InstanceTooLarge(
-            f"{components} components exceeds the cap of {COMPONENT_CAP}")
-    keys = _least_keys(crossings, components)
-    letters = {(x, s): Letter(f"c{x}", s)
-               for x in range(1, crossings + 1) for s in (PLUS, MINUS)}
-    names = [default_component_name(i) for i in range(components)]
-    # codewords are immutable, so codes share the ones they have in common
-    words: dict[tuple[int, tuple], Codeword] = {}
-
-    def word(i: int, part: tuple) -> Codeword:
-        w = words.get((i, part))
-        if w is None:
-            w = words[i, part] = Codeword(names[i], tuple(map(letters.get, part)))
-        return w
-
-    return [FlatLinkCode(tuple(map(word, range(components), key))) for key in keys]
+    codes: list[FlatLinkCode] = []
+    _scan(crossings, components, codes.append)
+    return codes
 
 
 class SearchGoal(str, Enum):
@@ -355,8 +390,9 @@ def search_examples(goal: SearchGoal | str,
     """Scan small codes for a witness of the goal; None if none in bounds.
 
     Shapes are visited smallest-first (crossings, then components) and
-    candidates in canonical enumeration order; the first witness in that
-    order is returned.  Knots cannot witness the zero-poly goal (for one
+    candidates in canonical enumeration order, each screened as it is
+    built; the first witness in that order is returned, and no class
+    past it is enumerated.  Knots cannot witness the zero-poly goal (for one
     component the polynomial decides filamentation), so that scan starts
     at two components.  For that goal each candidate is screened by the
     zero test and the balance test on its one table of index buckets,
@@ -372,7 +408,8 @@ def search_examples(goal: SearchGoal | str,
     least = 2 if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION else 3
     for crossings in range(limits.max_crossings + 1):
         for components in range(least, limits.max_components + 1):
-            for code in enumerate_small_codes(crossings, components):
-                if _is_witness(goal, code):
-                    return code
+            code = _scan(crossings, components,
+                         lambda code: _is_witness(goal, code))
+            if code is not None:
+                return code
     return None

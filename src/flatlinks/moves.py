@@ -21,9 +21,9 @@ lists them, since a code of n letters has about 2n^2 of them.
 Removal and triangle sites are found through an index in O(n log n),
 not by trying every pair or triple of spots.  Every crossing has one
 plus letter, so the triangle spots ``x+ y-`` form a partial
-permutation x -> y, and a triangle is one of its 3-cycles.  Slide spots
-are bucketed by their unordered crossing pair, which holds at most four
-of them, and only spots of one bucket are matched.  The index only
+permutation x -> y, and a triangle is one of its 3-cycles.  A slide
+spot holding ``e+`` and ``f-`` is keyed (e, f) and matched only against
+the spots keyed (f, e), which hold the other two ends.  The index only
 proposes candidates: each pattern has one check, which decides both
 whether a finder lists a candidate and whether ``apply_move`` accepts
 a site.  Sites are listed in lexicographic order of their spots, taken
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 from random import Random
 
 from .gausscode import (
@@ -244,15 +243,20 @@ def _slide_spots(code: FlatLinkCode):
 def _find_r2_remove(code: FlatLinkCode) -> list[MoveSite]:
     names = code.component_names()
     spots = list(_slide_spots(code))
-    # the two spots of a slide hold the same two crossings, and a
-    # crossing pair is adjacent at no more than four spots
-    buckets = defaultdict(list)
-    for i, (_, _, a, b) in enumerate(spots):
-        buckets[tuple(sorted((a.crossing, b.crossing)))].append(i)
+    # a spot holding e+ and f- is keyed (e, f); the other spot of its
+    # slide holds f+ and e-, so it is keyed (f, e), and each crossing's
+    # one plus letter leaves at most two spots under a key
+    keys = [(a.crossing, b.crossing) if a.sign == PLUS else (b.crossing, a.crossing)
+            for _, _, a, b in spots]
+    at = defaultdict(list)
+    for i, key in enumerate(keys):
+        at[key].append(i)
     found = []
     seen = set()
-    for bucket in buckets.values():
-        for i, j in combinations(bucket, 2):
+    for i, (e, f) in enumerate(keys):
+        for j in at.get((f, e), ()):
+            if j < i:
+                continue
             (c1, p1, _, _), (c2, p2, _, _) = spots[i], spots[j]
             ids = _passes(_slide, code, ((c1, p1), (c2, p2)))
             if ids is None:
@@ -264,12 +268,9 @@ def _find_r2_remove(code: FlatLinkCode) -> list[MoveSite]:
             if key in seen:
                 continue
             seen.add(key)
-            found.append((i, j, ids))
-    found.sort()
-    return [MoveSite("r2_remove",
-                     ((names[spots[i][0]], spots[i][1]),
-                      (names[spots[j][0]], spots[j][1])), ids)
-            for i, j, ids in found]
+            found.append(MoveSite("r2_remove",
+                                  ((names[c1], p1), (names[c2], p2)), ids))
+    return found
 
 
 def _find_r3(code: FlatLinkCode) -> list[MoveSite]:

@@ -9,6 +9,8 @@ from flatlinks import (
     GenSpec,
     InfeasibleSpec,
     InstanceTooLarge,
+    MINUS,
+    PLUS,
     SearchGoal,
     SearchLimits,
     brute_force_filamentation,
@@ -152,11 +154,47 @@ def test_class_count_matches_burnside(crossings, components, count):
     assert len(enumerate_small_codes(crossings, components)) == count
 
 
+def _all_keys(crossings: int, components: int) -> list[tuple]:
+    keys: list[tuple] = []
+    assert _least_keys(crossings, components, keys.append) is None
+    return keys
+
+
+def _tuple_key(code) -> tuple:
+    return tuple(tuple((int(x.crossing[1:]), x.sign) for x in cw.letters)
+                 for cw in code.components)
+
+
 @pytest.mark.parametrize("crossings,components", [
     (3, 1), (4, 2), (5, 1), (4, 3), (3, 4), (2, 6)])
 def test_least_keys_come_out_sorted(crossings, components):
-    keys = _least_keys(crossings, components)
+    keys = _all_keys(crossings, components)
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("crossings,components", [(4, 2), (5, 1), (3, 4)])
+def test_int_keys_decode_to_the_reference_tuple_keys(crossings, components):
+    # letter 2*label + (sign is +) orders as (label, sign) does, so the
+    # decoded keys are the generate-then-deduplicate keys in their order
+    decoded = [tuple(tuple((x >> 1, PLUS if x & 1 else MINUS) for x in part)
+                     for part in key)
+               for key in _all_keys(crossings, components)]
+    assert decoded == [_tuple_key(code)
+                       for code in reference_enumeration(crossings, components)]
+
+
+@pytest.mark.parametrize("crossings,components,stop_at", [
+    (0, 0, 1), (0, 3, 1), (4, 2, 1), (4, 2, 2), (4, 2, 1174), (3, 4, 1952)])
+def test_least_keys_stop_at_the_first_true_emit(crossings, components, stop_at):
+    full = _all_keys(crossings, components)
+    seen = []
+
+    def emit(key):
+        seen.append(key)
+        return len(seen) == stop_at
+
+    assert _least_keys(crossings, components, emit) == full[stop_at - 1]
+    assert seen == full[:stop_at]
 
 
 def test_enumerate_is_deterministic_and_validates():
@@ -225,6 +263,25 @@ def _count_oracle_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(generate, "brute_force_filamentation", counted)
     return calls
+
+
+def test_search_screens_no_candidate_past_the_witness(monkeypatch):
+    calls = []
+    screen = generate._is_witness
+
+    def counted(goal, code):
+        calls.append(code)
+        return screen(goal, code)
+
+    monkeypatch.setattr(generate, "_is_witness", counted)
+    witness = search_examples(ZERO_POLY, SearchLimits(2, 8))
+    # the 165 classes of (0..3, 2), then those of (4, 2) up to the
+    # witness at index 1,174 of 1,548; screening the whole (4, 2) list
+    # would make 1,713 calls
+    assert len(calls) == 1340
+    assert calls == [code for c in range(5)
+                     for code in enumerate_small_codes(c, 2)][:1340]
+    assert calls[-1] == witness
 
 
 def test_search_runs_the_oracle_only_on_the_witness(monkeypatch):
