@@ -6,10 +6,10 @@ whose ends align into two filaments, x+ with y- on one codeword and y+
 with x- on another (possibly the same), such that the two arc counts sum
 to zero.
 
-Construction reads only the index buckets of ``index_buckets`` (in
-``gausscode``), whose docstring shows why they decide the question: a
-filamentation exists exactly when every bucket balances, a component's
-index-0 bucket of monofilaments aside.  ``brute_force_filamentation`` is
+Construction reads only the index buckets that ``validate`` (in
+``gausscode``) files; the ``CrossingCatalog`` docstring shows why they
+decide the question: a filamentation exists exactly when every bucket
+balances, a component's index-0 bucket of monofilaments aside.  ``brute_force_filamentation`` is
 the independent exhaustive check used to test the constructive route.
 """
 
@@ -22,7 +22,6 @@ from .gausscode import (
     CrossingCatalog,
     FlatLinkCode,
     FlatLinkError,
-    index_buckets,
     intersection_number,
     validate,
 )
@@ -135,7 +134,7 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
 
 
 def _balanced(buckets) -> bool:
-    """Whether every bucket of ``index_buckets`` has sides of equal size;
+    """Whether every index bucket has sides of equal size;
     a component's index-0 bucket, its monofilaments, is exempt."""
     return all(len(plus) == len(minus) or (a == b and not v)
                for (a, b, v), (plus, minus) in buckets.items())
@@ -152,7 +151,7 @@ def greedy_zero_sum_partition(catalog: CrossingCatalog) -> Filamentation | None:
     """
     if any(catalog.totals):
         return None
-    buckets = index_buckets(catalog)
+    buckets = catalog.buckets
     if not _balanced(buckets):
         return None
     ends = catalog.ends
@@ -164,9 +163,8 @@ def greedy_zero_sum_partition(catalog: CrossingCatalog) -> Filamentation | None:
             continue
         # by the end on a: the + end, except on the - side of a pair
         end = 1 if a == b else 3
-        plus.sort(key=lambda x: ends[x][1])
-        minus.sort(key=lambda x: ends[x][end])
-        bi.extend(zip(plus, minus))
+        bi.extend(zip(sorted(plus, key=lambda x: ends[x][1]),
+                      sorted(minus, key=lambda x: ends[x][end])))
     return Filamentation(tuple(mono), tuple(bi))
 
 
@@ -201,14 +199,17 @@ def brute_force_filamentation(code: FlatLinkCode) -> Filamentation | None:
     error.  Raises InstanceTooLarge over the crossing cap.
     """
     catalog = validate(code)
-    ids = list(catalog.ends)
-    if len(ids) > ORACLE_CAP:
+    ends = catalog.ends
+    if len(ends) > ORACLE_CAP:
         raise InstanceTooLarge(
-            f"{len(ids)} crossings exceeds the oracle cap of {ORACLE_CAP}")
+            f"{len(ends)} crossings exceeds the oracle cap of {ORACLE_CAP}")
+    # by first letter, so which filamentation is found does not depend on
+    # the order of ``ends``
+    ids = sorted(ends, key=lambda x: min(ends[x][:2], ends[x][2:]))
 
     mono_ok: dict[str, bool] = {}
     for x in ids:
-        pc, pp, mc, mp = catalog.ends[x]
+        pc, pp, mc, mp = ends[x]
         mono_ok[x] = pc == mc and intersection_number(code, pc, pp, mp) == 0
     pair_ok = {(x, y): _bifilament_sum(code, catalog, x, y) == 0
                for x, y in combinations(ids, 2)}

@@ -4,9 +4,9 @@ A link is stored as an ordered tuple of cyclic codewords, one per
 component.  Every crossing appears exactly twice in the whole code, once
 as ``x+`` and once as ``x-``; the two letters may sit on the same
 codeword (a self-crossing) or on two different ones.  This module owns
-the data model, the text format, structural validation, the signed
-arc-count primitive, and the index buckets that the invariant and the
-filamentations are both read from.
+the data model, the text format, structural validation (which also
+files every crossing in the index buckets that the invariant and the
+filamentations are both read from), and the signed arc-count primitive.
 """
 
 from __future__ import annotations
@@ -162,20 +162,47 @@ class FlatLinkCode:
 
 
 class CrossingCatalog(NamedTuple):
-    """Where every crossing of a validated code sits, and its index.
+    """Where every crossing of a validated code sits, and its index bucket.
 
     ``ends[x]`` is (plus component, plus position, minus component,
     minus position); x is a self-crossing exactly when the two components
-    are equal.  ``index[x]`` is P[pos(x-)] - P[pos(x+) + 1], with P the
-    prefix sums of letter signs on the component each end lies on; a
-    self-crossing whose - end comes first also gets its component's sign
-    total, so its index is always its arc count from x+ to x-.
-    ``totals[i]`` is the sign total of component ``i``.  Treat the
-    tables as read-only.
+    are equal.  ``totals[i]`` is the sign total of component ``i``.
+
+    The index of x is P[pos(x-)] - P[pos(x+) + 1], with P the prefix sums
+    of letter signs on the component each end lies on; a self-crossing
+    whose - end comes first also gets its component's sign total, so its
+    index is always its arc count from x+ to x-.  ``buckets`` files every
+    crossing under its index, on one of two sides: a self-crossing of
+    component c with index u goes to key (c, c, |u|), on the + side when
+    u >= 0; a crossing between components a < b goes to (a, b, u) on the
+    + side when its + end lies on a, and to (a, b, -u) on the - side
+    otherwise.  Each side lists crossing ids.
+
+    Once every sign total is zero, the invariant and the filamentations
+    are read off the buckets alone:
+
+    - Alignment fixes which crossings may form a bifilament: a
+      self-crossing only with a self-crossing of its own component, and
+      an a-b crossing only with one on the other side of the pair's
+      buckets.  Every such pair {x, y} sums to u(x) + u(y), zero exactly
+      when the two share a bucket.  So each bucket is complete bipartite
+      between its sides, and (c, c, 0) holds the monofilaments of c.
+    - A filamentation therefore exists exactly when every other bucket's
+      two sides are equal in size.  A nonzero linking difference, or a
+      nonzero sign total (the sum of its component's linking
+      differences), is a surplus on one side of some pair bucket, so it
+      needs no check of its own.
+    - With n = |+ side| - |- side|, a bucket (c, c, v) adds v n to the
+      coefficient of t^v in the polynomial of c, and a bucket (a, b, v)
+      adds n to the pair's linking difference and v n to its linear
+      coefficient.
+
+    ``ends`` lists the crossings in the order their second ends are
+    read.  Treat the tables as read-only.
     """
 
     ends: dict[str, tuple[int, int, int, int]]
-    index: dict[str, int]
+    buckets: dict[tuple[int, int, int], tuple[list[str], list[str]]]
     totals: list[int]
 
 
@@ -243,88 +270,99 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
     Component names must be distinct, and every crossing identifier must
     occur exactly twice with opposite signs.  Raises
     DuplicateComponentName, CrossingAppearsOnce, CrossingAppearsThrice,
-    or SameSignTwice naming the offender; returns the catalog, with the
-    ends and the index of every crossing and the sign total of every
-    component, so callers never re-derive them.
+    or SameSignTwice naming the offender (see ``_fault`` for which one);
+    returns the catalog, with the ends and the index bucket of every
+    crossing and the sign total of every component, so callers never
+    re-derive them.
+
+    One pass over the letters: the first end of each crossing is kept
+    with the prefix sum read so far, and the second end completes its
+    index and files it.  A self-crossing whose - end comes first waits
+    for its component's sign total.
+    """
+    components = code.components
+    if len({cw.name for cw in components}) < len(components):
+        raise _fault(code)
+    first: dict[str, tuple[int, int, int, int]] = {}
+    ends: dict[str, tuple[int, int, int, int]] = {}
+    buckets: dict[tuple[int, int, int], tuple[list[str], list[str]]] = {}
+    totals: list[int] = []
+    held: list[tuple[str, int]] = []
+    letters = 0
+    for ci, cw in enumerate(components):
+        s = 0  # the prefix sum through the current letter
+        for pos, letter in enumerate(cw.letters):
+            x, sign = letter.crossing, letter.sign
+            s += sign
+            seen = first.pop(x, None)
+            if seen is None:
+                first[x] = (ci, pos, sign, s)
+                continue
+            oc, op, osign, osum = seen
+            if osign == sign:
+                raise _fault(code)
+            # P[pos(x-)] is the sum through x- plus one, P[pos(x+) + 1]
+            # the sum through x+; a pair crossing's first end lies on oc < ci
+            if sign == MINUS:
+                ends[x] = (oc, op, ci, pos)
+                u = s + 1 - osum
+                if oc == ci:
+                    key, side = (ci, ci, abs(u)), u < 0
+                else:
+                    key, side = (oc, ci, u), 0
+            else:
+                ends[x] = (ci, pos, oc, op)
+                u = osum + 1 - s
+                if oc == ci:
+                    held.append((x, u))
+                    continue
+                key, side = (oc, ci, -u), 1
+            sides = buckets.get(key)
+            if sides is None:
+                sides = buckets[key] = ([], [])
+            sides[side].append(x)
+        for x, u in held:
+            u += s  # now the component's sign total
+            key = (ci, ci, abs(u))
+            sides = buckets.get(key)
+            if sides is None:
+                sides = buckets[key] = ([], [])
+            sides[u < 0].append(x)
+        held.clear()
+        totals.append(s)
+        letters += len(cw.letters)
+    # with no crossing left open every count is even, so this many
+    # letters means every count is 2
+    if first or 2 * len(ends) != letters:
+        raise _fault(code)
+    return CrossingCatalog(ends, buckets, totals)
+
+
+def _fault(code: FlatLinkCode) -> FlatLinkError:
+    """The error ``validate`` raises for a code that breaks its rules.
+
+    Duplicate component names come first.  Then the crossings are
+    checked in the order of their first letters, and the first faulty
+    one is named: it appears once, or more than twice (with its count),
+    or twice with the same sign, tested in that order.
     """
     names = set()
     for cw in code.components:
         if cw.name in names:
-            raise DuplicateComponentName(cw.name)
+            return DuplicateComponentName(cw.name)
         names.add(cw.name)
-
-    letters: dict[str, list[tuple[int, int, int]]] = {}
-    prefix: list[list[int]] = []
-    for ci, cw in enumerate(code.components):
-        sums = [0]
-        for pos, letter in enumerate(cw.letters):
-            letters.setdefault(letter.crossing, []).append((ci, pos, letter.sign))
-            sums.append(sums[-1] + letter.sign)
-        prefix.append(sums)
-
-    ends: dict[str, tuple[int, int, int, int]] = {}
-    index: dict[str, int] = {}
-    for x, occ in letters.items():
-        if len(occ) == 1:
-            raise CrossingAppearsOnce(x)
-        if len(occ) > 2:
-            raise CrossingAppearsThrice(x, len(occ))
-        first, second = occ
-        if first[2] == second[2]:
-            raise SameSignTwice(x)
-        if first[2] == MINUS:
-            first, second = second, first
-        (pc, pp, _), (mc, mp, _) = first, second
-        ends[x] = (pc, pp, mc, mp)
-        index[x] = prefix[mc][mp] - prefix[pc][pp + 1]
-        if pc == mc and mp < pp:
-            index[x] += prefix[pc][-1]
-    return CrossingCatalog(ends, index, [sums[-1] for sums in prefix])
-
-
-def index_buckets(catalog: CrossingCatalog) -> dict[tuple[int, int, int],
-                                                    tuple[list, list]]:
-    """Put every crossing into its index bucket, on one of two sides.
-
-    A self-crossing of component c with index u goes to key (c, c, |u|),
-    on the + side when u >= 0.  A crossing between components a < b goes
-    to (a, b, u) on the + side when its + end lies on a, and to
-    (a, b, -u) on the - side otherwise.  Each side lists crossing ids.
-
-    Once every sign total is zero, the invariant and the filamentations
-    are read off this table alone:
-
-    - Alignment fixes which crossings may form a bifilament: a
-      self-crossing only with a self-crossing of its own component, and
-      an a-b crossing only with one on the other side of the pair's
-      buckets.  Every such pair {x, y} sums to u(x) + u(y), zero exactly
-      when the two share a bucket.  So each bucket is complete bipartite
-      between its sides, and (c, c, 0) holds the monofilaments of c.
-    - A filamentation therefore exists exactly when every other bucket's
-      two sides are equal in size.  A nonzero linking difference, or a
-      nonzero sign total (the sum of its component's linking
-      differences), is a surplus on one side of some pair bucket, so it
-      needs no check of its own.
-    - With n = |+ side| - |- side|, a bucket (c, c, v) adds v n to the
-      coefficient of t^v in the polynomial of c, and a bucket (a, b, v)
-      adds n to the pair's linking difference and v n to its linear
-      coefficient.
-    """
-    index = catalog.index
-    buckets: dict[tuple[int, int, int], tuple[list, list]] = {}
-    for x, (pc, _, mc, _) in catalog.ends.items():
-        v = index[x]
-        if pc == mc:
-            key, side = (pc, pc, abs(v)), v < 0
-        elif pc < mc:
-            key, side = (pc, mc, v), 0
-        else:
-            key, side = (mc, pc, -v), 1
-        sides = buckets.get(key)
-        if sides is None:
-            sides = buckets[key] = ([], [])
-        sides[side].append(x)
-    return buckets
+    signs: dict[str, list[int]] = {}
+    for cw in code.components:
+        for letter in cw.letters:
+            signs.setdefault(letter.crossing, []).append(letter.sign)
+    for x, seen in signs.items():
+        if len(seen) == 1:
+            return CrossingAppearsOnce(x)
+        if len(seen) > 2:
+            return CrossingAppearsThrice(x, len(seen))
+        if seen[0] == seen[1]:
+            return SameSignTwice(x)
+    raise AssertionError("_fault called on a valid code")
 
 
 def intersection_number(code: FlatLinkCode, component: int,

@@ -15,11 +15,11 @@ exactly each class's least key and no set of seen keys is needed
 (orderly generation, after Read 1978 and McKay 1998).  Search scans
 the code shapes smallest-first in one process, screening each code as
 the enumeration emits it, and stops the enumeration at the witness.  A
-zero-polynomial candidate is screened on its one table of
-``index_buckets`` (in ``gausscode``): the invariant's zero test and the
-balance test for a filamentation both read it.  Only a candidate that
-passes both goes to the exhaustive filamentation oracle, which confirms
-it, so a returned witness is proof, not heuristic output.
+zero-polynomial candidate is screened on the one table of index
+buckets that ``validate`` (in ``gausscode``) files: the invariant's zero
+test and the balance test for a filamentation both read it.  Only a
+candidate that passes both goes to the exhaustive filamentation oracle,
+which confirms it, so a returned witness is proof, not heuristic output.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .gausscode import (
     Letter,
     _letter,
     default_component_name,
-    index_buckets,
     validate,
 )
 from .invariant import _tally, link_polynomial
@@ -367,7 +366,7 @@ def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
         # witness, never return a false one.  Zero linking differences
         # force every sign total to 0, so then every pair coefficient is
         # published and the balance test needs no check of the totals
-        buckets = index_buckets(validate(code))
+        buckets = validate(code).buckets
         polys, pairs = _tally(buckets, len(code.components))
         return (not any(polys)
                 and not any(d or c for d, c in pairs.values())

@@ -1,9 +1,9 @@
 """The polynomial invariant of a flat link code.
 
-Every number here is read off the index buckets of ``index_buckets``
-(in ``gausscode``), which also states how: a component's polynomial
-comes from its self-crossing buckets, and a pair's flat linking
-difference and linear coefficient from the pair's buckets.  Crossings
+Every number here is read off the index buckets that ``validate`` (in
+``gausscode``) files, and ``CrossingCatalog`` states how: a component's
+polynomial comes from its self-crossing buckets, and a pair's flat
+linking difference and linear coefficient from the pair's buckets.  Crossings
 of index zero drop out of the polynomials.
 
 A pair coefficient is published only when the pair's linking difference
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .gausscode import FlatLinkCode, index_buckets, validate
+from .gausscode import FlatLinkCode, validate
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ class LinkInvariant:
 
 def _tally(buckets, k: int) -> tuple[list[dict[int, int]],
                                       dict[tuple[int, int], list[int]]]:
-    """The raw values of the invariant from the side counts of
-    ``index_buckets`` on k components.
+    """The raw values of the invariant from the side counts of a
+    catalog's buckets on k components.
 
     With n = |+ side| - |- side| of a bucket (a, b, v): for a == b, the
     coefficient v n of t^v in the polynomial of a (nonzero ones only);
@@ -146,7 +146,7 @@ def link_polynomial(code: FlatLinkCode) -> LinkInvariant:
     """Assemble the whole invariant of a validated code."""
     catalog = validate(code)
     names = [cw.name for cw in code.components]
-    polys, pairs = _tally(index_buckets(catalog), len(names))
+    polys, pairs = _tally(catalog.buckets, len(names))
     totals = catalog.totals
     diffs, coeffs = [], []
     for i, j in combinations(range(len(names)), 2):

@@ -14,12 +14,15 @@ from flatlinks import (
     MINUS,
     PLUS,
     Codeword,
+    CrossingAppearsOnce,
+    CrossingAppearsThrice,
     DuplicateComponentName,
     FlatLinkCode,
     GenSpec,
     Letter,
     MalformedToken,
     MoveSite,
+    SameSignTwice,
     brute_force_filamentation,
     default_component_name,
     link_polynomial,
@@ -65,6 +68,35 @@ def reference_parse(text: str) -> FlatLinkCode:
         used.add(name)
         components.append(Codeword(name, letters))
     return FlatLinkCode(tuple(components))
+
+
+def validate_error_oracle(code: FlatLinkCode):
+    """(error class, offender, count) that ``validate`` must raise, or None
+    for a valid code, by scanning the whole letter list once per crossing.
+
+    A repeated component name comes first.  Then crossings are taken in
+    the order of their first letters, and the first faulty one is named:
+    it appears once, more than twice (count given), or twice with one
+    sign, tested in that order.
+    """
+    names = [cw.name for cw in code.components]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            return DuplicateComponentName, name, None
+    letters = [l for cw in code.components for l in cw.letters]
+    order = []
+    for l in letters:
+        if l.crossing not in order:
+            order.append(l.crossing)
+    for x in order:
+        signs = [l.sign for l in letters if l.crossing == x]
+        if len(signs) == 1:
+            return CrossingAppearsOnce, x, None
+        if len(signs) > 2:
+            return CrossingAppearsThrice, x, len(signs)
+        if signs[0] == signs[1]:
+            return SameSignTwice, x, None
+    return None
 
 
 def eta_oracle(code: FlatLinkCode, component: int, p: int, q: int) -> int:

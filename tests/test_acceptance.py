@@ -337,14 +337,15 @@ CENSUS = {
     (3, 1): (22, 20, 0), (3, 2): (140, 56, 0), (3, 3): (588, 112, 0),
     (4, 1): (218, 174, 0), (4, 2): (1548, 492, 2), (4, 3): (7344, 1014, 6),
     (5, 1): (3028, 2016, 0), (5, 2): (23244, 5632, 44),
+    (6, 1): (55540, 30868, 0),
 }
 
 
 def test_criterion_14_census_of_the_paper_claims():
-    # every class up to 5 crossings and 3 components, (5, 3) aside: a
-    # filamentation forces a zero polynomial, the converse fails first
-    # at (4, 2), and on one component a zero polynomial means a
-    # filamentation exists
+    # every class up to 5 crossings and 3 components, (5, 3) aside, and
+    # every one-component class at 6: a filamentation forces a zero
+    # polynomial, the converse fails first at (4, 2), and on one
+    # component a zero polynomial means a filamentation exists
     started = time.perf_counter()
     census = {}
     for crossings, components in CENSUS:

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +18,12 @@ from flatlinks import (
     validate,
     verify_filamentation,
 )
+import flatlinks.filament as filament
 from helpers import (
     codes,
     letter_ends,
     matching_sum_oracle,
+    random_code,
     self_poly_oracle,
     zero_matching_exists_oracle,
 )
@@ -196,6 +199,27 @@ def test_greedy_link_filamentation_matches_brute_force(code):
     if greedy is not None:
         assert verify_filamentation(code, greedy) == []
         assert verify_filamentation(code, brute) == []
+
+
+def test_link_filamentation_leaves_the_catalog_unchanged(monkeypatch):
+    # the greedy pairs sorted copies of the bucket sides, so the catalog
+    # that validate built, bucket lists in their order, is left as it was
+    catalogs = []
+
+    def kept(code):
+        catalogs.append(validate(code))
+        return catalogs[-1]
+
+    monkeypatch.setattr(filament, "validate", kept)
+    rng = random.Random(1717)
+    paired = 0
+    for _ in range(300):
+        code = random_code(rng, max_crossings=12, max_components=3,
+                           balanced=True)
+        found = link_filamentation(code)
+        assert catalogs[-1].buckets == validate(code).buckets
+        paired += found is not None and len(found.bifilaments) > 1
+    assert paired
 
 
 @settings(deadline=None)

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flatlinks import (
     MINUS,
@@ -19,12 +19,12 @@ from flatlinks import (
     PositionOutOfRange,
     SamePosition,
     SameSignTwice,
+    greedy_zero_sum_partition,
     intersection_number,
     parse_flat_link,
     render_flat_link,
     validate,
 )
-from flatlinks.gausscode import index_buckets
 from helpers import (
     codes,
     codes_equivalent_syntactically,
@@ -34,6 +34,7 @@ from helpers import (
     pair_ends_oracle,
     reference_parse,
     total_sign,
+    validate_error_oracle,
 )
 
 
@@ -155,6 +156,72 @@ def test_validate_rejects_equal_signs():
     assert "a" in str(exc.value)
 
 
+def _validate_outcome(code):
+    try:
+        validate(code)
+    except FlatLinkError as exc:
+        offender = getattr(exc, "crossing", getattr(exc, "name", None))
+        return type(exc), offender, getattr(exc, "count", None)
+    return None
+
+
+@pytest.mark.parametrize("text, expected", [
+    # the first faulty crossing by first letter, and a third letter
+    # outranks a repeated sign
+    ("a+ b+ a+ a-", (CrossingAppearsThrice, "a", 3)),
+    ("b+ a+ a+ a-", (CrossingAppearsOnce, "b", None)),
+    ("a+ b+ b+", (CrossingAppearsOnce, "a", None)),
+    ("c+ a+ b+ a- a-", (CrossingAppearsOnce, "c", None)),
+    ("a+ a- a+ a-", (CrossingAppearsThrice, "a", 4)),
+    ("A: a+ b- ; B: b+ a+", (SameSignTwice, "a", None)),
+])
+def test_validate_names_the_first_fault(text, expected):
+    code = parse_flat_link(text)
+    assert validate_error_oracle(code) == expected
+    assert _validate_outcome(code) == expected
+
+
+def test_validate_names_a_repeated_component_before_any_crossing():
+    code = FlatLinkCode((Codeword("K", (Letter("a", PLUS),)),
+                         Codeword("K", (Letter("b", PLUS),))))
+    expected = (DuplicateComponentName, "K", None)
+    assert validate_error_oracle(code) == expected
+    assert _validate_outcome(code) == expected
+
+
+@st.composite
+def mutated_codes(draw):
+    """A valid code with one to three letters dropped, duplicated or
+    sign-flipped, and now and then a component renamed to another's name."""
+    code = draw(codes(max_crossings=6))
+    words = [list(cw.letters) for cw in code.components]
+    for _ in range(draw(st.integers(1, 3))):
+        full = [i for i, w in enumerate(words) if w]
+        if not full:
+            break
+        w = words[draw(st.sampled_from(full))]
+        at = draw(st.integers(0, len(w) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "flip"]))
+        if op == "drop":
+            del w[at]
+        elif op == "duplicate":
+            source = words[draw(st.sampled_from(full))]
+            w.insert(at, source[draw(st.integers(0, len(source) - 1))])
+        else:
+            w[at] = w[at].partner
+    names = [cw.name for cw in code.components]
+    if len(names) > 1 and draw(st.integers(0, 9)) == 0:
+        names[draw(st.integers(1, len(names) - 1))] = names[0]
+    return FlatLinkCode(tuple(Codeword(n, tuple(w))
+                              for n, w in zip(names, words)))
+
+
+@settings(max_examples=400)
+@given(mutated_codes())
+def test_validate_error_matches_reference(code):
+    assert _validate_outcome(code) == validate_error_oracle(code)
+
+
 def test_catalog_classifies_ends():
     code = parse_flat_link("A: x+ a+ y- a-\nB: y+ x-")
     catalog = validate(code)
@@ -212,32 +279,45 @@ def test_intersection_number_matches_oracle(code, data):
 
 
 @given(st.one_of(codes(max_crossings=8), codes(max_crossings=8, balanced=True)))
+# a self-crossing whose - end comes first, on components of total +2 and -2
+@example(parse_flat_link("A: a- x+ a+ y+ ; B: x- y-"))
 def test_catalog_matches_references(code):
     catalog = validate(code)
     ends = letter_ends(code)
+    # every crossing in exactly one bucket, the + side with its + end on a
+    # and the - side with its - end there; the index is the key on the
+    # + side and its negative on the - side
+    index = {}
+    for (a, b, v), (plus, minus) in catalog.buckets.items():
+        assert a <= b
+        for x in plus:
+            assert (ends[x][PLUS][0], ends[x][MINUS][0]) == (a, b)
+            assert x not in index
+            index[x] = v
+        for x in minus:
+            assert (ends[x][MINUS][0], ends[x][PLUS][0]) == (a, b)
+            assert x not in index
+            index[x] = -v
+        if a == b:
+            assert v >= 0
+    assert sorted(index) == sorted(ends)
     for x, sides in ends.items():
         (cp, pp), (cm, pm) = sides[PLUS], sides[MINUS]
         assert catalog.ends[x] == (cp, pp, cm, pm)
         if cp == cm:
-            assert catalog.index[x] == eta_oracle(code, cp, pp, pm)
+            assert index[x] == eta_oracle(code, cp, pp, pm)
     for ci in range(len(code.components)):
         assert catalog.totals[ci] == total_sign(code, ci)
     for a, b in permutations(range(len(code.components)), 2):
         plus, minus = pair_ends_oracle(code, a, b)
         if total_sign(code, a) == total_sign(code, b) == 0:
             for x, y in product(plus, minus):
-                assert (catalog.index[x] + catalog.index[y]
+                assert (index[x] + index[y]
                         == matching_sum_oracle(code, a, b, [(x, y)]))
-    # every crossing in exactly one bucket, the + side with its + end on a
-    # and the - side with its - end there; index-0 self-crossings are
-    # monofilaments; once the totals vanish, each bucket's + side / - side
-    # pairs all vanish (aligned across a pair, opposite on one component)
-    buckets = index_buckets(catalog)
-    placed = [x for sides in buckets.values() for side in sides for x in side]
-    assert sorted(placed) == sorted(ends)
-    for (a, b, v), (plus, minus) in buckets.items():
-        assert all((ends[x][PLUS][0], ends[x][MINUS][0]) == (a, b) for x in plus)
-        assert all((ends[x][MINUS][0], ends[x][PLUS][0]) == (a, b) for x in minus)
+    # index-0 self-crossings are monofilaments; once the totals vanish,
+    # each bucket's + side / - side pairs all vanish (aligned across a
+    # pair, opposite on one component)
+    for (a, b, v), (plus, minus) in catalog.buckets.items():
         if a == b and v == 0:
             assert not minus
             for x in plus:
@@ -251,6 +331,10 @@ def test_catalog_matches_references(code):
                 (_, xp), (_, xm) = ends[x][PLUS], ends[x][MINUS]
                 (_, yp), (_, ym) = ends[y][PLUS], ends[y][MINUS]
                 assert eta_oracle(code, a, xp, xm) == -eta_oracle(code, a, yp, ym)
+    # the greedy filamentation sorts copies of the sides it pairs
+    before = {k: (list(p), list(m)) for k, (p, m) in catalog.buckets.items()}
+    greedy_zero_sum_partition(catalog)
+    assert catalog.buckets == before
 
 
 @given(codes(max_crossings=6))
