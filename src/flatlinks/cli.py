@@ -6,12 +6,17 @@ command line itself was unusable; 2 means the input code failed
 validation or another library-level check.  All randomness is
 seed-supplied; nothing reads ambient entropy, so every command is
 reproducible from its argv.
+
+Every command builds one answer, a JSON payload and its text lines, and
+``--format`` only chooses which of the two is printed.  Lines that take
+work to build are generated lazily, so a JSON answer does not build them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -54,12 +59,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_io(parser, with_input=True):
-    if with_input:
-        parser.add_argument("input", nargs="?", default="-",
-                            help="code file, or - for stdin (default)")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default text)")
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:  # word it as type=int does
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative")
+    return value
 
 
 # Built on the first run() and then reused: parse_args makes a fresh Namespace,
@@ -72,72 +79,59 @@ def _build_parser() -> _Parser:
                                  "for flat virtual links.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a code's structure")
-    _add_io(p)
-    p.set_defaults(handler=_cmd_validate)
+    def command(group, name, summary, handler, *own, reads_code=True):
+        # own arguments are (name, options) pairs; the shared ones go last, so
+        # a code file follows the command's positionals (moves apply MOVE...)
+        p = group.add_parser(name, help=summary)
+        for arg, options in own:
+            p.add_argument(arg, **options)
+        if reads_code:
+            p.add_argument("input", nargs="?", default="-",
+                           help="code file, or - for stdin (default)")
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="output format (default text)")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("invariant",
-                       help="component polynomials, pair coefficients, linking")
-    _add_io(p)
-    p.set_defaults(handler=_cmd_invariant)
+    command(sub, "validate", "check a code's structure", _cmd_validate)
+    command(sub, "invariant", "component polynomials, pair coefficients, linking",
+            _cmd_invariant)
+    command(sub, "linking", "flat linking differences only", _cmd_linking)
+    command(sub, "filament", "construct a filamentation (greedy, complete)",
+            _cmd_filament)
+    command(sub, "oracle", "exhaustive filamentation search (small codes)",
+            _cmd_oracle)
 
-    p = sub.add_parser("linking", help="flat linking differences only")
-    _add_io(p)
-    p.set_defaults(handler=_cmd_linking)
+    moves_sub = sub.add_parser("moves", help="Reidemeister move tools") \
+        .add_subparsers(dest="moves_command", required=True)
+    # added after the shared arguments: --kinds follows --format in its help
+    command(moves_sub, "list", "list removal and triangle sites",
+            _cmd_moves_list).add_argument(
+        "--kinds", help="comma-joined subset of r1_remove,r2_remove,r3 "
+                        "(default all three); insertion sites are parameters "
+                        "and are not listed")
+    command(moves_sub, "apply", "apply move lines in order", _cmd_moves_apply,
+            ("moves", dict(nargs="+", metavar="MOVE",
+                           help="move line as printed by list/walk, quoted")))
+    command(moves_sub, "walk", "seeded random move sequence", _cmd_moves_walk,
+            ("--steps", dict(type=_nonnegative_int, required=True)),
+            ("--seed", dict(type=int, required=True)))
 
-    p = sub.add_parser("filament",
-                       help="construct a filamentation (greedy, complete)")
-    _add_io(p)
-    p.set_defaults(handler=_cmd_filament)
-
-    p = sub.add_parser("oracle",
-                       help="exhaustive filamentation search (small codes)")
-    _add_io(p)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("moves", help="Reidemeister move tools")
-    moves_sub = p.add_subparsers(dest="moves_command", required=True)
-
-    q = moves_sub.add_parser("list", help="list removal and triangle sites")
-    _add_io(q)
-    q.add_argument("--kinds", default=None,
-                   help="comma-joined subset of r1_remove,r2_remove,r3 "
-                        "(default all three); insertion sites are "
-                        "parameters and are not listed")
-    q.set_defaults(handler=_cmd_moves_list)
-
-    q = moves_sub.add_parser("apply", help="apply move lines in order")
-    q.add_argument("moves", nargs="+", metavar="MOVE",
-                   help="move line as printed by list/walk, quoted")
-    _add_io(q)
-    q.set_defaults(handler=_cmd_moves_apply)
-
-    q = moves_sub.add_parser("walk", help="seeded random move sequence")
-    q.add_argument("--steps", type=int, required=True)
-    q.add_argument("--seed", type=int, required=True)
-    _add_io(q)
-    q.set_defaults(handler=_cmd_moves_walk)
-
-    p = sub.add_parser("enumerate",
-                       help="all small codes up to rotation and relabeling")
-    p.add_argument("--crossings", type=int, required=True)
-    p.add_argument("--components", type=int, required=True)
-    _add_io(p, with_input=False)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("search", help="search for a separating example")
-    p.add_argument("goal", choices=[g.value for g in SearchGoal])
-    p.add_argument("--limits", default=None, metavar="COMPS,CROSSINGS",
-                   help="search bounds (defaults: %s)" % ", ".join(
-                       f"{g.value}={v}" for g, v in _DEFAULT_LIMITS.items()))
-    # search is exhaustive and runs in one process, so neither flag has an
-    # effect; kept because benchmark command lines pass --seed N --jobs 1
-    p.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
-    p.add_argument("--jobs", type=int, choices=[1], default=1,
-                   help=argparse.SUPPRESS)
-    _add_io(p, with_input=False)
-    p.set_defaults(handler=_cmd_search)
-
+    command(sub, "enumerate", "all small codes up to rotation and relabeling",
+            _cmd_enumerate,
+            ("--crossings", dict(type=int, required=True)),
+            ("--components", dict(type=int, required=True)), reads_code=False)
+    defaults = ", ".join(f"{g.value}={v}" for g, v in _DEFAULT_LIMITS.items())
+    command(sub, "search", "search for a separating example", _cmd_search,
+            ("goal", dict(choices=[g.value for g in SearchGoal])),
+            ("--limits", dict(metavar="COMPS,CROSSINGS",
+                              help=f"search bounds (defaults: {defaults})")),
+            # search is exhaustive and runs in one process, so neither flag
+            # has an effect; kept because benchmark command lines pass
+            # --seed N --jobs 1
+            ("--seed", dict(type=int, default=0, help=argparse.SUPPRESS)),
+            ("--jobs", dict(type=int, choices=[1], default=1,
+                            help=argparse.SUPPRESS)), reads_code=False)
     return parser
 
 
@@ -162,156 +156,96 @@ def _read_code(args, stdin) -> FlatLinkCode:
     return parse_flat_link(text)
 
 
-def _emit_json(payload, out) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-
-
-def _print_linking(a, b, diff, out) -> None:
+def _linking_line(a, b, diff) -> str:
     # the flat linking number is diff / 2, written exactly, not via a float
     number = f"{'-' if diff < 0 else ''}{abs(diff) // 2}{'.5' if diff % 2 else ''}"
-    print(f"linking {a},{b}: {diff} (flat linking number {number})", file=out)
+    return f"linking {a},{b}: {diff} (flat linking number {number})"
 
 
-def _print_invariant(inv, out) -> None:
+def _invariant_lines(inv):
     for name, poly in inv.component_polys:
-        print(f"poly {name}: {poly}", file=out)
+        yield f"poly {name}: {poly}"
     for (a, b), diff in inv.linking_diffs:
-        _print_linking(a, b, diff, out)
+        yield _linking_line(a, b, diff)
         coeff = inv.pair_coeff(a, b)
         if coeff is None:
             reason = "nonzero linking" if diff else "nonzero sign total"
-            print(f"coeff {a},{b}: undefined ({reason})", file=out)
+            yield f"coeff {a},{b}: undefined ({reason})"
         else:
-            print(f"coeff {a},{b}: {coeff}", file=out)
+            yield f"coeff {a},{b}: {coeff}"
 
 
-def _filamentation_json(f) -> dict:
-    return f.to_json() if f is not None else {"exists": False}
-
-
-def _print_filamentation(f, out) -> None:
-    if f is None:
-        print("no filamentation", file=out)
-        return
+def _filamentation(found):
+    if found is None:
+        return {"exists": False}, ["no filamentation"]
     # both lines always appear so the text schema is fixed-shape
-    print(("mono: " + " ".join(f.monofilaments)).rstrip(), file=out)
-    print(("bi: " + " ".join(",".join(pair) for pair in f.bifilaments)).rstrip(),
-          file=out)
+    parts = (("mono", found.monofilaments),
+             ("bi", (",".join(pair) for pair in found.bifilaments)))
+    return found.to_json(), (f"{label}: {' '.join(p)}".rstrip() for label, p in parts)
 
 
-def _cmd_validate(args, stdin, out, err) -> int:
-    code = _read_code(args, stdin)
-    catalog = validate(code)
-    n_comp = len(code.components)
-    n_cross = len(catalog.ends)
-    if args.format == "json":
-        _emit_json({"ok": True, "components": n_comp, "crossings": n_cross}, out)
-    else:
-        print(f"ok: {n_comp} component(s), {n_cross} crossing(s)", file=out)
-    return 0
+def _cmd_validate(args, code):
+    n_comp, n_cross = len(code.components), len(validate(code).ends)
+    return ({"ok": True, "components": n_comp, "crossings": n_cross},
+            [f"ok: {n_comp} component(s), {n_cross} crossing(s)"])
 
 
-def _cmd_invariant(args, stdin, out, err) -> int:
-    code = _read_code(args, stdin)
+def _cmd_invariant(args, code):
     inv = link_polynomial(code)
-    if args.format == "json":
-        _emit_json(inv.to_json(), out)
-    else:
-        _print_invariant(inv, out)
-    return 0
+    return inv.to_json(), _invariant_lines(inv)
 
 
-def _cmd_linking(args, stdin, out, err) -> int:
-    code = _read_code(args, stdin)
+def _cmd_linking(args, code):
     inv = link_polynomial(code)
-    if args.format == "json":
-        _emit_json({"linking": inv.to_json()["linking"]}, out)
-    else:
-        for (a, b), diff in inv.linking_diffs:
-            _print_linking(a, b, diff, out)
-    return 0
+    return ({"linking": inv.to_json()["linking"]},
+            (_linking_line(a, b, diff) for (a, b), diff in inv.linking_diffs))
 
 
-def _cmd_filament(args, stdin, out, err) -> int:
-    code = _read_code(args, stdin)
-    found = link_filamentation(code)
-    if args.format == "json":
-        _emit_json(_filamentation_json(found), out)
-    else:
-        _print_filamentation(found, out)
-    return 0
+def _cmd_filament(args, code):
+    return _filamentation(link_filamentation(code))
 
 
-def _cmd_oracle(args, stdin, out, err) -> int:
-    code = _read_code(args, stdin)
-    found = brute_force_filamentation(code)
-    if args.format == "json":
-        _emit_json(_filamentation_json(found), out)
-    else:
-        _print_filamentation(found, out)
-    return 0
+def _cmd_oracle(args, code):
+    return _filamentation(brute_force_filamentation(code))
 
 
-def _cmd_moves_list(args, stdin, out, err) -> int:
-    code = _read_code(args, stdin)
+def _cmd_moves_list(args, code):
     validate(code)
     kinds = None if args.kinds is None else tuple(
         k for k in args.kinds.split(",") if k)
     try:
-        sites = find_move_sites(code, kinds)
+        sites = [s.describe() for s in find_move_sites(code, kinds)]
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if args.format == "json":
-        _emit_json({"sites": [s.describe() for s in sites]}, out)
-    else:
-        for site in sites:
-            print(site.describe(), file=out)
-    return 0
+    return {"sites": sites}, sites
 
 
-def _cmd_moves_apply(args, stdin, out, err) -> int:
-    code = _read_code(args, stdin)
+def _cmd_moves_apply(args, code):
     validate(code)
     for line in args.moves:
         code = apply_move(code, MoveSite.parse(line))
-    if args.format == "json":
-        _emit_json({"code": render_flat_link(code)}, out)
-    else:
-        print(render_flat_link(code), file=out)
-    return 0
+    rendered = render_flat_link(code)
+    return {"code": rendered}, [rendered]
 
 
-def _cmd_moves_walk(args, stdin, out, err) -> int:
-    if args.steps < 0:
-        raise _UsageError("--steps must be nonnegative")
-    code = _read_code(args, stdin)
+def _cmd_moves_walk(args, code):
     validate(code)
     final, log = random_walk(code, args.steps, args.seed)
-    if args.format == "json":
-        _emit_json({"code": render_flat_link(final),
-                    "log": [s.describe() for s in log]}, out)
-    else:
-        # log lines go out as comments, so this output is itself a
-        # readable code and pipes straight into any other command
-        for site in log:
-            print(f"# {site.describe()}", file=out)
-        print(render_flat_link(final), file=out)
-    return 0
+    moves, rendered = [s.describe() for s in log], render_flat_link(final)
+    # log lines go out as comments, so this output is itself a
+    # readable code and pipes straight into any other command
+    return ({"code": rendered, "log": moves},
+            itertools.chain((f"# {m}" for m in moves), [rendered]))
 
 
-def _cmd_enumerate(args, stdin, out, err) -> int:
+def _cmd_enumerate(args, code):
     # bounds come from flags here, so exceeding a cap is a usage problem
     try:
         codes = enumerate_small_codes(args.crossings, args.components)
     except (ValueError, InstanceTooLarge) as exc:
         raise _UsageError(str(exc)) from None
-    if args.format == "json":
-        _emit_json({"count": len(codes),
-                    "codes": [render_flat_link(c) for c in codes]}, out)
-    else:
-        for code in codes:
-            print(render_flat_link(code), file=out)
-    return 0
+    rendered = [render_flat_link(c) for c in codes]
+    return {"count": len(rendered), "codes": rendered}, rendered
 
 
 def _parse_limits(text: str) -> SearchLimits:
@@ -328,7 +262,7 @@ def _parse_limits(text: str) -> SearchLimits:
         raise _UsageError(str(exc)) from None
 
 
-def _cmd_search(args, stdin, out, err) -> int:
+def _cmd_search(args, code):
     goal = SearchGoal(args.goal)
     limits = _parse_limits(args.limits or _DEFAULT_LIMITS[goal])
     try:
@@ -336,27 +270,16 @@ def _cmd_search(args, stdin, out, err) -> int:
     except InstanceTooLarge as exc:
         raise _UsageError(str(exc)) from None
     if witness is None:
-        if args.format == "json":
-            _emit_json({"goal": goal.value, "witness": None}, out)
-        else:
-            print("no witness within limits", file=out)
-        return 0
-    inv = link_polynomial(witness)
+        return {"goal": goal.value, "witness": None}, ["no witness within limits"]
+    rendered, inv = render_flat_link(witness), link_polynomial(witness)
     greedy = link_filamentation(witness)
     oracle = brute_force_filamentation(witness)
-    if args.format == "json":
-        _emit_json({"goal": goal.value,
-                    "witness": render_flat_link(witness),
-                    "invariant": inv.to_json(),
-                    "filamentation": _filamentation_json(greedy),
-                    "oracle": _filamentation_json(oracle)}, out)
-    else:
-        print(f"witness: {render_flat_link(witness)}", file=out)
-        _print_invariant(inv, out)
-        print("filamentation: " + ("none" if greedy is None else "found"),
-              file=out)
-        print("oracle: " + ("none" if oracle is None else "found"), file=out)
-    return 0
+    return ({"goal": goal.value, "witness": rendered, "invariant": inv.to_json(),
+             "filamentation": _filamentation(greedy)[0],
+             "oracle": _filamentation(oracle)[0]},
+            itertools.chain([f"witness: {rendered}"], _invariant_lines(inv), [
+                "filamentation: " + ("none" if greedy is None else "found"),
+                "oracle: " + ("none" if oracle is None else "found")]))
 
 
 def run(argv, stdin=None, stdout=None, stderr=None) -> int:
@@ -364,10 +287,16 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args, stdin, out, err)
+        args = _build_parser().parse_args(argv)
+        code = _read_code(args, stdin) if "input" in args else None
+        payload, lines = args.handler(args, code)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        else:
+            for line in lines:
+                print(line, file=out)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return 1

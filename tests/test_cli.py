@@ -20,7 +20,7 @@ from flatlinks import (
     random_flat_link,
     render_flat_link,
 )
-from flatlinks.cli import _build_parser, _print_invariant, run
+from flatlinks.cli import _build_parser, _invariant_lines, run
 from helpers import codes
 
 GOLDEN_LINK = "x+ a+ y- a- ; y+ x-"
@@ -153,9 +153,8 @@ def test_escaped_stdin_byte_exits_2_naming_the_byte(text, message):
 def test_flat_linking_number_is_exact():
     lines = []
     for diff in (200001, -200001, 0, 1, -1, 2, -3, 2000000):
-        out = io.StringIO()
-        _print_invariant(LinkInvariant((), (), ((("A", "B"), diff),)), out)
-        lines.append(out.getvalue().splitlines()[0])
+        inv = LinkInvariant((), (), ((("A", "B"), diff),))
+        lines.append(list(_invariant_lines(inv))[0])
     assert lines == [
         "linking A,B: 200001 (flat linking number 100000.5)",
         "linking A,B: -200001 (flat linking number -100000.5)",
@@ -288,9 +287,14 @@ def test_moves_walk_json_log_replays():
 
 
 def test_moves_walk_rejects_negative_steps():
-    code, _, err = run_cli(["moves", "walk", "--steps", "-3", "--seed", "0"],
-                           "a+ a-")
-    assert code == 1
+    # a usage error, found before the code is read, so an invalid code
+    # exits 1 here too and not 2
+    for text in ("a+ a-", "a+ b+"):
+        code, out, err = run_cli(["moves", "walk", "--steps", "-3", "--seed", "0"],
+                                 text)
+        assert code == 1, text
+        assert out == ""
+        assert "--steps" in err
 
 
 def test_enumerate():
@@ -400,6 +404,72 @@ def test_search_unknown_goal_exits_1():
 def test_json_outputs_are_key_sorted():
     _, out, _ = run_cli(["invariant", "--format", "json"], GOLDEN_LINK)
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+UNBALANCED_LINK = "A: x+ y- z+ ; B: y+ x- ; C: z-"
+NO_FILAMENTATION = ("no filamentation\n", {"exists": False})
+
+# (code, argv) -> (complete text stdout, JSON payload)
+FULL_OUTPUTS = {
+    (GOLDEN_LINK, "validate"): (
+        "ok: 2 component(s), 3 crossing(s)\n",
+        {"ok": True, "components": 2, "crossings": 3}),
+    (GOLDEN_LINK, "invariant"): (
+        "poly A: -t\n"
+        "poly B: 0\n"
+        "linking A,B: 0 (flat linking number 0)\n"
+        "coeff A,B: 1\n",
+        {"components": [{"name": "A", "poly": {"1": -1}},
+                        {"name": "B", "poly": {}}],
+         "linking": [{"a": "A", "b": "B", "diff": 0}],
+         "pairs": [{"a": "A", "b": "B", "coeff": 1}]}),
+    (GOLDEN_LINK, "linking"): (
+        "linking A,B: 0 (flat linking number 0)\n",
+        {"linking": [{"a": "A", "b": "B", "diff": 0}]}),
+    (GOLDEN_LINK, "filament"): NO_FILAMENTATION,
+    (GOLDEN_LINK, "oracle"): NO_FILAMENTATION,
+    (GOLDEN_LINK, "moves list"): ("", {"sites": []}),
+    (UNBALANCED_LINK, "validate"): (
+        "ok: 3 component(s), 3 crossing(s)\n",
+        {"ok": True, "components": 3, "crossings": 3}),
+    (UNBALANCED_LINK, "invariant"): (
+        "poly A: 0\n"
+        "poly B: 0\n"
+        "poly C: 0\n"
+        "linking A,B: 0 (flat linking number 0)\n"
+        "coeff A,B: undefined (nonzero sign total)\n"
+        "linking A,C: 1 (flat linking number 0.5)\n"
+        "coeff A,C: undefined (nonzero linking)\n"
+        "linking B,C: 0 (flat linking number 0)\n"
+        "coeff B,C: undefined (nonzero sign total)\n",
+        {"components": [{"name": "A", "poly": {}}, {"name": "B", "poly": {}},
+                        {"name": "C", "poly": {}}],
+         "linking": [{"a": "A", "b": "B", "diff": 0},
+                     {"a": "A", "b": "C", "diff": 1},
+                     {"a": "B", "b": "C", "diff": 0}],
+         "pairs": []}),
+    (UNBALANCED_LINK, "linking"): (
+        "linking A,B: 0 (flat linking number 0)\n"
+        "linking A,C: 1 (flat linking number 0.5)\n"
+        "linking B,C: 0 (flat linking number 0)\n",
+        {"linking": [{"a": "A", "b": "B", "diff": 0},
+                     {"a": "A", "b": "C", "diff": 1},
+                     {"a": "B", "b": "C", "diff": 0}]}),
+    (UNBALANCED_LINK, "filament"): NO_FILAMENTATION,
+    (UNBALANCED_LINK, "oracle"): NO_FILAMENTATION,
+    (UNBALANCED_LINK, "moves list"): (
+        "r2_remove A,B 0,0 x,y\n", {"sites": ["r2_remove A,B 0,0 x,y"]}),
+}
+
+
+@pytest.mark.parametrize("text,command", FULL_OUTPUTS)
+def test_full_output_in_both_formats(text, command):
+    expected_text, payload = FULL_OUTPUTS[text, command]
+    argv = command.split()
+    assert run_cli(argv, text) == (0, expected_text, "")
+    assert run_cli([*argv, "--format", "text"], text) == (0, expected_text, "")
+    expected_json = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert run_cli([*argv, "--format", "json"], text) == (0, expected_json, "")
 
 
 # fuzz: cli.run answers every input with exit 0, 1 or 2
