@@ -15,6 +15,7 @@ work to build are generated lazily, so a JSON answer does not build them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -196,9 +197,9 @@ def _cmd_invariant(args, code):
 
 
 def _cmd_linking(args, code):
-    inv = link_polynomial(code)
-    return ({"linking": inv.to_json()["linking"]},
-            (_linking_line(a, b, diff) for (a, b), diff in inv.linking_diffs))
+    diffs = link_polynomial(code).linking_diffs
+    return ({"linking": [{"a": a, "b": b, "diff": d} for (a, b), d in diffs]},
+            (_linking_line(a, b, d) for (a, b), d in diffs))
 
 
 def _cmd_filament(args, code):
@@ -288,7 +289,9 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        # argparse prints --help to sys.stdout; send it to this run's out
+        with contextlib.redirect_stdout(out):
+            args = _build_parser().parse_args(argv)
         code = _read_code(args, stdin) if "input" in args else None
         payload, lines = args.handler(args, code)
         if args.format == "json":

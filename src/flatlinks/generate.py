@@ -348,8 +348,8 @@ class SearchGoal(str, Enum):
 class SearchLimits:
     """Bounds for search_examples: component and crossing maxima."""
 
-    max_components: int = 2
-    max_crossings: int = 8
+    max_components: int
+    max_crossings: int
 
     def __post_init__(self):
         if self.max_components < 0 or self.max_crossings < 0:

@@ -12,6 +12,11 @@ The flat Reidemeister moves act on a code as local rewrites:
   place, where the three plus crossings are distinct and the minus
   crossings are the same three with no fixed point.
 
+One table, ``_KINDS``, describes each kind once: its spot count, the
+allowed values of each variant token and, for a listed kind, its
+candidate finder, check and rewrite; ``MoveSite``, ``find_move_sites``,
+``apply_move`` and ``random_walk`` read only that table.
+
 ``find_move_sites`` lists only the removal and triangle sites, whose
 existence depends on the letters.  An insertion site is a parameter,
 any gap (or gap pair) with any variant: ``MoveSite`` describes it,
@@ -25,8 +30,8 @@ permutation x -> y, and a triangle is one of its 3-cycles.  A slide
 spot holding ``e+`` and ``f-`` is keyed (e, f) and matched only against
 the spots keyed (f, e), which hold the other two ends.  The index only
 proposes candidates: each pattern has one check, which decides both
-whether a finder lists a candidate and whether ``apply_move`` accepts
-a site.  Sites are listed in lexicographic order of their spots, taken
+whether a candidate is listed and whether ``apply_move`` accepts a
+site.  Sites are listed in lexicographic order of their spots, taken
 by component and then by position.
 
 A site names components and positions, so it goes stale the moment the
@@ -42,6 +47,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from random import Random
+from typing import Callable
 
 from .gausscode import (
     PLUS,
@@ -51,13 +57,6 @@ from .gausscode import (
     FlatLinkError,
     Letter,
 )
-
-KINDS = ("r1_remove", "r1_insert", "r2_remove", "r2_insert", "r3")
-
-_SPOT_COUNT = {"r1_remove": 1, "r1_insert": 1,
-               "r2_remove": 2, "r2_insert": 2, "r3": 3}
-_VARIANT_COUNT = {"r1_remove": 0, "r1_insert": 1,
-                  "r2_remove": 0, "r2_insert": 2, "r3": 0}
 
 
 class StaleSite(FlatLinkError):
@@ -90,29 +89,26 @@ class MoveSite:
     variant: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        row = _KINDS.get(self.kind)
+        if row is None:
             raise MalformedMoveLine(f"unknown move kind {self.kind!r}")
-        if len(self.spots) != _SPOT_COUNT[self.kind]:
+        if len(self.spots) != row.spots:
             raise MalformedMoveLine(
-                f"{self.kind} takes {_SPOT_COUNT[self.kind]} spot(s), "
-                f"got {len(self.spots)}")
+                f"{self.kind} takes {row.spots} spot(s), got {len(self.spots)}")
         if any(p < 0 for _, p in self.spots):
             raise MalformedMoveLine("negative position")
-        if self.crossings and len(self.crossings) != _SPOT_COUNT[self.kind]:
+        if self.crossings and len(self.crossings) != row.spots:
             raise MalformedMoveLine(
-                f"{self.kind} involves {_SPOT_COUNT[self.kind]} crossing(s), "
+                f"{self.kind} involves {row.spots} crossing(s), "
                 f"got {len(self.crossings)}")
-        if len(self.variant) != _VARIANT_COUNT[self.kind]:
+        if len(self.variant) != len(row.variants):
             raise MalformedMoveLine(
-                f"{self.kind} takes {_VARIANT_COUNT[self.kind]} variant "
+                f"{self.kind} takes {len(row.variants)} variant "
                 f"token(s), got {len(self.variant)}")
-        if self.kind == "r1_insert" and self.variant[0] not in ("+-", "-+"):
-            raise MalformedMoveLine("kink insert order must be +- or -+")
-        if self.kind == "r2_insert":
-            eps, order2 = self.variant
-            if eps not in ("+", "-") or order2 not in ("ef", "fe"):
-                raise MalformedMoveLine(
-                    "slide insert variant must be a sign and ef or fe")
+        for token, allowed in zip(self.variant, row.variants):
+            if token not in allowed:
+                raise MalformedMoveLine(f"{self.kind} variant token {token!r} "
+                                        f"must be {' or '.join(allowed)}")
 
     def describe(self) -> str:
         comps = ",".join(name for name, _ in self.spots)
@@ -150,8 +146,8 @@ def _fresh_ids(used: set[str], n: int) -> tuple[str, ...]:
 
 # One check per pattern.  Each takes (component index, position) spots,
 # returns the crossings a site of that kind names, and raises StaleSite
-# when the letters there do not form the pattern.  The finders propose
-# candidates and keep those that pass; apply_move calls the same check.
+# when the letters there do not form the pattern.  _sites keeps the
+# finder's candidates that pass; apply_move calls the same check.
 
 def _spot_letters(code: FlatLinkCode, spots) -> list[tuple[Letter, Letter]]:
     """The letter pairs at ``spots``, which must cover distinct positions."""
@@ -208,40 +204,26 @@ def _triangle(code: FlatLinkCode, spots) -> tuple[str, ...]:
     return plus
 
 
-def _passes(check, code: FlatLinkCode, spots) -> tuple[str, ...] | None:
-    try:
-        return check(code, spots)
-    except StaleSite:
-        return None
-
-
-def _find_r1_remove(code: FlatLinkCode) -> list[MoveSite]:
-    sites = []
+def _kink_spots(code: FlatLinkCode):
     for ci, cw in enumerate(code.components):
         n = len(cw)
         # on a 2-letter word the spots at 0 and 1 cover the same letters
         for p in range(n if n > 2 else n - 1):
             if cw.letters[p].crossing == cw.letters[(p + 1) % n].crossing:
-                ids = _passes(_kink, code, ((ci, p),))
-                if ids is not None:
-                    sites.append(MoveSite("r1_remove", ((cw.name, p),), ids))
-    return sites
+                yield ((ci, p),)
 
 
 def _slide_spots(code: FlatLinkCode):
     """Adjacent opposite-sign pairs of two distinct crossings."""
     for ci, cw in enumerate(code.components):
         n = len(cw)
-        if n < 2:
-            continue
         for p in range(n):
             a, b = cw.letters[p], cw.letters[(p + 1) % n]
             if a.crossing != b.crossing and a.sign == -b.sign:
                 yield ci, p, a, b
 
 
-def _find_r2_remove(code: FlatLinkCode) -> list[MoveSite]:
-    names = code.component_names()
+def _slide_pairs(code: FlatLinkCode):
     spots = list(_slide_spots(code))
     # a spot holding e+ and f- is keyed (e, f); the other spot of its
     # slide holds f+ and e-, so it is keyed (f, e), and each crossing's
@@ -251,35 +233,28 @@ def _find_r2_remove(code: FlatLinkCode) -> list[MoveSite]:
     at = defaultdict(list)
     for i, key in enumerate(keys):
         at[key].append(i)
-    found = []
     seen = set()
     for i, (e, f) in enumerate(keys):
         for j in at.get((f, e), ()):
             if j < i:
                 continue
             (c1, p1, _, _), (c2, p2, _, _) = spots[i], spots[j]
-            ids = _passes(_slide, code, ((c1, p1), (c2, p2)))
-            if ids is None:
-                continue
             # distinct spot pairs can cover the same four letters on short
-            # codewords; removing them is one and the same move
+            # codewords; removing them is one and the same move (a pair the
+            # check rejects overlaps, so it hides no pair that passes)
             key = frozenset(((c1, p1), (c1, (p1 + 1) % len(code.components[c1])),
                              (c2, p2), (c2, (p2 + 1) % len(code.components[c2]))))
-            if key in seen:
-                continue
-            seen.add(key)
-            found.append(MoveSite("r2_remove",
-                                  ((names[c1], p1), (names[c2], p2)), ids))
-    return found
+            if key not in seen:
+                seen.add(key)
+                yield (c1, p1), (c2, p2)
 
 
-def _find_r3(code: FlatLinkCode) -> list[MoveSite]:
+def _triangles(code: FlatLinkCode):
     # every crossing has one plus letter, so the plus-first slide spots
     # never overlap and map each plus crossing to at most one minus crossing
     spots = [(ci, p, a.crossing, b.crossing)
              for ci, p, a, b in _slide_spots(code) if a.sign == PLUS]
     spot_of = {x: i for i, (_, _, x, _) in enumerate(spots)}
-    found = []
     for i, (_, _, x, y) in enumerate(spots):
         j = spot_of.get(y)
         if j is None:
@@ -288,45 +263,7 @@ def _find_r3(code: FlatLinkCode) -> list[MoveSite]:
         # a spot lies on at most one 3-cycle; taking each from its first
         # spot lists them in spot order
         if k is not None and spots[k][3] == x and i < min(j, k):
-            found.append([spots[s][:2] for s in sorted((i, j, k))])
-    names = code.component_names()
-    return [MoveSite("r3", tuple((names[ci], p) for ci, p in triple),
-                     _triangle(code, triple))
-            for triple in found]
-
-
-_FINDERS = {"r1_remove": _find_r1_remove, "r2_remove": _find_r2_remove,
-            "r3": _find_r3}
-
-
-def find_move_sites(code: FlatLinkCode, kinds=None) -> list[MoveSite]:
-    """List the sites of ``kinds``, grouped by kind in KINDS order.
-
-    Only ``r1_remove``, ``r2_remove`` and ``r3`` sites are listed, all
-    three by default; an insertion kind raises ValueError.  Insertion
-    sites are parameters (any gap, any variant): MoveSite describes
-    them, apply_move applies them and random_walk samples them, but
-    nothing lists them.
-    """
-    wanted = tuple(_FINDERS) if kinds is None else tuple(kinds)
-    for k in wanted:
-        if k not in KINDS:
-            raise ValueError(f"unknown move kind {k!r}")
-        if k not in _FINDERS:
-            raise ValueError(f"insertion kind {k!r} is not listed: its sites "
-                             "are parameters (any gap, any variant)")
-    out: list[MoveSite] = []
-    for kind, finder in _FINDERS.items():
-        if kind in wanted:
-            out.extend(finder(code))
-    return out
-
-
-def _check_ids(site: MoveSite, actual) -> None:
-    if site.crossings and sorted(site.crossings) != sorted(actual):
-        raise StaleSite(
-            f"site names crossings {','.join(site.crossings)} but the spots "
-            f"hold {','.join(sorted(actual))}")
+            yield tuple(spots[s][:2] for s in sorted((i, j, k)))
 
 
 def _with_letters(code: FlatLinkCode, new: dict[int, list[Letter]]) -> FlatLinkCode:
@@ -347,7 +284,7 @@ def _insert(code: FlatLinkCode, site: MoveSite, gaps, used: set[str]) -> FlatLin
         raise StaleSite(f"insert needs {n} fresh crossing id(s)")
     # the first variant token starts with the sign of the first letter
     s = PLUS if site.variant[0][0] == "+" else MINUS
-    if site.kind == "r1_insert":
+    if n == 1:
         (x,) = ids
         pairs = [[Letter(x, s), Letter(x, -s)]]
     else:
@@ -381,9 +318,56 @@ def _swap(code: FlatLinkCode, spots) -> FlatLinkCode:
     return _with_letters(code, new)
 
 
-# the check and the rewrite of each kind whose site depends on the letters
-_REWRITES = {"r1_remove": (_kink, _remove), "r2_remove": (_slide, _remove),
-             "r3": (_triangle, _swap)}
+@dataclass(frozen=True, slots=True)
+class _Kind:
+    spots: int  # spots a site names
+    variants: tuple[tuple[str, ...], ...] = ()  # allowed values, per token
+    # listed kinds only: a finder yielding candidate spot tuples in listing
+    # order, the one check of the pattern, and the rewrite
+    finder: Callable | None = None
+    check: Callable | None = None
+    rewrite: Callable | None = None
+
+
+_KINDS = {
+    "r1_remove": _Kind(1, (), _kink_spots, _kink, _remove),
+    "r1_insert": _Kind(1, (("+-", "-+"),)),
+    "r2_remove": _Kind(2, (), _slide_pairs, _slide, _remove),
+    "r2_insert": _Kind(2, (("+", "-"), ("ef", "fe"))),
+    "r3": _Kind(3, (), _triangles, _triangle, _swap),
+}
+KINDS = tuple(_KINDS)
+
+
+def _sites(code: FlatLinkCode, kind: str) -> list[MoveSite]:
+    """The candidates of a listed kind's finder that pass its check."""
+    row, comps = _KINDS[kind], code.components
+    sites = []
+    for spots in row.finder(code):
+        try:
+            ids = row.check(code, spots)
+        except StaleSite:
+            continue
+        sites.append(MoveSite(kind, tuple([(comps[ci].name, p) for ci, p in spots]),
+                              ids))
+    return sites
+
+
+def find_move_sites(code: FlatLinkCode, kinds=None) -> list[MoveSite]:
+    """List the sites of ``kinds``, grouped by kind in KINDS order.
+
+    Only ``r1_remove``, ``r2_remove`` and ``r3`` sites are listed, all
+    three by default; an insertion kind, a parameter, raises ValueError.
+    """
+    listed = [kind for kind, row in _KINDS.items() if row.finder is not None]
+    wanted = listed if kinds is None else tuple(kinds)
+    for k in wanted:
+        if k not in KINDS:
+            raise ValueError(f"unknown move kind {k!r}")
+        if k not in listed:
+            raise ValueError(f"insertion kind {k!r} is not listed: its sites "
+                             "are parameters (any gap, any variant)")
+    return [site for kind in listed if kind in wanted for site in _sites(code, kind)]
 
 
 def apply_move(code: FlatLinkCode, site: MoveSite) -> FlatLinkCode:
@@ -392,16 +376,15 @@ def apply_move(code: FlatLinkCode, site: MoveSite) -> FlatLinkCode:
         spots = tuple((code.component_index(name), p) for name, p in site.spots)
     except KeyError as exc:
         raise StaleSite(f"no component named {exc.args[0]!r}") from None
-    rewrite = _REWRITES.get(site.kind)
-    if rewrite is None:
+    row = _KINDS[site.kind]
+    if row.check is None:
         return _insert(code, site, spots,
                        {l.crossing for cw in code.components for l in cw.letters})
-    check, change = rewrite
-    _check_ids(site, check(code, spots))
-    return change(code, spots)
-
-
-DEFAULT_WEIGHTS = {kind: 1.0 for kind in KINDS}
+    actual = sorted(row.check(code, spots))
+    if site.crossings and sorted(site.crossings) != actual:
+        raise StaleSite(f"site names crossings {','.join(site.crossings)} "
+                        f"but the spots hold {','.join(actual)}")
+    return row.rewrite(code, spots)
 
 
 def random_walk(code: FlatLinkCode, steps: int, seed: int = 0,
@@ -409,14 +392,15 @@ def random_walk(code: FlatLinkCode, steps: int, seed: int = 0,
                 ) -> tuple[FlatLinkCode, list[MoveSite]]:
     """Apply up to ``steps`` seeded random moves; return (code, sites applied).
 
-    Each step picks a kind by weight among those still applicable, then a
-    uniform site of that kind.  A walk stops early only when no enabled
-    move applies at all (removals need matching letters; insertions just
-    need a component).  Logged insertion sites carry the concrete fresh
-    ids used, so replaying the log with apply_move reproduces the walk.
+    Each step picks a kind by weight (1 for every kind that ``weights``
+    leaves out) among those still applicable, then a uniform site of
+    that kind.  A walk stops early only when no enabled move applies at
+    all (removals need matching letters; insertions just need a
+    component).  Logged insertion sites carry the concrete fresh ids
+    used, so replaying the log with apply_move reproduces the walk.
     """
     rng = Random(seed)
-    w = dict(DEFAULT_WEIGHTS)
+    w = dict.fromkeys(KINDS, 1.0)
     if weights:
         w.update(weights)
     log: list[MoveSite] = []
@@ -432,28 +416,29 @@ def random_walk(code: FlatLinkCode, steps: int, seed: int = 0,
 def _random_step(code: FlatLinkCode, rng: Random, w: dict[str, float]
                  ) -> tuple[MoveSite, FlatLinkCode] | None:
     """Draw one site and apply it; an insertion collects the ids once."""
-    if not code.components:
+    comps = code.components
+    if not comps:
         return None
-    names = code.component_names()
     candidates = [k for k in KINDS if w.get(k, 0) > 0]
     while candidates:
         kind = rng.choices(candidates, [w[k] for k in candidates])[0]
-        if kind in _FINDERS:
-            sites = _FINDERS[kind](code)
+        row = _KINDS[kind]
+        if row.finder is not None:
+            sites = _sites(code, kind)
             if sites:
                 site = rng.choice(sites)
                 return site, apply_move(code, site)
             candidates.remove(kind)
             continue
+        # the gaps first, then one draw per variant token
         gaps = []
-        for _ in range(1 if kind == "r1_insert" else 2):
-            ci = rng.randrange(len(names))
-            gaps.append((ci, rng.randrange(len(code.components[ci]) + 1)))
+        for _ in range(row.spots):
+            ci = rng.randrange(len(comps))
+            gaps.append((ci, rng.randrange(len(comps[ci]) + 1)))
         gaps.sort()
-        variant = ((rng.choice(("+-", "-+")),) if kind == "r1_insert"
-                   else (rng.choice("+-"), rng.choice(("ef", "fe"))))
-        used = {l.crossing for cw in code.components for l in cw.letters}
-        site = MoveSite(kind, tuple((names[ci], g) for ci, g in gaps),
+        variant = tuple([rng.choice(values) for values in row.variants])
+        used = {l.crossing for cw in comps for l in cw.letters}
+        site = MoveSite(kind, tuple((comps[ci].name, g) for ci, g in gaps),
                         _fresh_ids(used, len(gaps)), variant)
         return site, _insert(code, site, gaps, used)
     return None

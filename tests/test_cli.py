@@ -74,6 +74,7 @@ def test_usage_error_exits_1():
 def test_help_exits_0():
     code, out, err = run_cli(["--help"])
     assert code == 0
+    assert out.startswith("usage: flatlinks") and err == ""
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls():
@@ -95,7 +96,7 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls():
         for argv, stdin in calls:
             if fresh_parser:
                 _build_parser.cache_clear()
-            # argparse prints help to sys.stdout, not to run's stdout
+            # run sends help to its own stdout; nothing reaches sys.stdout
             sys_out, sys_err = io.StringIO(), io.StringIO()
             with redirect_stdout(sys_out), redirect_stderr(sys_err):
                 code, out, err = run_cli(argv, stdin)
@@ -104,7 +105,8 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls():
 
     fresh = outcomes(fresh_parser=True)
     assert [r[0] for r in fresh] == [1, 0, 0, 0, 0, 0, 0, 0]
-    assert "usage:" in fresh[1][3]
+    assert "usage:" in fresh[1][1]
+    assert all(r[3] == r[4] == "" for r in fresh)
     # twice on one parser, so that every call also follows itself
     _build_parser.cache_clear()
     assert outcomes(fresh_parser=False) + outcomes(fresh_parser=False) == fresh * 2

@@ -38,6 +38,12 @@ def test_move_site_rejects_malformed_lines():
         "r1_remove A 0,1 a",       # counts differ
         "r1_insert A 0 - ++",      # bad kink order
         "r2_insert A,A 0,0 - x ef",  # bad sign
+        "r2_insert A,A 0,0 - + xy",  # bad slide order
+        "r2_insert A,A 0,0 - ef +",  # tokens swapped
+        "r1_insert A 0 - +",       # a sign is not a kink order
+        "r3 A,A,A 0,2,4 a,b,c +-",  # r3 takes no variant
+        "r1_insert A 0 -",         # missing kink order
+        "r2_insert A,A 0,0 - + ef ef",  # one token too many
         "r1_remove",               # too short
     ]:
         with pytest.raises(MalformedMoveLine):
