@@ -288,6 +288,11 @@ def _least_keys(crossings: int, components: int, emit) -> tuple | None:
         grow(0, 0, [{}], [])
     except _Stop as stop:
         return stop.args[0]
+    finally:
+        # grow and place call each other through closure cells; emptying
+        # grow's cell breaks that cycle, so emit and all it holds (every
+        # emitted code) are freed on return, not at the next full collection
+        del grow
     return None
 
 

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -203,6 +204,22 @@ def test_enumerate_is_deterministic_and_validates():
     assert first == second
     for code in first:
         validate(code)
+
+
+def test_enumeration_and_search_leave_no_reference_cycles():
+    # the depth-first walk's closures call each other; left as a cycle,
+    # they would keep every emitted code alive until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        codes = enumerate_small_codes(3, 2)
+        witness = search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION,
+                                  SearchLimits(2, 8))
+        assert codes and witness is not None
+        del codes, witness
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(deadline=None)
