@@ -62,7 +62,6 @@ from .generate import (
     GenSpec,
     InfeasibleSpec,
     SearchGoal,
-    SearchLimits,
     enumerate_small_codes,
     random_flat_link,
     search_examples,
@@ -117,6 +116,5 @@ __all__ = [
     "random_flat_link",
     "enumerate_small_codes",
     "SearchGoal",
-    "SearchLimits",
     "search_examples",
 ]

@@ -36,7 +36,6 @@ from .gausscode import (
 )
 from .generate import (
     SearchGoal,
-    SearchLimits,
     enumerate_small_codes,
     search_examples,
 )
@@ -249,26 +248,23 @@ def _cmd_enumerate(args, code):
     return {"count": len(rendered), "codes": rendered}, rendered
 
 
-def _parse_limits(text: str) -> SearchLimits:
+def _parse_limits(text: str) -> list[int]:
     fields = text.split(",")
     if len(fields) != 2:
         raise _UsageError("--limits takes COMPS,CROSSINGS")
     try:
-        numbers = [int(f) for f in fields]
+        return [int(f) for f in fields]
     except ValueError:
         raise _UsageError(f"unreadable --limits {text!r}") from None
-    try:
-        return SearchLimits(*numbers)
-    except (ValueError, InstanceTooLarge) as exc:
-        raise _UsageError(str(exc)) from None
 
 
 def _cmd_search(args, code):
     goal = SearchGoal(args.goal)
-    limits = _parse_limits(args.limits or _DEFAULT_LIMITS[goal])
+    limits = _DEFAULT_LIMITS[goal] if args.limits is None else args.limits
+    # bounds come from a flag here, so a bad or too large one is a usage problem
     try:
-        witness = search_examples(goal, limits)
-    except InstanceTooLarge as exc:
+        witness = search_examples(goal, *_parse_limits(limits))
+    except (ValueError, InstanceTooLarge) as exc:
         raise _UsageError(str(exc)) from None
     if witness is None:
         return {"goal": goal.value, "witness": None}, ["no witness within limits"]

@@ -9,8 +9,10 @@ to zero.
 Construction reads only the index buckets that ``validate`` (in
 ``gausscode``) files; the ``CrossingCatalog`` docstring shows why they
 decide the question: a filamentation exists exactly when every bucket
-balances, a component's index-0 bucket of monofilaments aside.  ``brute_force_filamentation`` is
-the independent exhaustive check used to test the constructive route.
+balances, a component's index-0 bucket of monofilaments aside.
+``brute_force_filamentation`` is the independent exhaustive check used
+to test the constructive route.  It and ``verify_filamentation`` read
+the definition above from one place, ``_part_fault``.
 """
 
 from __future__ import annotations
@@ -78,15 +80,23 @@ class FilamentViolation:
         return f"{{{', '.join(self.part)}}}: {self.reason}"
 
 
-def _bifilament_sum(code: FlatLinkCode, catalog: CrossingCatalog,
-                    x: str, y: str) -> int | None:
-    """Arc-count sum of the pair {x, y}, or None if the ends misalign."""
-    cxp, pxp, cxm, pxm = catalog.ends[x]
-    cyp, pyp, cym, pym = catalog.ends[y]
+def _part_fault(code: FlatLinkCode, catalog: CrossingCatalog,
+                part: tuple[str, ...]) -> str | None:
+    """Why ``part`` is not a monofilament (one id) or a bifilament (two),
+    or None when it is one."""
+    if len(part) == 1:
+        pc, pp, mc, mp = catalog.ends[part[0]]
+        if pc != mc:
+            return "monofilament ends lie on two components"
+        v = intersection_number(code, pc, pp, mp)
+        return f"arc count {v:+d}, expected 0" if v else None
+    cxp, pxp, cxm, pxm = catalog.ends[part[0]]
+    cyp, pyp, cym, pym = catalog.ends[part[1]]
     if cxp != cym or cxm != cyp:
-        return None
-    return (intersection_number(code, cxp, pxp, pym)
-            + intersection_number(code, cyp, pyp, pxm))
+        return "ends do not align into two filaments"
+    s = (intersection_number(code, cxp, pxp, pym)
+         + intersection_number(code, cyp, pyp, pxm))
+    return f"arc count sum {s:+d}, expected 0" if s else None
 
 
 def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentViolation]:
@@ -95,7 +105,8 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
     Global structure is enforced by raising: PartsOverlap when a crossing
     sits in two parts, PartitionNotCovering when the parts miss a
     crossing of the code or name one it does not have.  Per-part failures
-    (misaligned ends, nonzero arc counts) come back as violations.
+    (misaligned ends, nonzero arc counts) come back as violations, in
+    the order of ``f.parts()``.
     """
     catalog = validate(code)
     all_ids = set(catalog.ends)
@@ -111,26 +122,8 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
     if all_ids - seen:
         missing = sorted(all_ids - seen)
         raise PartitionNotCovering(f"crossings not covered: {', '.join(missing)}")
-
-    violations = []
-    for x in f.monofilaments:
-        pc, pp, mc, mp = catalog.ends[x]
-        if pc != mc:
-            violations.append(FilamentViolation(
-                (x,), "monofilament ends lie on two components"))
-            continue
-        v = intersection_number(code, pc, pp, mp)
-        if v != 0:
-            violations.append(FilamentViolation((x,), f"arc count {v:+d}, expected 0"))
-    for x, y in f.bifilaments:
-        s = _bifilament_sum(code, catalog, x, y)
-        if s is None:
-            violations.append(FilamentViolation(
-                (x, y), "ends do not align into two filaments"))
-        elif s != 0:
-            violations.append(FilamentViolation(
-                (x, y), f"arc count sum {s:+d}, expected 0"))
-    return violations
+    return [FilamentViolation(part, fault) for part in f.parts()
+            if (fault := _part_fault(code, catalog, part)) is not None]
 
 
 def _balanced(buckets) -> bool:
@@ -207,11 +200,8 @@ def brute_force_filamentation(code: FlatLinkCode) -> Filamentation | None:
     # the order of ``ends``
     ids = sorted(ends, key=lambda x: min(ends[x][:2], ends[x][2:]))
 
-    mono_ok: dict[str, bool] = {}
-    for x in ids:
-        pc, pp, mc, mp = ends[x]
-        mono_ok[x] = pc == mc and intersection_number(code, pc, pp, mp) == 0
-    pair_ok = {(x, y): _bifilament_sum(code, catalog, x, y) == 0
+    mono_ok = {x: _part_fault(code, catalog, (x,)) is None for x in ids}
+    pair_ok = {(x, y): _part_fault(code, catalog, (x, y)) is None
                for x, y in combinations(ids, 2)}
     found = _solve(tuple(ids), mono_ok, pair_ok)
     return None if found is None else Filamentation(tuple(found[0]), tuple(found[1]))

@@ -349,21 +349,6 @@ class SearchGoal(str, Enum):
     NONZERO_MULTI_COMPONENT = "nonzero-multi-component"
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    """Bounds for search_examples: component and crossing maxima."""
-
-    max_components: int
-    max_crossings: int
-
-    def __post_init__(self):
-        if self.max_components < 0 or self.max_crossings < 0:
-            raise ValueError("limits must be nonnegative")
-        if self.max_components > COMPONENT_CAP:
-            raise InstanceTooLarge(
-                f"{self.max_components} components exceeds the cap of {COMPONENT_CAP}")
-
-
 def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
     if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION:
         # screen on one table, linear in the code; the exhaustive oracle
@@ -389,8 +374,8 @@ def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
     return len(shared) == len(code.components)
 
 
-def search_examples(goal: SearchGoal | str,
-                    limits: SearchLimits) -> FlatLinkCode | None:
+def search_examples(goal: SearchGoal | str, max_components: int,
+                    max_crossings: int) -> FlatLinkCode | None:
     """Scan small codes for a witness of the goal; None if none in bounds.
 
     Shapes are visited smallest-first (crossings, then components) and
@@ -404,14 +389,21 @@ def search_examples(goal: SearchGoal | str,
     so a returned witness is always oracle-verified.  Both goals have a
     witness at 4 crossings, so no scan enumerates a larger shape; past
     ENUMERATION_CAP crossings enumeration would raise InstanceTooLarge.
+    Negative bounds raise ValueError, and bounds past COMPONENT_CAP or
+    ORACLE_CAP raise InstanceTooLarge before any scan.
     """
-    goal = SearchGoal(goal)
-    if limits.max_crossings > ORACLE_CAP:
+    if max_components < 0 or max_crossings < 0:
+        raise ValueError("limits must be nonnegative")
+    if max_components > COMPONENT_CAP:
+        raise InstanceTooLarge(
+            f"{max_components} components exceeds the cap of {COMPONENT_CAP}")
+    if max_crossings > ORACLE_CAP:
         raise InstanceTooLarge(
             f"search beyond {ORACLE_CAP} crossings cannot be oracle-verified")
+    goal = SearchGoal(goal)
     least = 2 if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION else 3
-    for crossings in range(limits.max_crossings + 1):
-        for components in range(least, limits.max_components + 1):
+    for crossings in range(max_crossings + 1):
+        for components in range(least, max_components + 1):
             code = _scan(crossings, components,
                          lambda code: _is_witness(goal, code))
             if code is not None:

@@ -126,10 +126,10 @@ class MoveSite:
         positions = pos_tok.split(",")
         if len(comps) != len(positions):
             raise MalformedMoveLine(f"component and position counts differ: {line!r}")
-        try:
-            spots = tuple((c, int(p)) for c, p in zip(comps, positions))
-        except ValueError:
-            raise MalformedMoveLine(f"unreadable position in {line!r}") from None
+        # ASCII digits only: int() would also read 1_0, +0 and other scripts' digits
+        if not all(p.isascii() and p.removeprefix("-").isdigit() for p in positions):
+            raise MalformedMoveLine(f"unreadable position in {line!r}")
+        spots = tuple((c, int(p)) for c, p in zip(comps, positions))
         ids = () if id_tok == "-" else tuple(id_tok.split(","))
         return cls(kind, spots, ids, tuple(tokens[4:]))
 

@@ -17,7 +17,6 @@ from flatlinks import (
     Letter,
     MoveSite,
     SearchGoal,
-    SearchLimits,
     apply_move,
     brute_force_filamentation,
     enumerate_small_codes,
@@ -223,7 +222,7 @@ def test_criterion_06_greedy_matching_completeness_and_switches():
 def test_criterion_07_search_zero_polynomial_without_filamentation():
     started = time.perf_counter()
     witness = search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION,
-                              SearchLimits(max_components=2, max_crossings=8))
+                              max_components=2, max_crossings=8)
     # the first witness in canonical enumeration order, pinned
     assert render_flat_link(witness) == "c1- c2- c3+ c4+ ; c1+ c2+ c4- c3-"
     assert link_polynomial(witness).is_zero
@@ -235,7 +234,7 @@ def test_criterion_07_search_zero_polynomial_without_filamentation():
 def test_criterion_08_search_nonzero_multi_component():
     started = time.perf_counter()
     witness = search_examples(SearchGoal.NONZERO_MULTI_COMPONENT,
-                              SearchLimits(max_components=3, max_crossings=6))
+                              max_components=3, max_crossings=6)
     assert render_flat_link(witness) == "c1- c2- c3+ c4+ ; c1+ c3- ; c2+ c4-"
     assert len(witness.components) >= 3
     assert every_component_shares_a_crossing(witness)

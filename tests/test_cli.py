@@ -341,10 +341,18 @@ def test_search_none_within_limits_is_exit_0():
 
 
 def test_search_rejects_bad_limits():
-    for limits in ("2", "a,b", "2,3,10", "2,3,4,5"):
+    for limits in ("", "2", "a,b", "2,3,10", "2,3,4,5"):
         code, _, err = run_cli(["search", "zero-poly-no-filamentation",
                                 "--limits", limits])
         assert code == 1, limits
+    # an empty value is given, not absent: it does not fall back to the default
+    assert run_cli(["search", "nonzero-multi-component", "--limits", ""]) == (
+        1, "", "usage error: --limits takes COMPS,CROSSINGS\n")
+    # the = form: argparse reads "--limits -1,3" as a missing argument
+    assert run_cli(["search", "nonzero-multi-component", "--limits=2,-1"]) == (
+        1, "", "usage error: limits must be nonnegative\n")
+    assert run_cli(["search", "nonzero-multi-component", "--limits", "3000,0"]) == (
+        1, "", "usage error: 3000 components exceeds the cap of 12\n")
     code, _, err = run_cli(["search", "zero-poly-no-filamentation",
                             "--jobs", "0"])
     assert code == 1

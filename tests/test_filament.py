@@ -70,8 +70,18 @@ def test_verify_reports_misaligned_bifilament():
     code = parse_flat_link("A: x+ a+ y- a-\nB: y+ x-")
     violations = verify_filamentation(code, Filamentation(("y",), (("a", "x"),)))
     reasons = {v.part: v.reason for v in violations}
-    assert ("a", "x") in reasons and "align" in reasons[("a", "x")]
-    assert ("y",) in reasons and "two components" in reasons[("y",)]
+    assert reasons == {("a", "x"): "ends do not align into two filaments",
+                       ("y",): "monofilament ends lie on two components"}
+
+
+def test_verify_reports_every_part_in_order():
+    # monofilaments first, then bifilaments, each reason word for word
+    code = parse_flat_link("a+ b+ a- c+ b- c-")
+    violations = verify_filamentation(code, Filamentation(("c",), (("a", "b"),)))
+    assert [str(v) for v in violations] == [
+        "{c}: arc count -1, expected 0",
+        "{a, b}: arc count sum +1, expected 0",
+    ]
 
 
 def test_component_filamentation_golden():

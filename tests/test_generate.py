@@ -13,7 +13,6 @@ from flatlinks import (
     MINUS,
     PLUS,
     SearchGoal,
-    SearchLimits,
     brute_force_filamentation,
     enumerate_small_codes,
     link_polynomial,
@@ -213,8 +212,7 @@ def test_enumeration_and_search_leave_no_reference_cycles():
     gc.disable()
     try:
         codes = enumerate_small_codes(3, 2)
-        witness = search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION,
-                                  SearchLimits(2, 8))
+        witness = search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION, 2, 8)
         assert codes and witness is not None
         del codes, witness
         assert gc.collect() == 0
@@ -247,13 +245,16 @@ def test_search_goal_values():
     assert SearchGoal("nonzero-multi-component") is SearchGoal.NONZERO_MULTI_COMPONENT
     with pytest.raises(ValueError):
         SearchGoal("no-such-goal")
-    with pytest.raises(ValueError):
-        SearchLimits(-1, 2)
+
+
+def test_search_rejects_negative_bounds():
+    for bounds in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="^limits must be nonnegative$"):
+            search_examples(ZERO_POLY, *bounds)
 
 
 def test_search_finds_zero_poly_witness():
-    witness = search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION,
-                              SearchLimits(2, 8))
+    witness = search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION, 2, 8)
     assert witness is not None
     assert link_polynomial(witness).is_zero
     assert brute_force_filamentation(witness) is None
@@ -291,7 +292,7 @@ def test_search_screens_no_candidate_past_the_witness(monkeypatch):
         return screen(goal, code)
 
     monkeypatch.setattr(generate, "_is_witness", counted)
-    witness = search_examples(ZERO_POLY, SearchLimits(2, 8))
+    witness = search_examples(ZERO_POLY, 2, 8)
     # the 165 classes of (0..3, 2), then those of (4, 2) up to the
     # witness at index 1,174 of 1,548; screening the whole (4, 2) list
     # would make 1,713 calls
@@ -303,25 +304,24 @@ def test_search_screens_no_candidate_past_the_witness(monkeypatch):
 
 def test_search_runs_the_oracle_only_on_the_witness(monkeypatch):
     calls = _count_oracle_calls(monkeypatch)
-    witness = search_examples(ZERO_POLY, SearchLimits(2, 8))
+    witness = search_examples(ZERO_POLY, 2, 8)
     assert witness is not None
     assert calls == [witness]
 
 
 def test_search_witness_is_oracle_confirmed_without_the_bucket_test(monkeypatch):
-    expected = search_examples(ZERO_POLY, SearchLimits(2, 8))
+    expected = search_examples(ZERO_POLY, 2, 8)
     monkeypatch.setattr(generate, "_balanced", lambda buckets: False)
     calls = _count_oracle_calls(monkeypatch)
     # every zero-polynomial candidate now reaches the oracle, which
     # rejects the ones that do have a filamentation
-    assert search_examples(ZERO_POLY, SearchLimits(2, 8)) == expected
+    assert search_examples(ZERO_POLY, 2, 8) == expected
     assert len(calls) > 1
     assert calls[-1] == expected
 
 
 def test_search_finds_nonzero_multi_component_witness():
-    witness = search_examples("nonzero-multi-component",
-                              SearchLimits(3, 6))
+    witness = search_examples("nonzero-multi-component", 3, 6)
     assert witness is not None
     assert len(witness.components) >= 3
     inv = link_polynomial(witness)
@@ -330,19 +330,18 @@ def test_search_finds_nonzero_multi_component_witness():
 
 
 def test_search_none_within_tiny_bounds():
-    assert search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION,
-                           SearchLimits(2, 3)) is None
+    assert search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION, 2, 3) is None
 
 
 def test_component_cap():
     assert len(enumerate_small_codes(0, COMPONENT_CAP)) == 1
     with pytest.raises(InstanceTooLarge):
         enumerate_small_codes(0, COMPONENT_CAP + 1)
-    with pytest.raises(InstanceTooLarge):
-        SearchLimits(COMPONENT_CAP + 1, 0)
+    with pytest.raises(InstanceTooLarge,
+                       match="^13 components exceeds the cap of 12$"):
+        search_examples(ZERO_POLY, COMPONENT_CAP + 1, 0)
 
 
 def test_search_rejects_unverifiable_bounds():
     with pytest.raises(InstanceTooLarge):
-        search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION,
-                        SearchLimits(2, 13))
+        search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION, 2, 13)

@@ -35,6 +35,9 @@ def test_move_site_rejects_malformed_lines():
         "r9 A 0 a",                # unknown kind
         "r1_remove A,B 0,1 a",     # wrong spot count
         "r1_remove A zero a",      # unreadable position
+        "r1_remove A 1_0 -",       # int() reads these three, ...
+        "r1_remove A \u0661 -",     # ... an Arabic-Indic 1 ...
+        "r1_remove A \u0662 -",     # ... and an Arabic-Indic 2
         "r1_remove A 0,1 a",       # counts differ
         "r1_insert A 0 - ++",      # bad kink order
         "r2_insert A,A 0,0 - x ef",  # bad sign
