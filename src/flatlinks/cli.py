@@ -40,7 +40,7 @@ from .generate import (
     search_examples,
 )
 from .invariant import link_polynomial
-from .moves import MoveSite, apply_move, find_move_sites, random_walk
+from .moves import MoveSite, apply_move, find_move_sites, number, random_walk
 
 _DEFAULT_LIMITS = {
     SearchGoal.ZERO_POLY_NO_FILAMENTATION: "2,8",
@@ -57,16 +57,6 @@ class _Parser(argparse.ArgumentParser):
     # validation, so route usage problems through our own exception
     def error(self, message):
         raise _UsageError(message)
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:  # word it as type=int does
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
 
 
 # Built on the first run() and then reused: parse_args makes a fresh Namespace,
@@ -114,13 +104,13 @@ def _build_parser() -> _Parser:
             ("moves", dict(nargs="+", metavar="MOVE",
                            help="move line as printed by list/walk, quoted")))
     command(moves_sub, "walk", "seeded random move sequence", _cmd_moves_walk,
-            ("--steps", dict(type=_nonnegative_int, required=True)),
-            ("--seed", dict(type=int, required=True)))
+            ("--steps", dict(type=number, required=True)),
+            ("--seed", dict(type=number, required=True)))
 
     command(sub, "enumerate", "all small codes up to rotation and relabeling",
             _cmd_enumerate,
-            ("--crossings", dict(type=int, required=True)),
-            ("--components", dict(type=int, required=True)), reads_code=False)
+            ("--crossings", dict(type=number, required=True)),
+            ("--components", dict(type=number, required=True)), reads_code=False)
     defaults = ", ".join(f"{g.value}={v}" for g, v in _DEFAULT_LIMITS.items())
     command(sub, "search", "search for a separating example", _cmd_search,
             ("goal", dict(choices=[g.value for g in SearchGoal])),
@@ -129,8 +119,8 @@ def _build_parser() -> _Parser:
             # search is exhaustive and runs in one process, so neither flag
             # has an effect; kept because benchmark command lines pass
             # --seed N --jobs 1
-            ("--seed", dict(type=int, default=0, help=argparse.SUPPRESS)),
-            ("--jobs", dict(type=int, choices=[1], default=1,
+            ("--seed", dict(type=number, default=0, help=argparse.SUPPRESS)),
+            ("--jobs", dict(type=number, choices=[1], default=1,
                             help=argparse.SUPPRESS)), reads_code=False)
     return parser
 
@@ -158,8 +148,8 @@ def _read_code(args, stdin) -> FlatLinkCode:
 
 def _linking_line(a, b, diff) -> str:
     # the flat linking number is diff / 2, written exactly, not via a float
-    number = f"{'-' if diff < 0 else ''}{abs(diff) // 2}{'.5' if diff % 2 else ''}"
-    return f"linking {a},{b}: {diff} (flat linking number {number})"
+    half = f"{'-' if diff < 0 else ''}{abs(diff) // 2}{'.5' if diff % 2 else ''}"
+    return f"linking {a},{b}: {diff} (flat linking number {half})"
 
 
 def _invariant_lines(inv):
@@ -211,8 +201,7 @@ def _cmd_oracle(args, code):
 
 def _cmd_moves_list(args, code):
     validate(code)
-    kinds = None if args.kinds is None else tuple(
-        k for k in args.kinds.split(",") if k)
+    kinds = None if args.kinds is None else args.kinds.split(",")
     try:
         sites = [s.describe() for s in find_move_sites(code, kinds)]
     except ValueError as exc:
@@ -253,7 +242,7 @@ def _parse_limits(text: str) -> list[int]:
     if len(fields) != 2:
         raise _UsageError("--limits takes COMPS,CROSSINGS")
     try:
-        return [int(f) for f in fields]
+        return [number(f) for f in fields]
     except ValueError:
         raise _UsageError(f"unreadable --limits {text!r}") from None
 

@@ -81,9 +81,12 @@ class FilamentViolation:
 
 
 def _part_fault(code: FlatLinkCode, catalog: CrossingCatalog,
-                part: tuple[str, ...]) -> str | None:
+                part: tuple[str, ...], size: int | None = None) -> str | None:
     """Why ``part`` is not a monofilament (one id) or a bifilament (two),
-    or None when it is one."""
+    or None when it is one.  The verifier passes the ``size`` of the kind
+    claimed; a claimed monofilament is always one id."""
+    if size and len(part) != size:
+        return f"bifilament holds {len(part)} crossing(s), expected 2"
     if len(part) == 1:
         pc, pp, mc, mp = catalog.ends[part[0]]
         if pc != mc:
@@ -105,8 +108,8 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
     Global structure is enforced by raising: PartsOverlap when a crossing
     sits in two parts, PartitionNotCovering when the parts miss a
     crossing of the code or name one it does not have.  Per-part failures
-    (misaligned ends, nonzero arc counts) come back as violations, in
-    the order of ``f.parts()``.
+    (a bifilament not of two crossings, misaligned ends, nonzero arc
+    counts) come back as violations, in the order of ``f.parts()``.
     """
     catalog = validate(code)
     all_ids = set(catalog.ends)
@@ -122,8 +125,9 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
     if all_ids - seen:
         missing = sorted(all_ids - seen)
         raise PartitionNotCovering(f"crossings not covered: {', '.join(missing)}")
-    return [FilamentViolation(part, fault) for part in f.parts()
-            if (fault := _part_fault(code, catalog, part)) is not None]
+    claims = [((x,), 1) for x in f.monofilaments] + [(p, 2) for p in f.bifilaments]
+    return [FilamentViolation(part, fault) for part, size in claims
+            if (fault := _part_fault(code, catalog, part, size)) is not None]
 
 
 def _balanced(buckets) -> bool:

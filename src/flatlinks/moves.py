@@ -67,6 +67,17 @@ class MalformedMoveLine(FlatLinkError):
     """A move description that cannot even be read back as a site."""
 
 
+def number(text: str) -> int:
+    """Read a count or position given as text: a run of ASCII digits.
+
+    ``int`` would also read a sign, ``1_0``, padding and other scripts'
+    digits.  Raises ValueError; argparse names the reader in its message.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 @dataclass(frozen=True)
 class MoveSite:
     """One rewrite, addressed by component names and positions.
@@ -126,10 +137,10 @@ class MoveSite:
         positions = pos_tok.split(",")
         if len(comps) != len(positions):
             raise MalformedMoveLine(f"component and position counts differ: {line!r}")
-        # ASCII digits only: int() would also read 1_0, +0 and other scripts' digits
-        if not all(p.isascii() and p.removeprefix("-").isdigit() for p in positions):
-            raise MalformedMoveLine(f"unreadable position in {line!r}")
-        spots = tuple((c, int(p)) for c, p in zip(comps, positions))
+        try:
+            spots = tuple((c, number(p)) for c, p in zip(comps, positions))
+        except ValueError:
+            raise MalformedMoveLine(f"unreadable position in {line!r}") from None
         ids = () if id_tok == "-" else tuple(id_tok.split(","))
         return cls(kind, spots, ids, tuple(tokens[4:]))
 

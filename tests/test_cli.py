@@ -240,6 +240,10 @@ def test_moves_list_kinds_filter():
         code, out, err = run_cli(["moves", "list", "--kinds", kind], "a+ a-")
         assert code == 1 and out == ""
         assert kind in err
+    # an empty field names no kind; it is not skipped
+    for kinds in ("", ",,", "r1_remove,,r3"):
+        assert run_cli(["moves", "list", "--kinds", kinds], "a+ a-") == (
+            1, "", "usage error: unknown move kind ''\n"), kinds
 
 
 def test_moves_list_default_lists_no_insertion_sites():
@@ -350,7 +354,7 @@ def test_search_rejects_bad_limits():
         1, "", "usage error: --limits takes COMPS,CROSSINGS\n")
     # the = form: argparse reads "--limits -1,3" as a missing argument
     assert run_cli(["search", "nonzero-multi-component", "--limits=2,-1"]) == (
-        1, "", "usage error: limits must be nonnegative\n")
+        1, "", "usage error: unreadable --limits '2,-1'\n")
     assert run_cli(["search", "nonzero-multi-component", "--limits", "3000,0"]) == (
         1, "", "usage error: 3000 components exceeds the cap of 12\n")
     code, _, err = run_cli(["search", "zero-poly-no-filamentation",
@@ -360,6 +364,38 @@ def test_search_rejects_bad_limits():
                             "--limits", "2,13"])
     assert code == 1
     assert "12" in err
+
+
+NUMBER_FLAGS = {
+    "--steps": lambda v: ["moves", "walk", "--steps", v, "--seed", "0"],
+    "--seed": lambda v: ["moves", "walk", "--steps", "1", "--seed", v],
+    "--crossings": lambda v: ["enumerate", "--crossings", v, "--components", "1"],
+    "--components": lambda v: ["enumerate", "--crossings", "1", "--components", v],
+}
+
+
+@pytest.mark.parametrize("value", ["\u0663", "\uff12", "1_0", "+1", " 3", "-1"])
+@pytest.mark.parametrize("flag", NUMBER_FLAGS)
+def test_number_flags_take_only_ascii_digits(flag, value):
+    # int() reads each of these; a negative seed was only an alias of its
+    # absolute value, and no count may be negative
+    assert run_cli(NUMBER_FLAGS[flag](value), "a+ a-") == (
+        1, "", f"usage error: argument {flag}: invalid number value: {value!r}\n")
+
+
+def test_int_spellings_are_usage_errors():
+    # each of these ran, or read 1_3 as 13, while flags were read with int()
+    for argv, message in [
+        (["enumerate", "--crossings", "\uff12", "--components", "1"],
+         "argument --crossings: invalid number value: '\uff12'"),
+        (["moves", "walk", "--steps", "1_0", "--seed", "\u0663"],
+         "argument --steps: invalid number value: '1_0'"),
+        (["search", "zero-poly-no-filamentation", "--limits", "+2,\u0664"],
+         "unreadable --limits '+2,\u0664'"),
+        (["search", "nonzero-multi-component", "--limits", "1_3,0"],
+         "unreadable --limits '1_3,0'"),
+    ]:
+        assert run_cli(argv, "a+ a-") == (1, "", f"usage error: {message}\n"), argv
 
 
 def test_search_accepts_only_jobs_1():

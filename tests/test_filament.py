@@ -84,6 +84,19 @@ def test_verify_reports_every_part_in_order():
     ]
 
 
+def test_verify_reports_bifilament_not_of_two():
+    # a bifilament of one crossing is reported even where that crossing
+    # would pass as a monofilament
+    for text, part in [("a+ b+ a- b- c+ c-", ("a", "b", "c")),
+                       ("a+ b+ a- b- c+ d+ c- d-", ("a", "b", "c", "d")),
+                       ("c+ c-", ("c",))]:
+        violations = verify_filamentation(parse_flat_link(text),
+                                          Filamentation((), (part,)))
+        assert [str(v) for v in violations] == [
+            f"{{{', '.join(part)}}}: bifilament holds {len(part)} crossing(s), "
+            "expected 2"], text
+
+
 def test_component_filamentation_golden():
     code = parse_flat_link("a+ b+ a- b-")
     f = link_filamentation(code)

@@ -38,6 +38,8 @@ def test_move_site_rejects_malformed_lines():
         "r1_remove A 1_0 -",       # int() reads these three, ...
         "r1_remove A \u0661 -",     # ... an Arabic-Indic 1 ...
         "r1_remove A \u0662 -",     # ... and an Arabic-Indic 2
+        "r1_remove A -1 -",        # a position takes no sign, ...
+        "r1_remove A +0 -",        # ... either one
         "r1_remove A 0,1 a",       # counts differ
         "r1_insert A 0 - ++",      # bad kink order
         "r2_insert A,A 0,0 - x ef",  # bad sign
