@@ -130,13 +130,6 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
             if (fault := _part_fault(code, catalog, part, size)) is not None]
 
 
-def _balanced(buckets) -> bool:
-    """Whether every index bucket has sides of equal size;
-    a component's index-0 bucket, its monofilaments, is exempt."""
-    return all(len(plus) == len(minus) or (a == b and not v)
-               for (a, b, v), (plus, minus) in buckets.items())
-
-
 def greedy_zero_sum_partition(catalog: CrossingCatalog) -> Filamentation | None:
     """Filamentation of the whole code, or None when none exists.
 
@@ -149,7 +142,9 @@ def greedy_zero_sum_partition(catalog: CrossingCatalog) -> Filamentation | None:
     if any(catalog.totals):
         return None
     buckets = catalog.buckets
-    if not _balanced(buckets):
+    # a component's index-0 bucket, its monofilaments, need not balance
+    if not all(len(plus) == len(minus) or (a == b and not v)
+               for (a, b, v), (plus, minus) in buckets.items()):
         return None
     ends = catalog.ends
     mono: list[str] = []

@@ -13,13 +13,15 @@ keys slot by slot and drops a prefix as soon as one of its rotations,
 relabeled, is smaller on the letters placed so far, so what survives is
 exactly each class's least key and no set of seen keys is needed
 (orderly generation, after Read 1978 and McKay 1998).  Search scans
-the code shapes smallest-first in one process, screening each code as
-the enumeration emits it, and stops the enumeration at the witness.  A
-zero-polynomial candidate is screened on the one table of index
-buckets that ``validate`` (in ``gausscode``) files: the invariant's zero
-test and the balance test for a filamentation both read it.  Only a
-candidate that passes both goes to the exhaustive filamentation oracle,
-which confirms it, so a returned witness is proof, not heuristic output.
+the code shapes smallest-first in one process, screening each key as
+the enumeration emits it, and stops the enumeration at the witness.
+The screen counts the key's index buckets by the rule the
+``CrossingCatalog`` docstring (in ``gausscode``) states, on the int
+letters themselves, so no code object exists for the candidates it
+rejects.  Only a key that passes becomes a code, and ``_is_witness``
+confirms it by the goal's definition, through the public invariant and
+the exhaustive filamentation oracle, so a returned witness is proof, not
+heuristic output.
 """
 
 from __future__ import annotations
@@ -28,12 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
-from .filament import (
-    ORACLE_CAP,
-    InstanceTooLarge,
-    _balanced,
-    brute_force_filamentation,
-)
+from .filament import ORACLE_CAP, InstanceTooLarge, brute_force_filamentation
 from .gausscode import (
     PLUS,
     MINUS,
@@ -45,7 +42,7 @@ from .gausscode import (
     default_component_name,
     validate,
 )
-from .invariant import _tally, link_polynomial
+from .invariant import link_polynomial
 
 ENUMERATION_CAP = 6
 # within ENUMERATION_CAP at most 12 components carry a letter; on 12
@@ -296,10 +293,9 @@ def _least_keys(crossings: int, components: int, emit) -> tuple | None:
     return None
 
 
-def _scan(crossings: int, components: int, stop) -> FlatLinkCode | None:
-    """Pass one code per rotation/relabel class of the shape to ``stop``,
-    in canonical order; return the first code on which ``stop`` returns
-    true, or None.  Raises as ``enumerate_small_codes`` documents."""
+def _coder(crossings: int, components: int):
+    """Check the shape as ``enumerate_small_codes`` documents, and return
+    the function that builds the code of one of its keys."""
     if crossings < 0 or components < 0:
         raise ValueError("counts must be nonnegative")
     if crossings > ENUMERATION_CAP:
@@ -323,8 +319,7 @@ def _scan(crossings: int, components: int, stop) -> FlatLinkCode | None:
     def code(key: tuple) -> FlatLinkCode:
         return FlatLinkCode(tuple(map(word, range(components), key)))
 
-    key = _least_keys(crossings, components, lambda key: stop(code(key)))
-    return None if key is None else code(key)
+    return code
 
 
 def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]:
@@ -339,8 +334,9 @@ def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]
     ENUMERATION_CAP crossings or COMPONENT_CAP components raises
     InstanceTooLarge.
     """
+    code = _coder(crossings, components)
     codes: list[FlatLinkCode] = []
-    _scan(crossings, components, codes.append)
+    _least_keys(crossings, components, lambda key: codes.append(code(key)))
     return codes
 
 
@@ -349,18 +345,90 @@ class SearchGoal(str, Enum):
     NONZERO_MULTI_COMPONENT = "nonzero-multi-component"
 
 
-def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
+def _key_tally(key: tuple) -> tuple[dict[tuple[int, int, int], int], list[int]]:
+    """The side counts of a key's index buckets, and its sign totals.
+
+    Reads the int letters of ``_least_keys`` the way ``validate`` reads a
+    code's, by the rule the ``CrossingCatalog`` docstring states: each
+    chord's index from the prefix sums of its codewords, then its
+    (a, b, v) bucket and side.  ``counts`` maps every bucket holding a
+    crossing to n = |+ side| - |- side|.  No code object is built, so
+    the search can screen every candidate on its key.
+    """
+    first: dict[int, tuple[int, int]] = {}  # label -> (component, sum)
+    counts: dict[tuple[int, int, int], int] = {}
+    totals: list[int] = []
+    for ci, part in enumerate(key):
+        s = 0  # the prefix sum through the current letter
+        held = []
+        for letter in part:
+            plus = letter & 1
+            s += 1 if plus else -1
+            seen = first.pop(letter >> 1, None)
+            if seen is None:
+                first[letter >> 1] = (ci, s)
+                continue
+            oc, osum = seen
+            if plus:
+                if oc == ci:  # the - end came first: wait for the total
+                    held.append(osum + 1 - s)
+                    continue
+                bucket, n = (oc, ci, s - osum - 1), -1
+            else:
+                u = s + 1 - osum
+                if oc == ci:
+                    bucket, n = (ci, ci, abs(u)), 1 if u >= 0 else -1
+                else:
+                    bucket, n = (oc, ci, u), 1
+            counts[bucket] = counts.get(bucket, 0) + n
+        for u in held:
+            u += s
+            bucket = (ci, ci, abs(u))
+            counts[bucket] = counts.get(bucket, 0) + (1 if u >= 0 else -1)
+        totals.append(s)
+    return counts, totals
+
+
+def _key_screen(goal: SearchGoal, key: tuple) -> bool:
+    """Whether a key's counted buckets pass the goal's test; a key passes
+    exactly when ``_is_witness`` holds for its code.
+
+    Zero-poly: no self bucket off index 0 is out of balance (no term of
+    a component polynomial), every pair's linking difference and
+    coefficient are zero, and yet some bucket outside the monofilament
+    buckets is out of balance, so no filamentation exists.
+    Nonzero-multi: some pair with zero linking difference and zero sign
+    totals has a nonzero coefficient, and every component shares a
+    crossing with another.
+    """
+    counts, totals = _key_tally(key)
+    pairs: dict[tuple[int, int], list[int]] = {}  # [difference, coeff]
+    poly = unbalanced = False
+    for (a, b, v), n in counts.items():
+        if a == b:
+            if v and n:
+                poly = True
+            continue
+        if n:
+            unbalanced = True
+        acc = pairs.get((a, b))
+        if acc is None:
+            pairs[a, b] = [n, v * n]
+        else:
+            acc[0] += n
+            acc[1] += v * n
     if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION:
-        # screen on one table, linear in the code; the exhaustive oracle
-        # confirms the survivor, so a screening fault could only skip a
-        # witness, never return a false one.  Zero linking differences
-        # force every sign total to 0, so then every pair coefficient is
-        # published and the balance test needs no check of the totals
-        buckets = validate(code).buckets
-        polys, pairs = _tally(buckets, len(code.components))
-        return (not any(polys)
-                and not any(d or c for d, c in pairs.values())
-                and not _balanced(buckets)
+        return (not poly and unbalanced
+                and not any(d or c for d, c in pairs.values()))
+    return (any(c and not d and not totals[a] and not totals[b]
+                for (a, b), (d, c) in pairs.items())
+            and len({i for pair in pairs for i in pair}) == len(key))
+
+
+def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
+    """Whether the code witnesses the goal, by the goal's definition."""
+    if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION:
+        return (link_polynomial(code).is_zero
                 and brute_force_filamentation(code) is None)
     if not any(c != 0 for _, c in link_polynomial(code).pair_coeffs):
         return False
@@ -379,15 +447,16 @@ def search_examples(goal: SearchGoal | str, max_components: int,
     """Scan small codes for a witness of the goal; None if none in bounds.
 
     Shapes are visited smallest-first (crossings, then components) and
-    candidates in canonical enumeration order, each screened as it is
-    built; the first witness in that order is returned, and no class
-    past it is enumerated.  Knots cannot witness the zero-poly goal (for one
-    component the polynomial decides filamentation), so that scan starts
-    at two components.  For that goal each candidate is screened by the
-    zero test and the balance test on its one table of index buckets,
-    and the exhaustive oracle confirms the candidate that passes both,
-    so a returned witness is always oracle-verified.  Both goals have a
-    witness at 4 crossings, so no scan enumerates a larger shape; past
+    candidates in canonical enumeration order; the first witness in that
+    order is returned, and no class past it is enumerated.  Knots cannot
+    witness the zero-poly goal (for one component the polynomial decides
+    filamentation), so that scan starts at two components.  Each
+    candidate is screened on its enumeration key, whose index buckets
+    are counted without building a code; only a key that passes becomes
+    a code, which ``_is_witness`` confirms through the public invariant
+    and, for the zero-poly goal, the exhaustive filamentation oracle, so
+    a returned witness is always proof.  Both goals have a witness at 4
+    crossings, so no scan enumerates a larger shape; past
     ENUMERATION_CAP crossings enumeration would raise InstanceTooLarge.
     Negative bounds raise ValueError, and bounds past COMPONENT_CAP or
     ORACLE_CAP raise InstanceTooLarge before any scan.
@@ -404,8 +473,11 @@ def search_examples(goal: SearchGoal | str, max_components: int,
     least = 2 if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION else 3
     for crossings in range(max_crossings + 1):
         for components in range(least, max_components + 1):
-            code = _scan(crossings, components,
-                         lambda code: _is_witness(goal, code))
-            if code is not None:
-                return code
+            code = _coder(crossings, components)
+            key = _least_keys(
+                crossings, components,
+                lambda key: (_key_screen(goal, key)
+                             and _is_witness(goal, code(key))))
+            if key is not None:
+                return code(key)
     return None

@@ -44,6 +44,7 @@ the same site twice is the identity.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from random import Random
@@ -405,15 +406,23 @@ def random_walk(code: FlatLinkCode, steps: int, seed: int = 0,
 
     Each step picks a kind by weight (1 for every kind that ``weights``
     leaves out) among those still applicable, then a uniform site of
-    that kind.  A walk stops early only when no enabled move applies at
-    all (removals need matching letters; insertions just need a
-    component).  Logged insertion sites carry the concrete fresh ids
-    used, so replaying the log with apply_move reproduces the walk.
+    that kind; a weight of 0 disables its kind.  A key that is not a
+    move kind, or a weight that is not a finite number >= 0, raises
+    ValueError naming the kind.  A walk stops early only when no enabled
+    move applies at all (removals need matching letters; insertions just
+    need a component).  Logged insertion sites carry the concrete fresh
+    ids used, so replaying the log with apply_move reproduces the walk.
     """
-    rng = Random(seed)
     w = dict.fromkeys(KINDS, 1.0)
-    if weights:
-        w.update(weights)
+    for kind, weight in (weights or {}).items():
+        if kind not in _KINDS:
+            raise ValueError(f"unknown move kind {kind!r} in weights")
+        if not (isinstance(weight, (int, float)) and math.isfinite(weight)
+                and weight >= 0):
+            raise ValueError(f"weight of {kind} must be a finite number >= 0, "
+                             f"got {weight!r}")
+        w[kind] = weight
+    rng = Random(seed)
     log: list[MoveSite] = []
     for _ in range(steps):
         step = _random_step(code, rng, w)

@@ -23,9 +23,10 @@ from flatlinks import (
     validate,
 )
 from flatlinks import generate
-from flatlinks.generate import _is_witness, _least_keys
+from flatlinks.generate import _is_witness, _key_screen, _least_keys
 from helpers import (
     burnside_class_count,
+    codes,
     codes_equivalent_syntactically,
     every_component_shares_a_crossing,
     fill_then_test_enumeration,
@@ -37,6 +38,7 @@ from helpers import (
 )
 
 ZERO_POLY = SearchGoal.ZERO_POLY_NO_FILAMENTATION
+NONZERO_MULTI = SearchGoal.NONZERO_MULTI_COMPONENT
 
 
 def test_genspec_build_normalizes_pairs():
@@ -261,49 +263,80 @@ def test_search_finds_zero_poly_witness():
 
 
 def test_is_witness_matches_reference_on_every_small_class():
+    # the key screen passes a key exactly when its code is a witness, so
+    # screening keys before building codes skips no witness
     shapes = [(c, 2) for c in range(6)] + [(c, 3) for c in range(5)]
-    witnesses = 0
+    witnesses = dict.fromkeys(SearchGoal, 0)
     for crossings, components in shapes:
-        for code in enumerate_small_codes(crossings, components):
+        keys = _all_keys(crossings, components)
+        codes = enumerate_small_codes(crossings, components)
+        assert len(keys) == len(codes)
+        for key, code in zip(keys, codes):
             expected = reference_zero_poly_witness(code)
             assert _is_witness(ZERO_POLY, code) == expected, code
-            witnesses += expected
-    assert witnesses == 2 + 44 + 6  # (4, 2), (5, 2) and (4, 3)
+            assert _key_screen(ZERO_POLY, key) == expected, code
+            multi = _is_witness(NONZERO_MULTI, code)
+            assert multi == (
+                any(c != 0 for _, c in link_polynomial(code).pair_coeffs)
+                and every_component_shares_a_crossing(code)), code
+            assert _key_screen(NONZERO_MULTI, key) == multi, code
+            witnesses[ZERO_POLY] += expected
+            witnesses[NONZERO_MULTI] += multi
+    assert witnesses[ZERO_POLY] == 2 + 44 + 6  # (4, 2), (5, 2) and (4, 3)
+    assert witnesses[NONZERO_MULTI] == 1580
 
 
-def _count_oracle_calls(monkeypatch) -> list:
+def _int_key(code) -> tuple:
+    # the letters of _least_keys, with crossings labeled by first letter
+    labels: dict[str, int] = {}
+    return tuple(tuple(2 * labels.setdefault(x.crossing, len(labels) + 1)
+                       + (x.sign == PLUS) for x in cw.letters)
+                 for cw in code.components)
+
+
+def test_key_screen_needs_its_polynomial_test():
+    # past the census shapes: the pair's buckets are out of balance with a
+    # zero linking difference and coefficient, so only the component
+    # polynomials, t on A and -t on B, make this code no witness
+    code = parse_flat_link("c1+ c5- c6+ c3+ c1- c4- ; c6- c2- c4+ c2+ c5+ c3-")
+    assert not link_polynomial(code).is_zero
+    assert not _key_screen(ZERO_POLY, _int_key(code))
+
+
+@settings(deadline=None)
+@given(codes(max_crossings=8, balanced=True), st.sampled_from(list(SearchGoal)))
+def test_key_screen_matches_is_witness_on_random_codes(code, goal):
+    assert _key_screen(goal, _int_key(code)) == _is_witness(goal, code)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    # the last argument of every call to generate.<name>
     calls = []
-    oracle = generate.brute_force_filamentation
+    original = getattr(generate, name)
 
-    def counted(code):
-        calls.append(code)
-        return oracle(code)
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
 
-    monkeypatch.setattr(generate, "brute_force_filamentation", counted)
+    monkeypatch.setattr(generate, name, counted)
     return calls
 
 
 def test_search_screens_no_candidate_past_the_witness(monkeypatch):
-    calls = []
-    screen = generate._is_witness
-
-    def counted(goal, code):
-        calls.append(code)
-        return screen(goal, code)
-
-    monkeypatch.setattr(generate, "_is_witness", counted)
+    screened = _count_calls(monkeypatch, "_key_screen")
+    confirmed = _count_calls(monkeypatch, "_is_witness")
     witness = search_examples(ZERO_POLY, 2, 8)
     # the 165 classes of (0..3, 2), then those of (4, 2) up to the
     # witness at index 1,174 of 1,548; screening the whole (4, 2) list
-    # would make 1,713 calls
-    assert len(calls) == 1340
-    assert calls == [code for c in range(5)
-                     for code in enumerate_small_codes(c, 2)][:1340]
-    assert calls[-1] == witness
+    # would screen 1,713 keys
+    assert len(screened) == 1340
+    assert screened == [key for c in range(5) for key in _all_keys(c, 2)][:1340]
+    # only the key that passes the screen is built into a code
+    assert confirmed == [witness]
 
 
 def test_search_runs_the_oracle_only_on_the_witness(monkeypatch):
-    calls = _count_oracle_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "brute_force_filamentation")
     witness = search_examples(ZERO_POLY, 2, 8)
     assert witness is not None
     assert calls == [witness]
@@ -311,13 +344,14 @@ def test_search_runs_the_oracle_only_on_the_witness(monkeypatch):
 
 def test_search_witness_is_oracle_confirmed_without_the_bucket_test(monkeypatch):
     expected = search_examples(ZERO_POLY, 2, 8)
-    monkeypatch.setattr(generate, "_balanced", lambda buckets: False)
-    calls = _count_oracle_calls(monkeypatch)
+    monkeypatch.setattr(generate, "_key_screen", lambda goal, key: True)
+    calls = _count_calls(monkeypatch, "brute_force_filamentation")
     # every zero-polynomial candidate now reaches the oracle, which
     # rejects the ones that do have a filamentation
     assert search_examples(ZERO_POLY, 2, 8) == expected
     assert len(calls) > 1
     assert calls[-1] == expected
+    assert all(link_polynomial(code).is_zero for code in calls)
 
 
 def test_search_finds_nonzero_multi_component_witness():

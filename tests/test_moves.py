@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,6 +306,22 @@ def test_walk_respects_weights():
                "r3": 0}
     final, log = random_walk(code, 5, 0, weights)
     assert log == [] and final == code
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({"r1_insrt": 5}, "unknown move kind 'r1_insrt'"),
+    ({"r3": float("nan")}, "weight of r3 must be a finite number >= 0, got nan"),
+    ({"r2_insert": float("inf")}, "weight of r2_insert must be a finite number"),
+    ({"r1_remove": -1}, "weight of r1_remove must be a finite number >= 0, got -1"),
+    ({"r2_remove": "2"}, "weight of r2_remove must be a finite number >= 0, got '2'"),
+])
+def test_walk_rejects_bad_weights(weights, message):
+    # a misspelled kind would otherwise run a default walk, a NaN weight
+    # would silently disable its kind, and inf or a string would fail
+    # inside random
+    code = parse_flat_link("a+ b+ a- b-")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        random_walk(code, 3, 0, weights)
 
 
 @settings(deadline=None)
