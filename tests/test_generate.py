@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from flatlinks import (
     validate,
 )
 from flatlinks import generate
-from flatlinks.generate import _is_witness, _key_screen, _least_keys
+from flatlinks.generate import _is_witness, _key_screen, _least_keys, _word_screen
 from helpers import (
     burnside_class_count,
     codes,
@@ -162,6 +163,28 @@ def _all_keys(crossings: int, components: int) -> list[tuple]:
     return keys
 
 
+def _admitted(goal: SearchGoal, key: tuple) -> bool:
+    # every codeword that ends before the last slot, so every one before
+    # the last non-empty codeword, passes the goal's codeword test
+    last = max((i for i, part in enumerate(key) if part), default=0)
+    return all(_word_screen(goal, part) for part in key[:last])
+
+
+@pytest.mark.parametrize("goal", list(SearchGoal))
+@pytest.mark.parametrize("crossings,components", [(4, 2), (3, 4)])
+def test_least_keys_skip_exactly_the_keys_admit_rejects(
+        goal, crossings, components):
+    # (3, 4) has keys with empty codewords in the middle; a skipped
+    # subtree leaves the keys outside it, and their order, as they were
+    keys: list[tuple] = []
+    assert _least_keys(crossings, components, keys.append,
+                       lambda word: _word_screen(goal, word)) is None
+    unpruned = _all_keys(crossings, components)
+    expected = [key for key in unpruned if _admitted(goal, key)]
+    assert keys == expected
+    assert 0 < len(expected) < len(unpruned)
+
+
 def _tuple_key(code) -> tuple:
     return tuple(tuple((int(x.crossing[1:]), x.sign) for x in cw.letters)
                  for cw in code.components)
@@ -280,6 +303,11 @@ def test_is_witness_matches_reference_on_every_small_class():
                 any(c != 0 for _, c in link_polynomial(code).pair_coeffs)
                 and every_component_shares_a_crossing(code)), code
             assert _key_screen(NONZERO_MULTI, key) == multi, code
+            # every codeword of a witness passes the codeword test, so
+            # pruning the walk at a failing codeword skips no witness
+            for goal, witness in ((ZERO_POLY, expected), (NONZERO_MULTI, multi)):
+                assert not witness or all(
+                    _word_screen(goal, part) for part in key), code
             witnesses[ZERO_POLY] += expected
             witnesses[NONZERO_MULTI] += multi
     assert witnesses[ZERO_POLY] == 2 + 44 + 6  # (4, 2), (5, 2) and (4, 3)
@@ -326,13 +354,30 @@ def test_search_screens_no_candidate_past_the_witness(monkeypatch):
     screened = _count_calls(monkeypatch, "_key_screen")
     confirmed = _count_calls(monkeypatch, "_is_witness")
     witness = search_examples(ZERO_POLY, 2, 8)
-    # the 165 classes of (0..3, 2), then those of (4, 2) up to the
-    # witness at index 1,174 of 1,548; screening the whole (4, 2) list
-    # would screen 1,713 keys
-    assert len(screened) == 1340
-    assert screened == [key for c in range(5) for key in _all_keys(c, 2)][:1340]
+    # an unpruned walk screens the 165 classes of (0..3, 2), then those of
+    # (4, 2) up to the witness at index 1,174 of 1,548: 1,340 keys.  The
+    # walk skips every key with a codeword of nonzero sign total before
+    # its last non-empty one, and screens the rest in the same order
+    unpruned = [key for c in range(5) for key in _all_keys(c, 2)][:1340]
+    assert screened == [key for key in unpruned if _admitted(ZERO_POLY, key)]
+    assert len(screened) == 640
     # only the key that passes the screen is built into a code
     assert confirmed == [witness]
+
+
+def test_nonzero_multi_search_screens_only_admitted_keys(monkeypatch):
+    monkeypatch.setattr(generate, "_word_screen", lambda goal, word: True)
+    unscreened = _count_calls(monkeypatch, "_key_screen")
+    expected = search_examples(NONZERO_MULTI, 3, 6)
+    assert len(unscreened) == 5825
+    monkeypatch.undo()
+    screened = _count_calls(monkeypatch, "_key_screen")
+    assert search_examples(NONZERO_MULTI, 3, 6) == expected
+    # the walk skips every key with a codeword before its last non-empty
+    # one that is empty or shares no crossing with another codeword
+    assert screened == [key for key in unscreened
+                        if _admitted(NONZERO_MULTI, key)]
+    assert len(screened) == 2869
 
 
 def test_search_runs_the_oracle_only_on_the_witness(monkeypatch):
@@ -365,6 +410,15 @@ def test_search_finds_nonzero_multi_component_witness():
 
 def test_search_none_within_tiny_bounds():
     assert search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION, 2, 3) is None
+
+
+@pytest.mark.parametrize("goal", list(SearchGoal))
+def test_witness_free_search_finishes_in_seconds(goal):
+    # every shape of up to 3 crossings on up to 12 components, none with a
+    # witness; an unpruned walk of every class takes about 16 s per goal
+    start = time.perf_counter()
+    assert search_examples(goal, COMPONENT_CAP, 3) is None
+    assert time.perf_counter() - start < 5
 
 
 def test_component_cap():
