@@ -19,16 +19,15 @@ Since no set of seen keys is kept, the search also cuts the walk on
 what a prefix already decides: every codeword that closes before the
 last slot must pass the goal's codeword test (``_word_screen``), a
 necessary condition of the key screen, or no key below it is made.  The
-keys that remain come out in the same order, so a (2, 8) zero-poly
-search screens 640 keys instead of 1,340, and the witness-free
-searches up to 12 components and 3 crossings take tenths of a second
-where walking every class takes about 16 s.  The screen counts the key's index buckets by the rule the
-``CrossingCatalog`` docstring (in ``gausscode``) states, on the int
-letters themselves, so no code object exists for the candidates it
-rejects.  Only a key that passes becomes a code, and ``_is_witness``
-confirms it by the goal's definition, through the public invariant and
-the exhaustive filamentation oracle, so a returned witness is proof, not
-heuristic output.
+keys that remain come out in the same order; a (2, 8) zero-poly search
+screens 640 keys, and each witness-free search up to 12 components and
+3 crossings takes a few tenths of a second.  The screen counts the
+key's index buckets by the rule the ``CrossingCatalog`` docstring (in
+``gausscode``) states, on the int letters themselves, so no code object
+exists for the candidates it rejects.  Only a key that passes becomes
+a code, and ``_is_witness`` confirms it by the goal's definition,
+through the public invariant and the exhaustive filamentation oracle,
+so a returned witness is proof, not heuristic output.
 """
 
 from __future__ import annotations
@@ -369,13 +368,18 @@ def _key_tally(key: tuple) -> tuple[dict[tuple[int, int, int], int], list[int]]:
     (a, b, v) bucket and side.  ``counts`` maps every bucket holding a
     crossing to n = |+ side| - |- side|.  No code object is built, so
     the search can screen every candidate on its key.
+
+    A chord is filed at its second end, so a self-crossing whose - end
+    comes first gets u - T, not its index u (T is its component's sign
+    total): the two agree mod |T|, and are equal when T is 0.  Only the
+    zero-poly test of ``_key_screen`` reads self buckets, and it fails on
+    any T != 0, the sum of its component's linking differences.
     """
     first: dict[int, tuple[int, int]] = {}  # label -> (component, sum)
     counts: dict[tuple[int, int, int], int] = {}
     totals: list[int] = []
     for ci, part in enumerate(key):
         s = 0  # the prefix sum through the current letter
-        held = []
         for letter in part:
             plus = letter & 1
             s += 1 if plus else -1
@@ -384,22 +388,14 @@ def _key_tally(key: tuple) -> tuple[dict[tuple[int, int, int], int], list[int]]:
                 first[letter >> 1] = (ci, s)
                 continue
             oc, osum = seen
-            if plus:
-                if oc == ci:  # the - end came first: wait for the total
-                    held.append(osum + 1 - s)
-                    continue
-                bucket, n = (oc, ci, s - osum - 1), -1
+            u = osum + 1 - s if plus else s + 1 - osum
+            if oc == ci:
+                bucket, n = (ci, ci, abs(u)), 1 if u >= 0 else -1
+            elif plus:
+                bucket, n = (oc, ci, -u), -1
             else:
-                u = s + 1 - osum
-                if oc == ci:
-                    bucket, n = (ci, ci, abs(u)), 1 if u >= 0 else -1
-                else:
-                    bucket, n = (oc, ci, u), 1
+                bucket, n = (oc, ci, u), 1
             counts[bucket] = counts.get(bucket, 0) + n
-        for u in held:
-            u += s
-            bucket = (ci, ci, abs(u))
-            counts[bucket] = counts.get(bucket, 0) + (1 if u >= 0 else -1)
         totals.append(s)
     return counts, totals
 
@@ -490,13 +486,13 @@ def search_examples(goal: SearchGoal | str, max_components: int,
     non-empty one, that fails ``_word_screen``: for the zero-poly goal a
     codeword of nonzero sign total, for the nonzero-multi goal an empty
     codeword or one that shares no crossing with another.  No witness
-    has such a codeword, so a (2, 8) zero-poly search screens 640 keys,
-    not 1,340, and a (3, 6) nonzero-multi search 2,869, not 5,825.  Each
-    candidate left is screened on its enumeration key, whose index buckets
-    are counted without building a code; only a key that passes becomes
-    a code, which ``_is_witness`` confirms through the public invariant
-    and, for the zero-poly goal, the exhaustive filamentation oracle, so
-    a returned witness is always proof.  Both goals have a witness at 4
+    has such a codeword; a (2, 8) zero-poly search screens 640 keys, and
+    a (3, 6) nonzero-multi search 2,869.  Each candidate left is screened
+    on its enumeration key, whose index buckets are counted without
+    building a code; only a key that passes becomes a code, which
+    ``_is_witness`` confirms through the public invariant and, for the
+    zero-poly goal, the exhaustive filamentation oracle, so a returned
+    witness is always proof.  Both goals have a witness at 4
     crossings, so no scan enumerates a larger shape; past
     ENUMERATION_CAP crossings enumeration would raise InstanceTooLarge.
     Negative bounds raise ValueError, and bounds past COMPONENT_CAP or

@@ -245,20 +245,21 @@ def _slide_pairs(code: FlatLinkCode):
     at = defaultdict(list)
     for i, key in enumerate(keys):
         at[key].append(i)
-    seen = set()
+    comps = code.components
     for i, (e, f) in enumerate(keys):
         for j in at.get((f, e), ()):
             if j < i:
                 continue
             (c1, p1, _, _), (c2, p2, _, _) = spots[i], spots[j]
-            # distinct spot pairs can cover the same four letters on short
-            # codewords; removing them is one and the same move (a pair the
-            # check rejects overlaps, so it hides no pair that passes)
-            key = frozenset(((c1, p1), (c1, (p1 + 1) % len(code.components[c1])),
-                             (c2, p2), (c2, (p2 + 1) % len(code.components[c2]))))
-            if key not in seen:
-                seen.add(key)
-                yield (c1, p1), (c2, p2)
+            # a 2-letter word's spots 0 and 1 hold the same letters under one
+            # key, so a pair through spot 1 repeats one through spot 0, met
+            # first (_triangles keeps spot 1: on y- x+ it reads x+ y-).  No
+            # two other pairs cover the same letters: a longer word's spot is
+            # fixed by its positions, and if a 4-letter word has a slide at
+            # {0,1}, {2,3}, {1,2} holds one chord's two ends or equal signs.
+            if (p1 == 1 and len(comps[c1]) == 2) or (p2 == 1 and len(comps[c2]) == 2):
+                continue
+            yield (c1, p1), (c2, p2)
 
 
 def _triangles(code: FlatLinkCode):

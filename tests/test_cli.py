@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -192,6 +193,18 @@ def test_invariant_text_reports_undefined_coeff():
     assert code == 0
     assert "linking A,B: 0 (flat linking number 0)" in out
     assert "coeff A,B: undefined (nonzero sign total)" in out
+
+
+def test_invariant_text_takes_linear_time_in_the_pairs():
+    # 200 crossing-free components: a poly line each, and a linking line
+    # and a coeff line for each of the 19,900 pairs
+    text = " ; ".join(f"C{i}:" for i in range(200))
+    start = time.perf_counter()
+    code, out, _ = run_cli(["invariant"], text)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert len(out.splitlines()) == 40000
+    assert elapsed < 2, elapsed
 
 
 def test_linking():

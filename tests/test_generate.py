@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import time
 
 import pytest
@@ -24,7 +25,8 @@ from flatlinks import (
     validate,
 )
 from flatlinks import generate
-from flatlinks.generate import _is_witness, _key_screen, _least_keys, _word_screen
+from flatlinks.generate import (
+    _is_witness, _key_screen, _key_tally, _least_keys, _word_screen)
 from helpers import (
     burnside_class_count,
     codes,
@@ -50,13 +52,19 @@ def test_genspec_build_normalizes_pairs():
 
 
 def test_genspec_rejects_bad_shapes():
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(InfeasibleSpec, match="negative self-crossing count"):
         GenSpec((-1,))
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(InfeasibleSpec, match=re.escape("bad component pair (0, 0)")):
         GenSpec((0, 0), (((0, 0), 1),))
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(InfeasibleSpec, match=re.escape("duplicate component pair (0, 1)")):
+        GenSpec((0, 0), (((0, 1), 1), ((0, 1), 1)))
+    with pytest.raises(InfeasibleSpec, match="negative pair-crossing count"):
+        GenSpec((0, 0), (((0, 1), -1),))
+    with pytest.raises(InfeasibleSpec, match=re.escape("even crossing count for (0, 1)")):
         GenSpec((0, 0), (((0, 1), 1),), balanced=True)
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(InfeasibleSpec, match="negative component count"):
+        GenSpec.build(-1)
+    with pytest.raises(InfeasibleSpec, match="self_counts length differs"):
         GenSpec.build(2, (1,))
 
 
@@ -290,6 +298,7 @@ def test_is_witness_matches_reference_on_every_small_class():
     # screening keys before building codes skips no witness
     shapes = [(c, 2) for c in range(6)] + [(c, 3) for c in range(5)]
     witnesses = dict.fromkeys(SearchGoal, 0)
+    tallied = 0
     for crossings, components in shapes:
         keys = _all_keys(crossings, components)
         codes = enumerate_small_codes(crossings, components)
@@ -310,8 +319,18 @@ def test_is_witness_matches_reference_on_every_small_class():
                     _word_screen(goal, part) for part in key), code
             witnesses[ZERO_POLY] += expected
             witnesses[NONZERO_MULTI] += multi
+            # the key tally files a self-crossing whose - end comes first
+            # without its component's sign total, so it matches validate's
+            # buckets exactly when every total is 0
+            catalog = validate(code)
+            if not any(catalog.totals):
+                assert _key_tally(key) == (
+                    {k: len(p) - len(m) for k, (p, m) in catalog.buckets.items()},
+                    catalog.totals), code
+                tallied += 1
     assert witnesses[ZERO_POLY] == 2 + 44 + 6  # (4, 2), (5, 2) and (4, 3)
     assert witnesses[NONZERO_MULTI] == 1580
+    assert tallied == 11767  # the classes whose sign totals are all 0
 
 
 def _int_key(code) -> tuple:

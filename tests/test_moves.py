@@ -50,6 +50,7 @@ def test_move_site_rejects_malformed_lines():
         "r3 A,A,A 0,2,4 a,b,c +-",  # r3 takes no variant
         "r1_insert A 0 -",         # missing kink order
         "r2_insert A,A 0,0 - + ef ef",  # one token too many
+        "r2_remove A,B 0,0 a",     # one crossing for a two-crossing kind
         "r1_remove",               # too short
     ]:
         with pytest.raises(MalformedMoveLine):
@@ -80,12 +81,28 @@ def test_apply_r1_remove():
 
 def test_apply_r1_remove_stale():
     code = parse_flat_link("a+ b+ b- a-")
-    with pytest.raises(StaleSite):
+    with pytest.raises(StaleSite, match="not a kink pair"):
         apply_move(code, MoveSite.parse("r1_remove A 0 a"))
-    with pytest.raises(StaleSite):
-        apply_move(code, MoveSite.parse("r1_remove A 1 a"))  # spot holds b
-    with pytest.raises(StaleSite):
-        apply_move(code, MoveSite.parse("r1_remove Q 1 b"))  # no such component
+    with pytest.raises(StaleSite, match="names crossings a but the spots hold b"):
+        apply_move(code, MoveSite.parse("r1_remove A 1 a"))
+    with pytest.raises(StaleSite, match="no component named 'Q'"):
+        apply_move(code, MoveSite.parse("r1_remove Q 1 b"))
+
+
+@pytest.mark.parametrize("text,line,reason", [
+    ("A: a+ b- c+ a- b+ c- ; B: d+ d-", "r1_remove A 99 -",
+     "no adjacent pair starts at position 99"),
+    ("A: x+ x- ; B: y+ y- ; C: z+ z-", "r2_remove A,B 0,0 -",
+     "not a slide pair"),
+    ("A: a+ b- c+ a- b+ c- ; B: d+ d-", "r2_remove A,A 0,2 -",
+     "do not hold complementary ends"),
+    ("A: x+ y- y+ z- z+ x-", "r3 A,A,A 1,3,5 -", "share a crossing"),
+    ("A: x+ y+ ; B: y- z- ; C: x- z+", "r3 A,B,C 0,0,0 -", "carry equal signs"),
+    ("a+ c- b+ a- c+ b-", "r3 A,A,A 0,1,3 a,b,c", "spots overlap"),
+])
+def test_apply_names_each_stale_pattern(text, line, reason):
+    with pytest.raises(StaleSite, match=reason):
+        apply_move(parse_flat_link(text), MoveSite.parse(line))
 
 
 def test_apply_r1_insert():
@@ -104,12 +121,12 @@ def test_apply_r1_insert_on_empty_component():
 
 def test_apply_insert_rejects_used_or_bad_ids():
     code = parse_flat_link("a+ a-")
-    with pytest.raises(StaleSite):
+    with pytest.raises(StaleSite, match=re.escape("needs 1 fresh crossing id(s)")):
         apply_move(code, MoveSite.parse("r1_insert A 0 a +-"))
-    with pytest.raises(StaleSite):
+    with pytest.raises(StaleSite, match=re.escape("needs 2 fresh crossing id(s)")):
         apply_move(code, MoveSite.parse("r2_insert A,A 0,0 e,e + ef"))
-    with pytest.raises(StaleSite):
-        apply_move(code, MoveSite.parse("r1_insert A 5 - +-"))  # gap out of range
+    with pytest.raises(StaleSite, match="gap 5 out of range"):
+        apply_move(code, MoveSite.parse("r1_insert A 5 - +-"))
 
 
 def test_apply_r2_insert_same_component():
@@ -185,15 +202,15 @@ def test_find_r3_both_cycles():
 def test_apply_r3_rejects_non_triangles():
     # spots hold four distinct crossings, not three
     code = parse_flat_link("a+ b- b+ a- c+ d- d+ c-")
-    with pytest.raises(StaleSite):
+    with pytest.raises(StaleSite, match="do not form a triangle"):
         apply_move(code, MoveSite.parse("r3 A,A,A 0,2,4 a,b,c"))
 
 
 def test_apply_r3_rejects_mixed_modes():
-    # spot at 1 reads (c-, b+): minus-first, the others plus-first
-    code = parse_flat_link("a+ c- b+ a- c+ b-")
-    with pytest.raises(StaleSite):
-        apply_move(code, MoveSite.parse("r3 A,A,A 0,1,3 a,b,c"))
+    # the spots on A and B read plus-first, the one on C minus-first
+    code = parse_flat_link("A: x+ y- ; B: y+ z- ; C: x- z+")
+    with pytest.raises(StaleSite, match="mix letter orders"):
+        apply_move(code, MoveSite.parse("r3 A,B,C 0,0,0 -"))
 
 
 INSERT_ONLY = {"r1_insert": 1, "r2_insert": 1, "r1_remove": 0,
