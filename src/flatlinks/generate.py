@@ -52,8 +52,9 @@ from .invariant import link_polynomial
 
 ENUMERATION_CAP = 6
 # within ENUMERATION_CAP at most 12 components carry a letter; on 12
-# components, 2 crossings enumerate (10,740 classes) in about 0.07 s and
-# 3 crossings (580,800 classes) in about 5.5 s, on one 2-core VM
+# components, 2 crossings enumerate (10,740 classes) in about 0.065 s and
+# 3 crossings (580,800 classes) in about 4.1 s (medians of nine runs on a
+# 2-core 2.0 GHz VM, scaled as perfbench/run.py scales its times)
 COMPONENT_CAP = 12
 
 
@@ -187,14 +188,19 @@ def _least_keys(crossings: int, components: int, emit,
     new one with its - end before its + end), so the keys come out
     sorted.  For the codeword being filled it keeps each rotation that
     still ties with the prefix, with its relabel map.  A placed letter
-    advances each rotation by one comparison: a smaller one prunes the
-    branch, a larger one drops the rotation.  At the codeword's end only
-    the wrap-around letters remain, and the maps of the rotations that
-    still tie are carried into the next codeword, where rotation 0 is
-    tested under each of them too.  Maps and open chords are undo
-    stacks, not copies per node; a map sends ``2*label`` to twice the
-    new label, so a relabeled letter is the map's value plus the sign
-    bit.
+    runs two loops, one comparison per rotation: the first advances each
+    live rotation, relabeling the letter under that rotation's own map;
+    the second starts the rotation at this slot under each carried map,
+    which it reads without writing, and copies the map only for a
+    rotation that ties.  A smaller letter prunes the branch, a larger
+    one drops the rotation.  At the codeword's end only the wrap-around
+    letters remain, and the maps of the rotations that still tie are
+    carried into the next codeword, after the identity map on the chords
+    started so far, where rotation 0 is tested under each of them too.
+    The identity maps, one per count of started chords, are built once
+    and shared read-only.  Maps and open chords are undo stacks, not
+    copies per node; a map sends ``2*label`` to twice the new label, so
+    a relabeled letter is the map's value plus the sign bit.
     """
     total = 2 * crossings
     if components == 0:
@@ -203,12 +209,12 @@ def _least_keys(crossings: int, components: int, emit,
     parts: list[tuple] = []  # the finished codewords
     open_: list[int] = []    # the first ends of the open chords
 
-    def relabel(m: dict, base: int, added: list) -> int:
-        x = m.get(base)
-        if x is None:
-            x = m[base] = 2 * len(m) + 2
-            added.append((m, base))
-        return x
+    # the identity map on the first n labels, for each n; shared, never
+    # written: no code path writes to a map in ``maps``, since a new
+    # rotation copies its map before it adds to it, and a live rotation
+    # writes only to its own copy
+    identity = [{x: x for x in range(2, 2 * n + 1, 2)}
+                for n in range(crossings + 1)]
 
     def undo(added: list) -> None:
         for m, base in added:
@@ -243,24 +249,35 @@ def _least_keys(crossings: int, components: int, emit,
         base = letter ^ sign
         added: list = []
         kept = []
-        # rotation p starts under every map, rotation 0 only under a
-        # non-identity one; a new rotation gets its own map once it ties
-        for m, r in live + [(m, p) for m in (maps if p else maps[1:])]:
-            if r == p:
-                x = m.get(base) or 2 * len(m) + 2
-                if x + sign == out[start]:
-                    m = {**m, base: x}
-            else:
-                x = relabel(m, base, added)
+        for m, r in live:
+            x = m.get(base)
+            if x is None:
+                x = m[base] = 2 * len(m) + 2
+                added.append((m, base))
             y, t = x + sign, out[start + p - r]
             if y < t:
-                undo(added)
+                if added:
+                    undo(added)
                 out.pop()
                 return
             if y == t:
                 kept.append((m, r))
+        # rotation p starts under every map, rotation 0 only under a
+        # non-identity one; a new rotation gets its own map once it ties
+        t = out[start]
+        for m in (maps if p else maps[1:]):
+            x = m.get(base) or 2 * len(m) + 2
+            y = x + sign
+            if y < t:
+                if added:
+                    undo(added)
+                out.pop()
+                return
+            if y == t:
+                kept.append(({**m, base: x}, p))
         grow(start, started, maps, kept)
-        undo(added)
+        if added:
+            undo(added)
         out.pop()
 
     def end_codeword(start, started, maps, live) -> None:
@@ -269,21 +286,25 @@ def _least_keys(crossings: int, components: int, emit,
             return
         added: list = []
         # an empty codeword ties under every map it got
-        carried = ([{x: x for x in range(2, 2 * started + 1, 2)}]
-                   if slot > start else maps)
+        carried = [identity[started]] if slot > start else maps
         for m, r in live:
             for i in range(r):
                 letter = out[start + i]
                 sign = letter & 1
-                y = relabel(m, letter ^ sign, added) + sign
-                t = out[slot - r + i]
+                base = letter ^ sign
+                x = m.get(base)
+                if x is None:
+                    x = m[base] = 2 * len(m) + 2
+                    added.append((m, base))
+                y, t = x + sign, out[slot - r + i]
                 if y != t:
                     break
             else:
                 carried.append(m)
                 continue
             if y < t:
-                undo(added)
+                if added:
+                    undo(added)
                 return
         parts.append(tuple(out[start:]))
         if slot == total:  # the codewords left are empty
@@ -293,10 +314,11 @@ def _least_keys(crossings: int, components: int, emit,
         else:
             grow(slot, started, carried, [])
         parts.pop()
-        undo(added)
+        if added:
+            undo(added)
 
     try:
-        grow(0, 0, [{}], [])
+        grow(0, 0, [identity[0]], [])
     except _Stop as stop:
         return stop.args[0]
     finally:

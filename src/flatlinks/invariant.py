@@ -15,6 +15,7 @@ Reidemeister moves only when every component's sign total is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping
 
@@ -81,21 +82,22 @@ class LinkInvariant:
     pair_coeffs: tuple[tuple[tuple[str, str], int], ...]
     linking_diffs: tuple[tuple[tuple[str, str], int], ...]
 
+    # built on first use; not fields, so ==, hash and to_json ignore them
+    @cached_property
+    def _coeff_of(self) -> dict[tuple[str, str], int]:
+        return dict(self.pair_coeffs)
+
+    @cached_property
+    def _diff_of(self) -> dict[tuple[str, str], int]:
+        return dict(self.linking_diffs)
+
     def pair_coeff(self, a: str, b: str) -> int | None:
         """The pair coefficient, or None when the pair is linked or either
         component's sign total is nonzero."""
-        key = (min(a, b), max(a, b))
-        for k, c in self.pair_coeffs:
-            if k == key:
-                return c
-        return None
+        return self._coeff_of.get((min(a, b), max(a, b)))
 
     def linking_diff(self, a: str, b: str) -> int:
-        key = (min(a, b), max(a, b))
-        for k, d in self.linking_diffs:
-            if k == key:
-                return d
-        raise KeyError(key)
+        return self._diff_of[min(a, b), max(a, b)]
 
     @property
     def is_zero(self) -> bool:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import re
 import time
@@ -108,9 +109,17 @@ def test_enumerate_small_counts_frozen():
     assert sum(1 for _ in enumerate_small_codes(2, 1)) == 4
     assert sum(1 for _ in enumerate_small_codes(3, 1)) == 22
     assert sum(1 for _ in enumerate_small_codes(4, 1)) == 218
-    # past what Burnside checks in time; both match fill-then-test
-    assert len(enumerate_small_codes(5, 2)) == 23244
-    assert len(enumerate_small_codes(6, 1)) == 55540
+    # past what Burnside checks in time; both match fill-then-test, and
+    # the digests pin every rendered class, in order, not only the counts
+    for shape, count, digest in (
+            ((5, 2), 23244,
+             "d962e7b09c2429ea61983349ee0bd5169c7f7e677cbc31d7d252baefe3d7b04f"),
+            ((6, 1), 55540,
+             "346b5a0cea4dcf85423a6f5c2c9529849f57a459c0fe97a4de01a4dd3a352953")):
+        reps = enumerate_small_codes(*shape)
+        assert len(reps) == count
+        text = "\n".join(render_flat_link(c) for c in reps)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, shape
 
 
 def test_enumerate_contains_named_classes():

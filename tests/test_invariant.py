@@ -156,6 +156,24 @@ def test_link_polynomial_linked_pair_has_no_coeff():
     assert not inv.is_zero
 
 
+def test_pair_lookups_match_the_pair_tables():
+    # four components, all sign totals zero: A pairs with a coefficient
+    # each, and B, C, D are linked in a cycle, so theirs are absent
+    inv = link_polynomial(parse_flat_link(
+        "A: c1- c2- c3+ c4+ ; B: c1+ c3- x+ y- ; C: c2+ c4- y+ z- ; D: z+ x-"))
+    coeffs, diffs = dict(inv.pair_coeffs), dict(inv.linking_diffs)
+    assert coeffs == {("A", "B"): 1, ("A", "C"): -1, ("A", "D"): 0}
+    assert len(diffs) == 6
+    for (a, b), d in diffs.items():
+        for x, y in ((a, b), (b, a)):
+            assert inv.linking_diff(x, y) == d
+            assert inv.pair_coeff(x, y) == coeffs.get((a, b))
+    assert inv.linking_diff("C", "B") == -1
+    assert inv.pair_coeff("C", "B") is None
+    with pytest.raises(KeyError):
+        inv.linking_diff("A", "E")
+
+
 def test_link_polynomial_trivial_code_is_zero():
     assert link_polynomial(parse_flat_link("A: a+ a-")).is_zero
     assert link_polynomial(parse_flat_link("A: ; B:")).is_zero
