@@ -36,7 +36,9 @@ from .gausscode import (
 )
 from .generate import (
     SearchGoal,
-    enumerate_small_codes,
+    enumerate_lines,
+    # not called here; perfbench/tracer.py rebinds this name in this module
+    enumerate_small_codes,  # noqa: F401
     search_examples,
 )
 from .invariant import link_polynomial
@@ -231,11 +233,10 @@ def _cmd_moves_walk(args, code):
 def _cmd_enumerate(args, code):
     # bounds come from flags here, so exceeding a cap is a usage problem
     try:
-        codes = enumerate_small_codes(args.crossings, args.components)
+        lines = enumerate_lines(args.crossings, args.components)
     except (ValueError, InstanceTooLarge) as exc:
         raise _UsageError(str(exc)) from None
-    rendered = [render_flat_link(c) for c in codes]
-    return {"count": len(rendered), "codes": rendered}, rendered
+    return {"count": len(lines), "codes": lines}, lines
 
 
 def _parse_limits(text: str) -> list[int]:

@@ -255,13 +255,19 @@ def render_flat_link(code: FlatLinkCode) -> str:
     bare letters; every other component (and every empty one) keeps its
     ``name:`` prefix so that parsing recovers it.
     """
-    parts = []
-    for i, cw in enumerate(code.components):
-        body = " ".join([l.crossing + _SIGN_CHAR[l.sign] for l in cw.letters])
-        if cw.name != default_component_name(i) or not cw.letters:
-            body = f"{cw.name}: {body}" if body else f"{cw.name}:"
-        parts.append(body)
-    return " ; ".join(parts)
+    return " ; ".join([
+        _component_text(i, cw.name,
+                        " ".join([l.crossing + _SIGN_CHAR[l.sign] for l in cw.letters]))
+        for i, cw in enumerate(code.components)])
+
+
+def _component_text(index: int, name: str, body: str) -> str:
+    """The text of component ``index``, given its name and its letters'
+    text: ``body`` alone under the positional default name, otherwise
+    (and always when empty) behind a ``name:`` prefix."""
+    if name != default_component_name(index) or not body:
+        return f"{name}: {body}" if body else f"{name}:"
+    return body
 
 
 def validate(code: FlatLinkCode) -> CrossingCatalog:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -16,11 +17,13 @@ from flatlinks import (
     LinkInvariant,
     MoveSite,
     apply_move,
+    enumerate_small_codes,
     link_polynomial,
     parse_flat_link,
     random_flat_link,
     render_flat_link,
 )
+from flatlinks import generate
 from flatlinks.cli import _build_parser, _invariant_lines, run
 from helpers import codes
 
@@ -327,6 +330,44 @@ def test_enumerate():
     code, _, err = run_cli(["enumerate", "--crossings", "9", "--components", "1"])
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize("crossings,components", [
+    (0, 0), (0, 3), (1, 1), (2, 5), (3, 4), (4, 2), (2, 12)])
+def test_enumerate_prints_the_library_classes(crossings, components):
+    # the command renders the enumeration keys itself; its lines must be
+    # the library's codes, rendered, in the library's order
+    argv = ["enumerate", "--crossings", str(crossings), "--components", str(components)]
+    expected = [render_flat_link(c) for c in enumerate_small_codes(crossings, components)]
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    assert out.splitlines() == expected
+    assert run_json(argv) == {"count": len(expected), "codes": expected}
+
+
+@pytest.mark.parametrize("argv,digest,lines", [
+    (["enumerate", "--crossings", "4", "--components", "3", "--format", "json"],
+     "7e77966bf0ca77e510279959461441edb3e7e02b061c65563ad966b34f7b1f43", 7349),
+    (["enumerate", "--crossings", "5", "--components", "2"],
+     "8ea96dee7f7e76c79b749010a3bd533c5cb8911fe1d6d5b702f027a092845bc9", 23244)])
+def test_enumerate_output_bytes_frozen(argv, digest, lines):
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_enumerate_builds_no_code_per_class(monkeypatch):
+    expected = [render_flat_link(c) for c in enumerate_small_codes(3, 2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate built a code object")
+
+    monkeypatch.setattr(generate, "FlatLinkCode", refuse)
+    monkeypatch.setattr(generate, "Codeword", refuse)
+    code, out, err = run_cli(["enumerate", "--crossings", "3", "--components", "2"])
+    assert code == 0, err
+    assert out.splitlines() == expected
 
 
 def test_search_zero_poly_json_report():
