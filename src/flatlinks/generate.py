@@ -18,22 +18,41 @@ class.  The ``enumerate`` command prints ``enumerate_lines`` instead,
 which renders each key from cached codeword texts and builds no code
 object: at (3, 12) the command takes 3.2 s, against 9.1 s when it
 built a code per class (medians of three unscaled in-process runs on a
-2-core VM).  Search scans
-the code shapes smallest-first in one process, screening each key as
-the enumeration emits it, and stops the enumeration at the witness.
-Since no set of seen keys is kept, the search also cuts the walk on
-what a prefix already decides: every codeword that closes before the
-last slot must pass the goal's codeword test (``_word_screen``), a
-necessary condition of the key screen, or no key below it is made.  The
-keys that remain come out in the same order; a (2, 8) zero-poly search
-screens 640 keys, and each witness-free search up to 12 components and
-3 crossings takes a few tenths of a second.  The screen counts the
-key's index buckets by the rule the ``CrossingCatalog`` docstring (in
+2-core VM).
+
+Search scans the code shapes smallest-first (crossings, then components)
+in one process, screening each key as the enumeration emits it, and
+stops the enumeration at the witness.  The first witness it meets is
+minimal: every component shares a crossing with another.  The
+nonzero-multi goal asks for that by definition.  For the zero-poly goal,
+delete from a witness a component that shares no crossing (an empty
+codeword, or one whose chords all close on itself).  The other codewords
+keep their letters, so their index buckets, and the zero invariant read
+off them, do not change.  The deleted component is a knot with sign
+total 0 and a zero polynomial, so every bucket of it off index 0
+balances and it has a filamentation of its own (the ``CrossingCatalog``
+rule); a filamentation of the rest would extend to the whole, so the
+rest has none.  The rest is thus a witness too, so it has at least two
+components (a knot never is one), and its shape, with no more crossings
+and fewer components, is scanned earlier.  So the first witness has no
+such component.  Hence every codeword of the first witness has a chord
+that occurs once in it, and, for the zero-poly goal, sign total 0 (the
+sum of its component's linking differences, all zero in a witness); it
+holds at least 2 letters for that goal and 1 for the other.  Since no
+set of seen keys is kept, the search cuts the walk on what a prefix
+already decides: each codeword that closes before the last slot must
+pass that test (``_word_screen``) and leave that many letters for each
+codeword after it, or no key below it is made.  The keys that remain
+come out in the same order, so the search returns the same witness as a
+scan of every class.  A (2, 8) zero-poly search screens 98 keys, and the
+witness-free searches up to 12 components and 3 crossings take about
+1.2 ms (zero-poly) and 17 ms (nonzero-multi).  The screen counts the key's
+index buckets by the rule the ``CrossingCatalog`` docstring (in
 ``gausscode``) states, on the int letters themselves, so no code object
-exists for the candidates it rejects.  Only a key that passes becomes
-a code, and ``_is_witness`` confirms it by the goal's definition,
-through the public invariant and the exhaustive filamentation oracle,
-so a returned witness is proof, not heuristic output.
+exists for the candidates it rejects.  Only a key that passes becomes a
+code, and ``_is_witness`` confirms it by the goal's definition, through
+the public invariant and the exhaustive filamentation oracle, so a
+returned witness is proof, not heuristic output.
 """
 
 from __future__ import annotations
@@ -172,16 +191,20 @@ class _Stop(Exception):
 
 
 def _least_keys(crossings: int, components: int, emit,
-                admit=None) -> tuple | None:
+                admit=None, shortest: int = 0) -> tuple | None:
     """Pass to ``emit``, in ascending order, every key, cut into
     ``components`` codewords, that is the least of its rotation/relabel
     class; stop at the first key on which ``emit`` returns true and
     return that key, or return None once every key has been passed.
     With ``admit`` given, a key is passed only if ``admit`` holds for
-    each of its codewords that ends before the last slot: the walk skips
-    the whole subtree below a codeword that fails, and the keys that
-    remain come out in the same order: whether a key is least depends on
-    its own letters alone, not on the keys met before it.
+    each of its codewords that ends before the last slot; with
+    ``shortest`` given, only if each codeword leaves at least that many
+    letters for each codeword after it.  The walk skips the whole
+    subtree below a codeword that fails either, and the keys that remain
+    come out in the same order: whether a key is least depends on its
+    own letters alone, not on the keys met before it.  Each codeword
+    gets the slot it must end by when it starts, the last slot when
+    ``shortest`` is 0, so the floor adds no test per letter.
 
     A key is a tuple of codewords, each a tuple of letters, and the
     letter of chord ``label`` with sign ``s`` is the int
@@ -213,6 +236,9 @@ def _least_keys(crossings: int, components: int, emit,
     total = 2 * crossings
     if components == 0:
         return () if total == 0 and emit(()) else None
+    stop = total - shortest * (components - 1)  # where codeword 0 must end
+    if stop < 0:
+        return None
     out: list[int] = []      # every codeword's letters, run together
     parts: list[tuple] = []  # the finished codewords
     open_: list[int] = []    # the first ends of the open chords
@@ -228,18 +254,20 @@ def _least_keys(crossings: int, components: int, emit,
         for m, base in added:
             del m[base]
 
-    def grow(start: int, started: int, maps: list, live: list) -> None:
-        # maps: the relabel maps under which the finished codewords tie,
-        # the identity first; live: the (map, r) rotations of this
-        # codeword that tie with its letters so far
+    def grow(start: int, stop: int, started: int, maps: list,
+             live: list) -> None:
+        # stop: the slot this codeword must end by; maps: the relabel
+        # maps under which the finished codewords tie, the identity
+        # first; live: the (map, r) rotations of this codeword that tie
+        # with its letters so far
         slot = len(out)
         if slot == total or len(parts) < components - 1:
             end_codeword(start, started, maps, live)
-        if slot == total:
+        if slot >= stop:
             return
         for i in range(len(open_)):
             letter = open_.pop(i)
-            place(letter ^ 1, start, started, maps, live)
+            place(letter ^ 1, start, stop, started, maps, live)
             open_.insert(i, letter)
         # feasible iff every open chord (incl. this one) still fits a
         # closing end; parity works out because slot == open (mod 2)
@@ -247,10 +275,10 @@ def _least_keys(crossings: int, components: int, emit,
             base = 2 * started + 2
             for letter in (base, base + 1):  # the - end, then the + end
                 open_.append(letter)
-                place(letter, start, started + 1, maps, live)
+                place(letter, start, stop, started + 1, maps, live)
                 open_.pop()
 
-    def place(letter, start, started, maps, live) -> None:
+    def place(letter, start, stop, started, maps, live) -> None:
         p = len(out) - start
         out.append(letter)
         sign = letter & 1
@@ -283,7 +311,7 @@ def _least_keys(crossings: int, components: int, emit,
                 return
             if y == t:
                 kept.append(({**m, base: x}, p))
-        grow(start, started, maps, kept)
+        grow(start, stop, started, maps, kept)
         if added:
             undo(added)
         out.pop()
@@ -320,15 +348,16 @@ def _least_keys(crossings: int, components: int, emit,
             if emit(key):
                 raise _Stop(key)
         else:
-            grow(slot, started, carried, [])
+            grow(slot, total - shortest * (components - 1 - len(parts)),
+                 started, carried, [])
         parts.pop()
         if added:
             undo(added)
 
     try:
-        grow(0, 0, [identity[0]], [])
-    except _Stop as stop:
-        return stop.args[0]
+        grow(0, stop, 0, [identity[0]], [])
+    except _Stop as found:
+        return found.args[0]
     finally:
         # grow and place call each other through closure cells; emptying
         # grow's cell breaks that cycle, so emit and all it holds (every
@@ -478,9 +507,10 @@ def _key_screen(goal: SearchGoal, key: tuple) -> bool:
     buckets is out of balance, so no filamentation exists.
     Nonzero-multi: some pair with zero linking difference and zero sign
     totals has a nonzero coefficient, and every component shares a
-    crossing with another.  Every codeword of a key that passes also
-    passes ``_word_screen``, which the search checks first, as the
-    enumeration closes each codeword.
+    crossing with another.  The search screens only the keys its
+    minimal-witness pruning leaves (module docstring), so a zero-poly key
+    that passes with a component split off may go unscreened: a smaller
+    witness lies in an earlier shape.
     """
     counts, totals = _key_tally(key)
     pairs: dict[tuple[int, int], list[int]] = {}  # [difference, coeff]
@@ -507,21 +537,20 @@ def _key_screen(goal: SearchGoal, key: tuple) -> bool:
 
 
 def _word_screen(goal: SearchGoal, word: tuple) -> bool:
-    """Whether one codeword of a key passes the goal's codeword test, a
-    necessary condition of ``_key_screen``: every codeword of a key that
-    passes the screen passes it too.  The search checks each codeword
-    that ends before the last slot as the enumeration closes it, and
-    skips every key below one that fails.
+    """Whether one codeword passes the goal's codeword test, which every
+    codeword of the first witness passes (module docstring).  The search
+    checks each codeword that ends before the last slot as the
+    enumeration closes it, and skips every key below one that fails.
 
-    Zero-poly: the codeword has as many + letters as - letters, so its
-    sign total is 0.  A sign total is the sum of its component's linking
-    differences (``CrossingCatalog`` docstring), all zero in a witness.
-    Nonzero-multi: some chord occurs only once in the codeword, so the
+    Both goals: some chord occurs only once in the codeword, so the
     component shares a crossing with another; an empty codeword fails.
+    Zero-poly also: the codeword has as many + letters as - letters, so
+    its sign total is 0.
     """
-    if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION:
-        return 2 * sum(letter & 1 for letter in word) == len(word)
-    return 2 * len({letter >> 1 for letter in word}) != len(word)
+    if 2 * len({letter >> 1 for letter in word}) == len(word):
+        return False
+    return (goal is not SearchGoal.ZERO_POLY_NO_FILAMENTATION
+            or 2 * sum(letter & 1 for letter in word) == len(word))
 
 
 def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
@@ -550,14 +579,14 @@ def search_examples(goal: SearchGoal | str, max_components: int,
     order is returned, and no class past it is enumerated.  Knots cannot
     witness the zero-poly goal (for one component the polynomial decides
     filamentation), so that scan starts at two components.  The
-    enumeration skips every key with a codeword, before its last
-    non-empty one, that fails ``_word_screen``: for the zero-poly goal a
-    codeword of nonzero sign total, for the nonzero-multi goal an empty
-    codeword or one that shares no crossing with another.  No witness
-    has such a codeword; a (2, 8) zero-poly search screens 640 keys, and
-    a (3, 6) nonzero-multi search 2,869.  Each candidate left is screened
-    on its enumeration key, whose index buckets are counted without
-    building a code; only a key that passes becomes a code, which
+    enumeration makes only the keys a minimal witness can have (module
+    docstring): it skips every key with a codeword, before its last one,
+    that fails ``_word_screen`` or leaves fewer than 2 letters (zero-poly)
+    or 1 letter (nonzero-multi) for each codeword after it.  The first
+    witness has no such codeword; a (2, 8) zero-poly search screens 98
+    keys, and a (3, 6) nonzero-multi search 1,837.  Each candidate left
+    is screened on its enumeration key, whose index buckets are counted
+    without building a code; only a key that passes becomes a code, which
     ``_is_witness`` confirms through the public invariant and, for the
     zero-poly goal, the exhaustive filamentation oracle, so a returned
     witness is always proof.  Both goals have a witness at 4
@@ -575,7 +604,8 @@ def search_examples(goal: SearchGoal | str, max_components: int,
         raise InstanceTooLarge(
             f"search beyond {ORACLE_CAP} crossings cannot be oracle-verified")
     goal = SearchGoal(goal)
-    least = 2 if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION else 3
+    least, shortest = ((2, 2) if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION
+                       else (3, 1))
     for crossings in range(max_crossings + 1):
         for components in range(least, max_components + 1):
             code = _coder(crossings, components)
@@ -583,7 +613,7 @@ def search_examples(goal: SearchGoal | str, max_components: int,
                 crossings, components,
                 lambda key: (_key_screen(goal, key)
                              and _is_witness(goal, code(key))),
-                lambda word: _word_screen(goal, word))
+                lambda word: _word_screen(goal, word), shortest)
             if key is not None:
                 return code(key)
     return None

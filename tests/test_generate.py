@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import random
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from flatlinks import (
     COMPONENT_CAP,
     ENUMERATION_CAP,
+    FlatLinkCode,
     GenSpec,
     InfeasibleSpec,
     InstanceTooLarge,
@@ -43,6 +45,10 @@ from helpers import (
 
 ZERO_POLY = SearchGoal.ZERO_POLY_NO_FILAMENTATION
 NONZERO_MULTI = SearchGoal.NONZERO_MULTI_COMPONENT
+# the fewest letters each codeword of the first witness holds, and the
+# fewest components the search scans
+SHORTEST = {ZERO_POLY: 2, NONZERO_MULTI: 1}
+LEAST = {ZERO_POLY: 2, NONZERO_MULTI: 3}
 
 
 def test_genspec_build_normalizes_pairs():
@@ -180,26 +186,58 @@ def _all_keys(crossings: int, components: int) -> list[tuple]:
     return keys
 
 
-def _admitted(goal: SearchGoal, key: tuple) -> bool:
-    # every codeword that ends before the last slot, so every one before
-    # the last non-empty codeword, passes the goal's codeword test
-    last = max((i for i, part in enumerate(key) if part), default=0)
-    return all(_word_screen(goal, part) for part in key[:last])
+def _admitted(goal: SearchGoal | None, key: tuple, shortest: int) -> bool:
+    # every codeword leaves at least ``shortest`` letters for each codeword
+    # after it, and every codeword that ends before the last slot passes
+    # the goal's codeword test (no test when goal is None)
+    rest = sum(map(len, key))
+    for i, part in enumerate(key):
+        rest -= len(part)
+        if rest < shortest * (len(key) - 1 - i):
+            return False
+        if rest and goal is not None and not _word_screen(goal, part):
+            return False
+    return True
+
+
+def _check_pruning(goal: SearchGoal | None, crossings: int,
+                   components: int, shortest: int) -> None:
+    # a skipped subtree leaves the keys outside it, and their order, as
+    # they were
+    keys: list[tuple] = []
+    admit = None if goal is None else lambda word: _word_screen(goal, word)
+    assert _least_keys(crossings, components, keys.append, admit,
+                       shortest) is None
+    unpruned = _all_keys(crossings, components)
+    expected = [key for key in unpruned if _admitted(goal, key, shortest)]
+    assert keys == expected
+    assert 0 < len(expected) < len(unpruned)
 
 
 @pytest.mark.parametrize("goal", list(SearchGoal))
 @pytest.mark.parametrize("crossings,components", [(4, 2), (3, 4)])
 def test_least_keys_skip_exactly_the_keys_admit_rejects(
         goal, crossings, components):
-    # (3, 4) has keys with empty codewords in the middle; a skipped
-    # subtree leaves the keys outside it, and their order, as they were
+    # (3, 4) has keys with empty codewords in the middle
+    _check_pruning(goal, crossings, components, 0)
+
+
+@pytest.mark.parametrize("goal", [None, *SearchGoal])
+@pytest.mark.parametrize("crossings,components,shortest", [
+    (4, 2, 2), (3, 3, 1), (3, 3, 2), (4, 3, 1), (4, 3, 2)])
+def test_least_keys_skip_exactly_the_keys_below_the_floor(
+        goal, crossings, components, shortest):
+    _check_pruning(goal, crossings, components, shortest)
+
+
+@pytest.mark.parametrize("crossings,components,shortest", [
+    (0, 2, 1), (0, 3, 2), (1, 3, 2), (2, 4, 2), (5, 12, 1)])
+def test_least_keys_make_no_key_without_room_for_the_floor(
+        crossings, components, shortest):
     keys: list[tuple] = []
-    assert _least_keys(crossings, components, keys.append,
-                       lambda word: _word_screen(goal, word)) is None
-    unpruned = _all_keys(crossings, components)
-    expected = [key for key in unpruned if _admitted(goal, key)]
-    assert keys == expected
-    assert 0 < len(expected) < len(unpruned)
+    assert _least_keys(crossings, components, keys.append, None,
+                       shortest) is None
+    assert keys == []
 
 
 def _tuple_key(code) -> tuple:
@@ -302,12 +340,22 @@ def test_search_finds_zero_poly_witness():
     assert brute_force_filamentation(witness) is None
 
 
+def _split_off_deleted(code: FlatLinkCode) -> FlatLinkCode:
+    # the code without its components that share no crossing with another
+    shared = set()
+    for pc, _, mc, _ in validate(code).ends.values():
+        if pc != mc:
+            shared.update((pc, mc))
+    return FlatLinkCode(tuple(cw for i, cw in enumerate(code.components)
+                              if i in shared))
+
+
 def test_is_witness_matches_reference_on_every_small_class():
     # the key screen passes a key exactly when its code is a witness, so
     # screening keys before building codes skips no witness
     shapes = [(c, 2) for c in range(6)] + [(c, 3) for c in range(5)]
     witnesses = dict.fromkeys(SearchGoal, 0)
-    tallied = 0
+    tallied = reduced = 0
     for crossings, components in shapes:
         keys = _all_keys(crossings, components)
         codes = enumerate_small_codes(crossings, components)
@@ -321,11 +369,23 @@ def test_is_witness_matches_reference_on_every_small_class():
                 any(c != 0 for _, c in link_polynomial(code).pair_coeffs)
                 and every_component_shares_a_crossing(code)), code
             assert _key_screen(NONZERO_MULTI, key) == multi, code
-            # every codeword of a witness passes the codeword test, so
-            # pruning the walk at a failing codeword skips no witness
+            # every codeword of a minimal witness, one whose every
+            # component shares a crossing, passes the codeword test and
+            # holds the goal's floor of letters, so the pruned walk skips
+            # no minimal witness
+            shared = every_component_shares_a_crossing(code)
             for goal, witness in ((ZERO_POLY, expected), (NONZERO_MULTI, multi)):
-                assert not witness or all(
-                    _word_screen(goal, part) for part in key), code
+                assert not (witness and shared) or all(
+                    len(part) >= SHORTEST[goal] and _word_screen(goal, part)
+                    for part in key), code
+            # and a zero-poly witness that is not minimal stays one once
+            # its split-off components are deleted, so a smaller shape,
+            # scanned earlier, holds a witness
+            if expected and not shared:
+                rest = _split_off_deleted(code)
+                assert len(rest.components) < len(code.components), code
+                assert reference_zero_poly_witness(rest), code
+                reduced += 1
             witnesses[ZERO_POLY] += expected
             witnesses[NONZERO_MULTI] += multi
             # the key tally files a self-crossing whose - end comes first
@@ -340,6 +400,7 @@ def test_is_witness_matches_reference_on_every_small_class():
     assert witnesses[ZERO_POLY] == 2 + 44 + 6  # (4, 2), (5, 2) and (4, 3)
     assert witnesses[NONZERO_MULTI] == 1580
     assert tallied == 11767  # the classes whose sign totals are all 0
+    assert reduced == 6  # the (4, 3) ones: a (4, 2) one and an empty component
 
 
 def _int_key(code) -> tuple:
@@ -384,11 +445,13 @@ def test_search_screens_no_candidate_past_the_witness(monkeypatch):
     witness = search_examples(ZERO_POLY, 2, 8)
     # an unpruned walk screens the 165 classes of (0..3, 2), then those of
     # (4, 2) up to the witness at index 1,174 of 1,548: 1,340 keys.  The
-    # walk skips every key with a codeword of nonzero sign total before
-    # its last non-empty one, and screens the rest in the same order
+    # walk skips every key whose first codeword leaves fewer than 2
+    # letters for the second, has no chord shared with the second, or has
+    # a nonzero sign total, and screens the rest in the same order
     unpruned = [key for c in range(5) for key in _all_keys(c, 2)][:1340]
-    assert screened == [key for key in unpruned if _admitted(ZERO_POLY, key)]
-    assert len(screened) == 640
+    assert screened == [key for key in unpruned
+                        if _admitted(ZERO_POLY, key, 2)]
+    assert len(screened) == 98
     # only the key that passes the screen is built into a code
     assert confirmed == [witness]
 
@@ -397,15 +460,17 @@ def test_nonzero_multi_search_screens_only_admitted_keys(monkeypatch):
     monkeypatch.setattr(generate, "_word_screen", lambda goal, word: True)
     unscreened = _count_calls(monkeypatch, "_key_screen")
     expected = search_examples(NONZERO_MULTI, 3, 6)
-    assert len(unscreened) == 5825
+    # the walk still leaves each codeword a letter for each one after it
+    assert all(_admitted(None, key, 1) for key in unscreened)
+    assert len(unscreened) == 4234
     monkeypatch.undo()
     screened = _count_calls(monkeypatch, "_key_screen")
     assert search_examples(NONZERO_MULTI, 3, 6) == expected
-    # the walk skips every key with a codeword before its last non-empty
-    # one that is empty or shares no crossing with another codeword
+    # the walk skips every key with a codeword before its last one that
+    # shares no crossing with another codeword
     assert screened == [key for key in unscreened
-                        if _admitted(NONZERO_MULTI, key)]
-    assert len(screened) == 2869
+                        if _admitted(NONZERO_MULTI, key, 1)]
+    assert len(screened) == 1837
 
 
 def test_search_runs_the_oracle_only_on_the_witness(monkeypatch):
@@ -425,6 +490,42 @@ def test_search_witness_is_oracle_confirmed_without_the_bucket_test(monkeypatch)
     assert len(calls) > 1
     assert calls[-1] == expected
     assert all(link_polynomial(code).is_zero for code in calls)
+
+
+@functools.cache
+def _first_in_shape(goal: SearchGoal, crossings: int, components: int):
+    # the first class of the shape, in enumeration order, that witnesses
+    # the goal by its reference definition, or None
+    for code in enumerate_small_codes(crossings, components):
+        if goal is ZERO_POLY:
+            if reference_zero_poly_witness(code):
+                return code
+        elif (any(c != 0 for _, c in link_polynomial(code).pair_coeffs)
+              and every_component_shares_a_crossing(code)):
+            return code
+    return None
+
+
+def _reference_search(goal: SearchGoal, max_components: int,
+                      max_crossings: int):
+    # every class of every shape, in the search's shape order, unpruned
+    for crossings in range(max_crossings + 1):
+        for components in range(LEAST[goal], max_components + 1):
+            code = _first_in_shape(goal, crossings, components)
+            if code is not None:
+                return code
+    return None
+
+
+@pytest.mark.parametrize("goal,max_components,max_crossings", [
+    (ZERO_POLY, k, c) for k in range(4) for c in range(6)] + [
+    (NONZERO_MULTI, k, c) for k in range(5) for c in range(5)])
+def test_search_returns_the_first_witness_of_an_unpruned_scan(
+        goal, max_components, max_crossings):
+    # the pruned walk makes only the keys a minimal witness can have; the
+    # first witness of every class in order is minimal, so it is the same
+    assert (search_examples(goal, max_components, max_crossings)
+            == _reference_search(goal, max_components, max_crossings))
 
 
 def test_search_finds_nonzero_multi_component_witness():

@@ -366,3 +366,16 @@ def test_found_sites_all_apply():
         out = apply_move(code, site)
         validate(out)
         assert link_polynomial(out) == link_polynomial(code)
+
+
+@pytest.mark.xfail(strict=True, reason="the polynomial of a component with a "
+                   "nonzero sign total is published unreduced, and r1 changes it")
+def test_r1_keeps_the_published_invariant_of_an_unbalanced_component():
+    # A has sign total 2, and removing its one kink takes the published
+    # poly A from 2t^2 to 0 (ROADMAP item 1); a value reduced mod the sign
+    # total would survive the move, and this test would pass
+    code = parse_flat_link("A: x+ k- k+ y+ ; B: x- y-")
+    moved = apply_move(code, MoveSite.parse("r1_remove A 1 k"))
+    assert [site.describe() for site in find_move_sites(code)] == [
+        "r1_remove A 1 k"]
+    assert link_polynomial(moved).to_json() == link_polynomial(code).to_json()
