@@ -157,10 +157,9 @@ def _linking_line(a, b, diff) -> str:
 def _invariant_lines(inv):
     for name, poly in inv.component_polys:
         yield f"poly {name}: {poly}"
-    coeffs = dict(inv.pair_coeffs)
     for (a, b), diff in inv.linking_diffs:
         yield _linking_line(a, b, diff)
-        coeff = coeffs.get((a, b))
+        coeff = inv.pair_coeff(a, b)
         if coeff is None:
             reason = "nonzero linking" if diff else "nonzero sign total"
             yield f"coeff {a},{b}: undefined ({reason})"

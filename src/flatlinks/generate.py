@@ -16,9 +16,7 @@ exactly each class's least key and no set of seen keys is needed
 ``enumerate_small_codes`` is the library's path: it builds a code per
 class.  The ``enumerate`` command prints ``enumerate_lines`` instead,
 which renders each key from cached codeword texts and builds no code
-object: at (3, 12) the command takes 3.2 s, against 9.1 s when it
-built a code per class (medians of three unscaled in-process runs on a
-2-core VM).
+object.
 
 Search scans the code shapes smallest-first (crossings, then components)
 in one process, screening each key as the enumeration emits it, and
@@ -59,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb, factorial
 from operator import getitem
 from random import Random
 
@@ -78,11 +77,15 @@ from .gausscode import (
 from .invariant import link_polynomial
 
 ENUMERATION_CAP = 6
-# within ENUMERATION_CAP at most 12 components carry a letter; on 12
-# components, 2 crossings enumerate (10,740 classes) in about 0.065 s and
-# 3 crossings (580,800 classes) in about 4.1 s (medians of nine runs on a
-# 2-core 2.0 GHz VM, scaled as perfbench/run.py scales its times)
+# 6 crossings give a letter to at most 12 components; what limits the
+# work on a shape is _CLASS_BOUND
 COMPONENT_CAP = 12
+# the most classes a shape may have: n crossings on k components have at
+# most B = (2n)!/n! * C(2n+k-1, k-1), the labeled keys (letter orders
+# times cuts) over the n! relabelings, which act freely on them.  B is
+# 8.6M at (6, 2) and 10.8M at (4, 8), whose 1.6M classes take seconds
+# to walk; B(7, 1) is 17.3M, so a cap of 7 crossings needs a larger bound
+_CLASS_BOUND = 10 ** 7
 
 
 class InfeasibleSpec(FlatLinkError):
@@ -366,11 +369,16 @@ def _least_keys(crossings: int, components: int, emit,
     return None
 
 
-def _tables(crossings: int, components: int):
-    """Check the shape as ``enumerate_small_codes`` documents, and return
-    what the int letters and the codeword positions of its keys stand
-    for: the ``Letter`` of each int letter (``2*x + 1`` is ``c{x}+``,
-    ``2*x`` is ``c{x}-``) and each component's default name."""
+# what the int letters of the keys of ``_least_keys`` stand for:
+# ``2*x + 1`` is ``c{x}+``, ``2*x`` is ``c{x}-``
+_LETTERS = {2 * x + (s is PLUS): Letter(f"c{x}", s)
+            for x in range(1, ENUMERATION_CAP + 1) for s in (PLUS, MINUS)}
+_LETTER_TEXTS = {x: str(letter) for x, letter in _LETTERS.items()}
+
+
+def _check_shape(crossings: int, components: int) -> None:
+    """Raise as ``enumerate_small_codes`` documents unless the shape can
+    be enumerated."""
     if crossings < 0 or components < 0:
         raise ValueError("counts must be nonnegative")
     if crossings > ENUMERATION_CAP:
@@ -379,30 +387,39 @@ def _tables(crossings: int, components: int):
     if components > COMPONENT_CAP:
         raise InstanceTooLarge(
             f"{components} components exceeds the cap of {COMPONENT_CAP}")
-    letters = {2 * x + (s is PLUS): Letter(f"c{x}", s)
-               for x in range(1, crossings + 1) for s in (PLUS, MINUS)}
-    return letters, [default_component_name(i) for i in range(components)]
+    # no components: one key (the empty one) or none, and no cut to count
+    cuts = comb(2 * crossings + components - 1, components - 1) if components else 1
+    bound = factorial(2 * crossings) // factorial(crossings) * cuts
+    if bound > _CLASS_BOUND:
+        raise InstanceTooLarge(
+            f"{crossings} crossings on {components} components exceeds the "
+            f"enumeration bound: up to {bound:,} classes, over {_CLASS_BOUND:,}")
+
+
+class _Memo(dict):
+    """``make(key)`` for each key, made on first use.  A miss goes through
+    ``__missing__``, so a hit is a C-level ``getitem`` with no Python call."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _coder(crossings: int, components: int):
     """Check the shape, and return the function that builds the code of
     one of its keys: the code-object path, which ``enumerate_small_codes``
     and the search's witness take.  The ``enumerate`` command renders the
-    keys instead (``enumerate_lines``), from the same ``_tables``."""
-    letters, names = _tables(crossings, components)
-    # codewords are immutable, so codes share the ones they have in common
-    words: dict[tuple[int, tuple], Codeword] = {}
-
-    def word(i: int, part: tuple) -> Codeword:
-        w = words.get((i, part))
-        if w is None:
-            w = words[i, part] = Codeword(names[i], tuple(map(letters.get, part)))
-        return w
-
-    def code(key: tuple) -> FlatLinkCode:
-        return FlatLinkCode(tuple(map(word, range(components), key)))
-
-    return code
+    keys instead (``enumerate_lines``)."""
+    _check_shape(crossings, components)
+    # one memo per component; codewords are immutable, so codes share the
+    # ones they have in common
+    words = [_Memo(lambda part, name=default_component_name(i):
+                   Codeword(name, tuple(map(_LETTERS.__getitem__, part))))
+             for i in range(components)]
+    return lambda key: FlatLinkCode(tuple(map(getitem, words, key)))
 
 
 def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]:
@@ -413,9 +430,10 @@ def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]
     branches, and a prefix is pruned as soon as a rotation of the
     codeword being filled beats it; the keys that reach the last slot
     are each their own class's least key, so no class is met twice.
-    The class count grows like (2n-1)!! 2^n, so more than
-    ENUMERATION_CAP crossings or COMPONENT_CAP components raises
-    InstanceTooLarge.
+    More than ENUMERATION_CAP crossings or COMPONENT_CAP components
+    raises InstanceTooLarge, and so does a shape that may have more
+    than 10^7 classes: n crossings on k components have at most
+    (2n)!/n! * C(2n+k-1, k-1), which refuses (4, 8) and (6, 3).
     """
     code = _coder(crossings, components)
     codes: list[FlatLinkCode] = []
@@ -423,28 +441,15 @@ def enumerate_small_codes(crossings: int, components: int) -> list[FlatLinkCode]
     return codes
 
 
-class _Texts(dict):
-    """The rendered text of each codeword of one component, made on first
-    use.  A miss goes through ``__missing__``, so a hit is a C-level
-    ``getitem`` with no Python call per codeword."""
-
-    def __init__(self, index: int, name: str, letters: dict[int, str]):
-        self.index, self.name, self.letters = index, name, letters
-
-    def __missing__(self, part: tuple) -> str:
-        text = self[part] = _component_text(
-            self.index, self.name, " ".join(map(self.letters.__getitem__, part)))
-        return text
-
-
 def enumerate_lines(crossings: int, components: int) -> list[str]:
     """``render_flat_link`` of each code ``enumerate_small_codes`` returns,
     in the same order and with the same checks, rendered from the keys:
     each class costs one join of cached codeword texts, and no
     ``Codeword`` or ``FlatLinkCode`` is built."""
-    letters, names = _tables(crossings, components)
-    letter_texts = {x: str(letter) for x, letter in letters.items()}
-    texts = [_Texts(i, name, letter_texts) for i, name in enumerate(names)]
+    _check_shape(crossings, components)
+    texts = [_Memo(lambda part, i=i, name=default_component_name(i): _component_text(
+                 i, name, " ".join(map(_LETTER_TEXTS.__getitem__, part))))
+             for i in range(components)]
     lines: list[str] = []
     _least_keys(crossings, components,
                 lambda key: lines.append(" ; ".join(map(getitem, texts, key))))

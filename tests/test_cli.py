@@ -470,8 +470,10 @@ def test_enumerate_has_no_cap_flag():
 
 
 def test_too_many_components_exits_1_without_traceback():
+    # the last is inside both caps, but the enumeration bound refuses it
     for argv in (["enumerate", "--crossings", "0", "--components", "3000"],
-                 ["search", "nonzero-multi-component", "--limits", "3000,0"]):
+                 ["search", "nonzero-multi-component", "--limits", "3000,0"],
+                 ["enumerate", "--crossings", "4", "--components", "12"]):
         code, out, err = run_cli(argv)
         assert code == 1, argv
         assert out == ""

@@ -1,6 +1,7 @@
 import functools
 import gc
 import hashlib
+import math
 import random
 import re
 import time
@@ -126,6 +127,16 @@ def test_enumerate_small_counts_frozen():
         assert len(reps) == count
         text = "\n".join(render_flat_link(c) for c in reps)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, shape
+
+
+def test_enumerate_shares_equal_codewords():
+    # one memo per call: an equal codeword of one component is one object
+    seen: dict[tuple, object] = {}
+    codes = enumerate_small_codes(3, 3)
+    for code in codes:
+        for i, word in enumerate(code.components):
+            assert seen.setdefault((i, word.letters), word) is word
+    assert len(seen) < 3 * len(codes)
 
 
 def test_enumerate_contains_named_classes():
@@ -318,6 +329,34 @@ def test_enumerate_rejects_bad_arguments():
         enumerate_small_codes(1, -1)
     with pytest.raises(InstanceTooLarge):
         enumerate_small_codes(ENUMERATION_CAP + 1, 1)
+
+
+def _class_bound(crossings: int, components: int) -> int:
+    # (2n)!/n! * C(2n+k-1, k-1): letter orders times cuts, over relabelings
+    if components == 0:
+        return 1
+    return (math.factorial(2 * crossings) // math.factorial(crossings)
+            * math.comb(2 * crossings + components - 1, components - 1))
+
+
+def test_enumeration_bound_refuses_shapes_inside_the_caps():
+    # each walk would take from seconds to hours; the bound refuses it first
+    for shape in ((4, 8), (6, 3), (4, 12), (6, 12)):
+        assert _class_bound(*shape) > 10 ** 7
+        for enumerate_ in (enumerate_small_codes, generate.enumerate_lines):
+            start = time.perf_counter()
+            with pytest.raises(InstanceTooLarge, match="exceeds the enumeration bound"):
+                enumerate_(*shape)
+            assert time.perf_counter() - start < 1, shape
+    # every shape enumerated by the tests, CI and docs stays inside it:
+    # those of test_class_count_matches_burnside, then the CLI tests', CI's
+    # and the largest the docs name
+    for shape in ((0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 2),
+                  (3, 2), (4, 2), (4, 3), (3, 4),
+                  (0, 0), (0, 3), (2, 5), (2, 12),
+                  (6, 1), (5, 2), (6, 2), (5, 3), (3, 12)):
+        assert _class_bound(*shape) <= 10 ** 7, shape
+        generate._check_shape(*shape)
 
 
 def test_search_goal_values():
