@@ -72,8 +72,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(group, name, summary, handler, *own, reads_code=True):
-        # own arguments are (name, options) pairs; the shared ones go last, so
-        # a code file follows the command's positionals (moves apply MOVE...)
+        # own arguments are (name, options) pairs; the shared ones go last
         p = group.add_parser(name, help=summary)
         for arg, options in own:
             p.add_argument(arg, **options)
@@ -102,9 +101,13 @@ def _build_parser() -> _Parser:
         "--kinds", help="comma-joined subset of r1_remove,r2_remove,r3 "
                         "(default all three); insertion sites are parameters "
                         "and are not listed")
-    command(moves_sub, "apply", "apply move lines in order", _cmd_moves_apply,
+    # the move lines take every positional, so the code comes from stdin only
+    command(moves_sub, "apply", "apply move lines in order to the code on stdin",
+            _cmd_moves_apply,
             ("moves", dict(nargs="+", metavar="MOVE",
-                           help="move line as printed by list/walk, quoted")))
+                           help="move line as printed by list/walk, quoted; "
+                                "the code is read from stdin")),
+            reads_code=False).set_defaults(input="-")
     command(moves_sub, "walk", "seeded random move sequence", _cmd_moves_walk,
             ("--steps", dict(type=number, required=True)),
             ("--seed", dict(type=number, required=True)))
@@ -145,6 +148,8 @@ def _read_code(args, stdin) -> FlatLinkCode:
     except UnicodeEncodeError as exc:  # a surrogate that no decoder yields
         raise FlatLinkError(f"cannot read {exc.object[exc.start]!r} at offset "
                             f"{exc.start}") from None
+    except ValueError as exc:  # a path open() refuses, such as one with a NUL
+        raise _UsageError(f"cannot read {args.input!r}: {exc}") from None
     return parse_flat_link(text)
 
 

@@ -42,11 +42,10 @@ already decides: each codeword that closes before the last slot must
 pass that test (``_word_screen``) and leave that many letters for each
 codeword after it, or no key below it is made.  The keys that remain
 come out in the same order, so the search returns the same witness as a
-scan of every class.  A (2, 8) zero-poly search screens 98 keys, and the
-witness-free searches up to 12 components and 3 crossings take about
-1.2 ms (zero-poly) and 17 ms (nonzero-multi).  The screen counts the key's
-index buckets by the rule the ``CrossingCatalog`` docstring (in
-``gausscode``) states, on the int letters themselves, so no code object
+scan of every class.  A (2, 8) zero-poly search screens 98 keys.  The
+screen counts the key's index buckets by the rule the ``CrossingCatalog``
+docstring (in ``gausscode``) states, on the int letters themselves, and
+reads them through the invariant's own ``_tally``, so no code object
 exists for the candidates it rejects.  Only a key that passes becomes a
 code, and ``_is_witness`` confirms it by the goal's definition, through
 the public invariant and the exhaustive filamentation oracle, so a
@@ -74,7 +73,7 @@ from .gausscode import (
     default_component_name,
     validate,
 )
-from .invariant import link_polynomial
+from .invariant import _tally, link_polynomial
 
 ENUMERATION_CAP = 6
 # 6 crossings give a letter to at most 12 components; what limits the
@@ -504,41 +503,29 @@ def _key_tally(key: tuple) -> tuple[dict[tuple[int, int, int], int], list[int]]:
 
 def _key_screen(goal: SearchGoal, key: tuple) -> bool:
     """Whether a key's counted buckets pass the goal's test; a key passes
-    exactly when ``_is_witness`` holds for its code.
+    exactly when ``_is_witness`` holds for its code.  The counts become
+    terms, differences and coefficients through ``invariant._tally``, as
+    for the published invariant.
 
-    Zero-poly: no self bucket off index 0 is out of balance (no term of
-    a component polynomial), every pair's linking difference and
-    coefficient are zero, and yet some bucket outside the monofilament
-    buckets is out of balance, so no filamentation exists.
+    Zero-poly: no component polynomial has a term, every pair's linking
+    difference and coefficient are zero, and yet some pair bucket is out
+    of balance, so no filamentation exists.
     Nonzero-multi: some pair with zero linking difference and zero sign
     totals has a nonzero coefficient, and every component shares a
-    crossing with another.  The search screens only the keys its
-    minimal-witness pruning leaves (module docstring), so a zero-poly key
-    that passes with a component split off may go unscreened: a smaller
-    witness lies in an earlier shape.
+    crossing with another (read off the buckets, balanced ones too).
+    The search screens only the keys its minimal-witness pruning leaves
+    (module docstring), so a zero-poly key that passes with a component
+    split off may go unscreened: a smaller witness lies in an earlier
+    shape.
     """
     counts, totals = _key_tally(key)
-    pairs: dict[tuple[int, int], list[int]] = {}  # [difference, coeff]
-    poly = unbalanced = False
-    for (a, b, v), n in counts.items():
-        if a == b:
-            if v and n:
-                poly = True
-            continue
-        if n:
-            unbalanced = True
-        acc = pairs.get((a, b))
-        if acc is None:
-            pairs[a, b] = [n, v * n]
-        else:
-            acc[0] += n
-            acc[1] += v * n
+    polys, pairs = _tally(counts.items())
     if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION:
-        return (not poly and unbalanced
+        return (bool(pairs) and not polys
                 and not any(d or c for d, c in pairs.values()))
     return (any(c and not d and not totals[a] and not totals[b]
                 for (a, b), (d, c) in pairs.items())
-            and len({i for pair in pairs for i in pair}) == len(key))
+            and len({i for a, b, _ in counts if a != b for i in (a, b)}) == len(key))
 
 
 def _word_screen(goal: SearchGoal, word: tuple) -> bool:
@@ -602,9 +589,7 @@ def search_examples(goal: SearchGoal | str, max_components: int,
     """
     if max_components < 0 or max_crossings < 0:
         raise ValueError("limits must be nonnegative")
-    if max_components > COMPONENT_CAP:
-        raise InstanceTooLarge(
-            f"{max_components} components exceeds the cap of {COMPONENT_CAP}")
+    _check_shape(0, max_components)  # the component cap; 0 crossings have 1 class
     if max_crossings > ORACLE_CAP:
         raise InstanceTooLarge(
             f"search beyond {ORACLE_CAP} crossings cannot be oracle-verified")

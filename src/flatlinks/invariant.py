@@ -116,31 +116,37 @@ class LinkInvariant:
         }
 
 
-def _tally(buckets, k: int) -> tuple[list[dict[int, int]],
-                                      dict[tuple[int, int], list[int]]]:
-    """The raw values of the invariant from the side counts of a
-    catalog's buckets on k components.
+def _tally(counts) -> tuple[dict[int, dict[int, int]],
+                            dict[tuple[int, int], list[int]]]:
+    """The raw values of the invariant from ((a, b, v), n) pairs, n =
+    |+ side| - |- side| of bucket (a, b, v): the one place bucket counts
+    become values, which ``link_polynomial`` publishes and the search
+    screen (``generate._key_screen``) tests.
 
-    With n = |+ side| - |- side| of a bucket (a, b, v): for a == b, the
-    coefficient v n of t^v in the polynomial of a (nonzero ones only);
-    for a < b, n added to the pair's linking difference, measured on a,
-    and v n to its coefficient, as pairs[a, b] = [difference, coeff].
+    For a == b, polys[a][v] = v n, the coefficient of t^v in the
+    polynomial of a; for a < b, pairs[a, b] = [difference, coeff] sums n
+    into the pair's linking difference, measured on a, and v n into its
+    coefficient.  A balanced bucket leaves no trace: only nonzero terms,
+    and pairs with an unbalanced bucket, are kept.
     """
-    polys: list[dict[int, int]] = [{} for _ in range(k)]
+    polys: dict[int, dict[int, int]] = {}
     pairs: dict[tuple[int, int], list[int]] = {}
-    for (a, b, v), (plus, minus) in buckets.items():
-        n = len(plus) - len(minus)
+    for (a, b, v), n in counts:
         if not n:
             continue
         if a == b:
             if v:
-                polys[a][v] = v * n
+                poly = polys.get(a)
+                if poly is None:
+                    poly = polys[a] = {}
+                poly[v] = v * n
             continue
         acc = pairs.get((a, b))
         if acc is None:
-            acc = pairs[a, b] = [0, 0]
-        acc[0] += n
-        acc[1] += v * n
+            pairs[a, b] = [n, v * n]
+        else:
+            acc[0] += n
+            acc[1] += v * n
     return polys, pairs
 
 
@@ -148,7 +154,10 @@ def link_polynomial(code: FlatLinkCode) -> LinkInvariant:
     """Assemble the whole invariant of a validated code."""
     catalog = validate(code)
     names = [cw.name for cw in code.components]
-    polys, pairs = _tally(catalog.buckets, len(names))
+    buckets = catalog.buckets
+    # zip over a list is cheaper here than a generator expression
+    polys, pairs = _tally(zip(buckets, [len(plus) - len(minus)
+                                        for plus, minus in buckets.values()]))
     totals = catalog.totals
     diffs, coeffs = [], []
     for i, j in combinations(range(len(names)), 2):
@@ -159,7 +168,7 @@ def link_polynomial(code: FlatLinkCode) -> LinkInvariant:
         diffs.append((key, d))
         if d == 0 and totals[i] == totals[j] == 0:
             coeffs.append((key, coeff))
-    polys_by_name = sorted(zip(names, map(SparsePoly.from_dict, polys)),
-                           key=lambda t: t[0])
+    polys_by_name = sorted(((name, SparsePoly.from_dict(polys.get(i, {})))
+                            for i, name in enumerate(names)), key=lambda t: t[0])
     return LinkInvariant(tuple(polys_by_name), tuple(sorted(coeffs)),
                          tuple(sorted(diffs)))

@@ -28,11 +28,11 @@ not by trying every pair or triple of spots.  Every crossing has one
 plus letter, so the triangle spots ``x+ y-`` form a partial
 permutation x -> y, and a triangle is one of its 3-cycles.  A slide
 spot holding ``e+`` and ``f-`` is keyed (e, f) and matched only against
-the spots keyed (f, e), which hold the other two ends.  The index only
-proposes candidates: each pattern has one check, which decides both
-whether a candidate is listed and whether ``apply_move`` accepts a
-site.  Sites are listed in lexicographic order of their spots, taken
-by component and then by position.
+the spots keyed (f, e), which hold the other two ends.  On a valid code
+every candidate the index finds forms its pattern.  Each pattern has one
+check: it names the crossings of a listed site, and decides whether
+``apply_move`` accepts a site.  Sites are listed in lexicographic order
+of their spots, taken by component and then by position.
 
 A site names components and positions, so it goes stale the moment the
 code changes; ``apply_move`` re-verifies every letter it touches and
@@ -158,8 +158,8 @@ def _fresh_ids(used: set[str], n: int) -> tuple[str, ...]:
 
 # One check per pattern.  Each takes (component index, position) spots,
 # returns the crossings a site of that kind names, and raises StaleSite
-# when the letters there do not form the pattern.  _sites keeps the
-# finder's candidates that pass; apply_move calls the same check.
+# when the letters there do not form the pattern.  _sites names each
+# finder candidate's crossings through it; apply_move calls the same check.
 
 def _spot_letters(code: FlatLinkCode, spots) -> list[tuple[Letter, Letter]]:
     """The letter pairs at ``spots``, which must cover distinct positions."""
@@ -353,17 +353,13 @@ KINDS = tuple(_KINDS)
 
 
 def _sites(code: FlatLinkCode, kind: str) -> list[MoveSite]:
-    """The candidates of a listed kind's finder that pass its check."""
+    """The sites of a listed kind: each candidate of its finder, with the
+    crossings its check names.  On a validated code every candidate
+    passes the check."""
     row, comps = _KINDS[kind], code.components
-    sites = []
-    for spots in row.finder(code):
-        try:
-            ids = row.check(code, spots)
-        except StaleSite:
-            continue
-        sites.append(MoveSite(kind, tuple([(comps[ci].name, p) for ci, p in spots]),
-                              ids))
-    return sites
+    return [MoveSite(kind, tuple([(comps[ci].name, p) for ci, p in spots]),
+                     row.check(code, spots))
+            for spots in row.finder(code)]
 
 
 def find_move_sites(code: FlatLinkCode, kinds=None) -> list[MoveSite]:
@@ -371,6 +367,8 @@ def find_move_sites(code: FlatLinkCode, kinds=None) -> list[MoveSite]:
 
     Only ``r1_remove``, ``r2_remove`` and ``r3`` sites are listed, all
     three by default; an insertion kind, a parameter, raises ValueError.
+    The code must validate: on one that does not, a candidate may fail
+    its check, which raises StaleSite.
     """
     listed = [kind for kind, row in _KINDS.items() if row.finder is not None]
     wanted = listed if kinds is None else tuple(kinds)

@@ -79,6 +79,9 @@ def test_help_exits_0():
     code, out, err = run_cli(["--help"])
     assert code == 0
     assert out.startswith("usage: flatlinks") and err == ""
+    # moves apply takes no code file, and says where its code comes from
+    code, out, _ = run_cli(["moves", "apply", "--help"])
+    assert code == 0 and "[input]" not in out and "read from stdin" in out
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls():
@@ -124,6 +127,16 @@ def test_file_input(tmp_path):
     code, _, err = run_cli(["validate", str(tmp_path / "missing.txt")])
     assert code == 1
     assert "missing.txt" in err
+    # a path open() refuses is a usage error too, not a ValueError
+    assert run_cli(["validate", "a\x00b"]) == (
+        1, "", "usage error: cannot read 'a\\x00b': embedded null byte\n")
+    # moves apply reads stdin only: its move lines take every positional,
+    # so a path at the end is read as one more, malformed, move line
+    code, _, err = run_cli(["moves", "apply", "r1_remove A 1 k", str(path)],
+                           "A: a+ k+ k- a-")
+    assert code == 2 and "move line needs at least 4 fields" in err
+    assert run_cli(["moves", "apply", "r1_remove A 1 k"], "A: a+ k+ k- a-") == (
+        0, "a+ a-\n", "")
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])

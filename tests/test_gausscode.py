@@ -234,11 +234,18 @@ def test_render_round_trip_golden():
     text = "A: x+ a+ y- a- ; B: y+ x-"
     code = parse_flat_link(text)
     assert parse_flat_link(render_flat_link(code)) == code
+    # default names are left off
+    assert str(code) == render_flat_link(code) == "x+ a+ y- a- ; y+ x-"
+    assert [str(cw) for cw in code.components] == ["x+ a+ y- a-", "y+ x-"]
 
 
 @given(codes(max_crossings=5))
 def test_render_round_trip(code):
     assert parse_flat_link(render_flat_link(code)) == code
+    assert str(code) == render_flat_link(code)
+    for cw in code.components:
+        assert tuple(cw) == cw.letters
+        assert str(cw) == " ".join(map(str, cw.letters))
 
 
 def test_intersection_number_golden():

@@ -9,6 +9,7 @@ from flatlinks import (
     MoveSite,
     StaleSite,
     apply_move,
+    enumerate_small_codes,
     find_move_sites,
     link_polynomial,
     parse_flat_link,
@@ -16,7 +17,8 @@ from flatlinks import (
     render_flat_link,
     validate,
 )
-from helpers import codes, move_sites_oracle, plant_triangle
+from flatlinks.moves import _KINDS
+from helpers import codes, move_sites_oracle, plant_triangle, random_code
 
 
 def test_move_site_describe_parse_round_trip():
@@ -366,6 +368,31 @@ def test_found_sites_all_apply():
         out = apply_move(code, site)
         validate(out)
         assert link_polynomial(out) == link_polynomial(code)
+
+
+def test_every_finder_candidate_passes_its_check():
+    # find_move_sites lists every candidate a finder proposes, so on a valid
+    # code each one must form its kind's pattern: on every class up to
+    # (5, 1), (4, 3) and (3, 4), and on random codes after random walks,
+    # some with a planted triangle
+    shapes = {(n, k) for top_n, top_k in ((5, 1), (4, 3), (3, 4))
+              for n in range(top_n + 1) for k in range(top_k + 1)}
+    samples = [code for n, k in sorted(shapes) for code in enumerate_small_codes(n, k)]
+    rng = random.Random(29)
+    for i in range(300):
+        code = random_code(rng, 10, 3)
+        if i % 2:
+            code = plant_triangle(code, rng)
+        samples.append(random_walk(code, 8, rng.randrange(2**31))[0])
+    rows = [row for row in _KINDS.values() if row.finder is not None]
+    checked = 0
+    for code in samples:
+        validate(code)
+        for row in rows:
+            for spots in row.finder(code):
+                row.check(code, spots)  # raises StaleSite if it fails
+                checked += 1
+    assert checked > 20_000
 
 
 @pytest.mark.xfail(strict=True, reason="the polynomial of a component with a "
