@@ -10,6 +10,14 @@ reproducible from its argv.
 Every command builds one answer, a JSON payload and its text lines, and
 ``--format`` only chooses which of the two is printed.  Lines that take
 work to build are generated lazily, so a JSON answer does not build them.
+A JSON answer is byte for byte ``json.dumps(payload, indent=2,
+sort_keys=True)``, but written by ``_json``: with an indent the stdlib
+encoder runs in pure Python, and its closures leave a reference cycle
+behind on every call.
+
+The parser is built once per process.  The command words at the front of
+argv pick the parser of that command, and the rest of argv goes straight
+to it, so no parser reads arguments that are not its own.
 """
 
 from __future__ import annotations
@@ -18,9 +26,9 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .filament import (
     InstanceTooLarge,
@@ -55,6 +63,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # command word -> that command's parser, on a parser with subcommands
+    commands = {}
+
     # argparse exits with status 2 on bad usage; we reserve 2 for input
     # validation, so route usage problems through our own exception
     def error(self, message):
@@ -70,6 +81,7 @@ def _build_parser() -> _Parser:
                      description="Gauss-code invariants and filamentations "
                                  "for flat virtual links.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def command(group, name, summary, handler, *own, reads_code=True):
         # own arguments are (name, options) pairs; the shared ones go last
@@ -93,8 +105,9 @@ def _build_parser() -> _Parser:
     command(sub, "oracle", "exhaustive filamentation search (small codes)",
             _cmd_oracle)
 
-    moves_sub = sub.add_parser("moves", help="Reidemeister move tools") \
-        .add_subparsers(dest="moves_command", required=True)
+    moves = sub.add_parser("moves", help="Reidemeister move tools")
+    moves_sub = moves.add_subparsers(dest="moves_command", required=True)
+    moves.commands = moves_sub.choices
     # added after the shared arguments: --kinds follows --format in its help
     command(moves_sub, "list", "list removal and triangle sites",
             _cmd_moves_list).add_argument(
@@ -128,6 +141,16 @@ def _build_parser() -> _Parser:
             ("--jobs", dict(type=number, choices=[1], default=1,
                             help=argparse.SUPPRESS)), reads_code=False)
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    # the same parse as the top-level parser's, less its subcommand passes;
+    # the namespace lacks the dests of the words (command, moves_command),
+    # which nothing reads
+    parser, words = _build_parser(), list(argv)
+    while words and words[0] in parser.commands:
+        parser = parser.commands[words.pop(0)]
+    return parser.parse_args(words)
 
 
 def _read_code(args, stdin) -> FlatLinkCode:
@@ -274,6 +297,42 @@ def _cmd_search(args, code):
                 "oracle: " + ("none" if oracle is None else "found")]))
 
 
+def _json(value, indent="\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    Takes str, int, bool and None, inside dicts with str keys, lists and
+    tuples.  Any other type raises TypeError, even one that json.dumps
+    writes, such as a float or an int key.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:  # not a bool, whose class is a subclass of int
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        # _quote raises TypeError on a key that is not a str
+        items = [_quote(k) + ": " + (_quote(v) if type(v) is str else _json(v, inner))
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        # a string item is quoted inline: enumerate lists thousands of them
+        items = [_quote(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     """Dispatch one command; returns the exit code instead of exiting."""
     stdin = stdin if stdin is not None else sys.stdin
@@ -282,11 +341,11 @@ def run(argv, stdin=None, stdout=None, stderr=None) -> int:
     try:
         # argparse prints --help to sys.stdout; send it to this run's out
         with contextlib.redirect_stdout(out):
-            args = _build_parser().parse_args(argv)
+            args = _parse_args(argv)
         code = _read_code(args, stdin) if "input" in args else None
         payload, lines = args.handler(args, code)
         if args.format == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+            print(_json(payload), file=out)
         else:
             for line in lines:
                 print(line, file=out)

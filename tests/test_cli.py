@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -24,7 +25,14 @@ from flatlinks import (
     render_flat_link,
 )
 from flatlinks import generate
-from flatlinks.cli import _build_parser, _invariant_lines, run
+from flatlinks.cli import (
+    _build_parser,
+    _invariant_lines,
+    _json,
+    _parse_args,
+    _UsageError,
+    run,
+)
 from helpers import codes
 
 GOLDEN_LINK = "x+ a+ y- a- ; y+ x-"
@@ -117,6 +125,68 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls():
     # twice on one parser, so that every call also follows itself
     _build_parser.cache_clear()
     assert outcomes(fresh_parser=False) + outcomes(fresh_parser=False) == fresh * 2
+
+
+# argv that names a command goes straight to that command's parser; each of
+# these must parse, fail or print help exactly as the top-level parser does
+DISPATCH_ARGVS = [
+    [], ["-h"], ["--help"], ["--he"], ["bogus"], ["-h", "invariant"],
+    ["--", "invariant"], ["--format", "json", "invariant"],
+    ["validate"], ["validate", "code.txt"], ["validate", "a", "b"],
+    ["validate", "-h"], ["validate", "--format", "xml"],
+    ["validate", "--form", "json"], ["validate", "--fo=json", "-"],
+    ["validate", "--", "--format"], ["validate", "--bogus"],
+    ["invariant", "--format", "json"], ["invariant", "moves"],
+    ["linking", "--format", "text", "-"], ["filament", "x", "--format=json"],
+    ["oracle", "--format"], ["oracle", "--help"],
+    ["moves"], ["moves", "-h"], ["moves", "bogus"], ["moves", "moves"],
+    ["moves", "--kinds", "r3", "list"], ["moves", "list"],
+    ["moves", "list", "--kinds", "r1_remove", "--format", "json", "x"],
+    ["moves", "list", "--kin", "r3"], ["moves", "list", "--help"],
+    ["moves", "list", "a", "b"], ["moves", "apply"],
+    ["moves", "apply", "r1_remove A 0 a", "r1_remove A 0 b"],
+    ["moves", "apply", "--", "-x"], ["moves", "apply", "-h"],
+    ["moves", "walk", "--steps", "3"],
+    ["moves", "walk", "--steps", "3", "--seed", "1", "extra"],
+    ["moves", "walk", "--st", "3", "--se", "1"],
+    ["moves", "walk", "--steps", "-3", "--seed", "0"],
+    ["moves", "walk", "--steps", "x", "--seed", "0"], ["moves", "walk", "--help"],
+    ["enumerate", "--crossings", "2", "--components", "1"],
+    ["enumerate", "--crossings", "2"], ["enumerate", "--c", "2"],
+    ["enumerate", "--cr", "2", "--co", "1", "--format", "json"],
+    ["enumerate", "--crossings", "2", "--components", "1", "--cap", "7"],
+    ["enumerate", "--crossings", "2", "--components", "1", "file"],
+    ["enumerate", "-h"],
+    ["search"], ["search", "zero-poly-no-filamentation"], ["search", "shortest-proof"],
+    ["search", "nonzero-multi-component", "--limits", "3,6", "--seed", "3",
+     "--jobs", "1", "--format", "json"],
+    ["search", "nonzero-multi-component", "--jobs", "2"],
+    ["search", "nonzero-multi-component", "--lim=2,4"],
+    ["search", "nonzero-multi-component", "extra"],
+    ["search", "--", "zero-poly-no-filamentation"], ["search", "--help"],
+]
+
+
+def parse_outcome(parse, argv):
+    shown = io.StringIO()
+    try:
+        with redirect_stdout(shown):
+            args = parse(argv)
+    except _UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, shown.getvalue()
+    values = vars(args)
+    # the command words themselves are not read from the namespace
+    values.pop("command", None)
+    values.pop("moves_command", None)
+    return "parsed", values, shown.getvalue()
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+def test_dispatch_parses_as_the_top_level_parser(argv):
+    assert parse_outcome(_parse_args, argv) == \
+        parse_outcome(_build_parser().parse_args, argv)
 
 
 def test_file_input(tmp_path):
@@ -519,6 +589,54 @@ def test_search_unknown_goal_exits_1():
 def test_json_outputs_are_key_sorted():
     _, out, _ = run_cli(["invariant", "--format", "json"], GOLDEN_LINK)
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+json_leaves = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "caf\u00e9", "\u2028",
+                     "\U0001f600", "\ud800"]),
+    st.integers(), st.integers(min_value=-2**200, max_value=2**200),
+    st.booleans(), st.none())
+json_values = st.recursive(json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=5), inner, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {1, 2}, [0.5], {1: "a"}, {True: "a"}, {"a": 1, 2: "b"}, ["a", {2: "b"}]])
+def test_json_writer_refuses_other_types(value):
+    # json.dumps would write a float, and sort int keys as ints before
+    # writing them as strings; the writer raises instead
+    with pytest.raises(TypeError):
+        _json(value)
+
+
+JSON_COMMANDS = (["validate"], ["invariant"], ["linking"], ["filament"],
+                 ["oracle"], ["moves", "list"],
+                 ["moves", "apply", "r1_insert A 1 - +-"],
+                 ["moves", "walk", "--steps", "4", "--seed", "7"],
+                 ["enumerate", "--crossings", "2", "--components", "1"],
+                 ["search", "zero-poly-no-filamentation", "--limits", "2,4"])
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+def test_json_answer_leaves_no_reference_cycle(argv):
+    # json.dumps with an indent left 33 objects in a cycle on every call
+    argv = [*argv, "--format", "json"]
+    assert run_cli(argv, GOLDEN_LINK)[0] == 0  # builds the parser once
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_cli(argv, GOLDEN_LINK)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 UNBALANCED_LINK = "A: x+ y- z+ ; B: y+ x- ; C: z-"
