@@ -248,7 +248,6 @@ def _cmd_moves_apply(args, code):
 
 
 def _cmd_moves_walk(args, code):
-    validate(code)
     final, log = random_walk(code, args.steps, args.seed)
     moves, rendered = [s.describe() for s in log], render_flat_link(final)
     # log lines go out as comments, so this output is itself a

@@ -23,16 +23,19 @@ any gap (or gap pair) with any variant: ``MoveSite`` describes it,
 ``apply_move`` applies it and ``random_walk`` samples it, but nothing
 lists them, since a code of n letters has about 2n^2 of them.
 
-Removal and triangle sites are found through an index in O(n log n),
-not by trying every pair or triple of spots.  Every crossing has one
-plus letter, so the triangle spots ``x+ y-`` form a partial
-permutation x -> y, and a triangle is one of its 3-cycles.  A slide
-spot holding ``e+`` and ``f-`` is keyed (e, f) and matched only against
-the spots keyed (f, e), which hold the other two ends.  On a valid code
-every candidate the index finds forms its pattern.  Each pattern has one
-check: it names the crossings of a listed site, and decides whether
-``apply_move`` accepts a site.  Sites are listed in lexicographic order
-of their spots, taken by component and then by position.
+Removal and triangle sites are found from one pass over the adjacent
+letter pairs, not by trying every pair or triple of spots.  The pass
+lists the slide spots, adjacent ``+ -`` or ``- +`` letters of two
+crossings, once per listing; ``r2_remove`` and ``r3`` both read it.
+Every crossing has one plus letter, so the triangle spots ``x+ y-``
+form a partial permutation x -> y, and a triangle is one of its
+3-cycles.  A slide spot holding ``e+`` and ``f-`` is keyed (e, f) and
+matched only against the spots keyed (f, e), which hold the other two
+ends.  On a valid code every candidate a finder proposes forms its
+pattern.  Each pattern has one check: it names the crossings of a
+listed site, and decides whether ``apply_move`` accepts a site.  Sites
+are listed in lexicographic order of their spots, taken by component
+and then by position.
 
 A site names components and positions, so it goes stale the moment the
 code changes; ``apply_move`` re-verifies every letter it touches and
@@ -57,6 +60,7 @@ from .gausscode import (
     FlatLinkCode,
     FlatLinkError,
     Letter,
+    validate,
 )
 
 
@@ -159,7 +163,8 @@ def _fresh_ids(used: set[str], n: int) -> tuple[str, ...]:
 # One check per pattern.  Each takes (component index, position) spots,
 # returns the crossings a site of that kind names, and raises StaleSite
 # when the letters there do not form the pattern.  _sites names each
-# finder candidate's crossings through it; apply_move calls the same check.
+# finder candidate's crossings through it, a walk names its drawn
+# candidate's, and apply_move calls the same check.
 
 def _spot_letters(code: FlatLinkCode, spots) -> list[tuple[Letter, Letter]]:
     """The letter pairs at ``spots``, which must cover distinct positions."""
@@ -216,67 +221,77 @@ def _triangle(code: FlatLinkCode, spots) -> tuple[str, ...]:
     return plus
 
 
-def _kink_spots(code: FlatLinkCode):
+def _once(fn, *args):
+    """A call of ``fn(*args)`` that computes on its first call only."""
+    out = []
+
+    def get():
+        if not out:
+            out.append(fn(*args))
+        return out[0]
+    return get
+
+
+# The finders.  Each takes the code and ``slides``, which returns the
+# code's slide spots (one _once per listing or walk step), and returns
+# its candidate spot tuples in listing order.
+
+def _kink_spots(code: FlatLinkCode, slides) -> list:
+    spots = []
     for ci, cw in enumerate(code.components):
-        n = len(cw)
-        # on a 2-letter word the spots at 0 and 1 cover the same letters
-        for p in range(n if n > 2 else n - 1):
-            if cw.letters[p].crossing == cw.letters[(p + 1) % n].crossing:
-                yield ((ci, p),)
+        letters = cw.letters
+        # a 1-letter word pairs no two letters, and on a 2-letter word the
+        # spots at 0 and 1 cover the same letters
+        after = letters[1:] + letters[:1] if len(letters) > 2 else letters[1:]
+        spots += [((ci, p),) for p, (a, b) in enumerate(zip(letters, after))
+                  if a.crossing == b.crossing]
+    return spots
 
 
-def _slide_spots(code: FlatLinkCode):
-    """Adjacent opposite-sign pairs of two distinct crossings."""
-    for ci, cw in enumerate(code.components):
-        n = len(cw)
-        for p in range(n):
-            a, b = cw.letters[p], cw.letters[(p + 1) % n]
-            if a.crossing != b.crossing and a.sign == -b.sign:
-                yield ci, p, a, b
+def _slide_spots(code: FlatLinkCode) -> list:
+    """Adjacent opposite-sign pairs of two distinct crossings, as
+    (component index, position, letter, next letter)."""
+    return [(ci, p, a, b) for ci, cw in enumerate(code.components)
+            for p, (a, b) in enumerate(zip(cw, cw.letters[1:] + cw.letters[:1]))
+            if a.sign != b.sign and a.crossing != b.crossing]
 
 
-def _slide_pairs(code: FlatLinkCode):
-    spots = list(_slide_spots(code))
+def _slide_pairs(code: FlatLinkCode, slides) -> list:
     # a spot holding e+ and f- is keyed (e, f); the other spot of its
-    # slide holds f+ and e-, so it is keyed (f, e), and each crossing's
-    # one plus letter leaves at most two spots under a key
-    keys = [(a.crossing, b.crossing) if a.sign == PLUS else (b.crossing, a.crossing)
-            for _, _, a, b in spots]
-    at = defaultdict(list)
-    for i, key in enumerate(keys):
-        at[key].append(i)
+    # slide holds f+ and e-, so it is keyed (f, e).  Each crossing's one
+    # plus letter leaves one spot under a key, except on a 2-letter word,
+    # whose spots 0 and 1 hold the same letters: spot 1 is left out, as a
+    # slide through it repeats one through spot 0 (_triangles keeps it:
+    # on y- x+ it reads x+ y-).  No two other pairs cover the same
+    # letters: a longer word's spot is fixed by its positions, and if a
+    # 4-letter word has a slide at {0,1}, {2,3}, {1,2} holds one chord's
+    # two ends or equal signs.
     comps = code.components
-    for i, (e, f) in enumerate(keys):
-        for j in at.get((f, e), ()):
-            if j < i:
-                continue
-            (c1, p1, _, _), (c2, p2, _, _) = spots[i], spots[j]
-            # a 2-letter word's spots 0 and 1 hold the same letters under one
-            # key, so a pair through spot 1 repeats one through spot 0, met
-            # first (_triangles keeps spot 1: on y- x+ it reads x+ y-).  No
-            # two other pairs cover the same letters: a longer word's spot is
-            # fixed by its positions, and if a 4-letter word has a slide at
-            # {0,1}, {2,3}, {1,2} holds one chord's two ends or equal signs.
-            if (p1 == 1 and len(comps[c1]) == 2) or (p2 == 1 and len(comps[c2]) == 2):
-                continue
-            yield (c1, p1), (c2, p2)
+    at = {((a.crossing, b.crossing) if a.sign == PLUS else (b.crossing, a.crossing)):
+          (ci, p) for ci, p, a, b in slides() if p != 1 or len(comps[ci]) != 2}
+    # only a key whose reverse is also a key holds a slide, met from both
+    # ends; spots order as listed, by component and then by position
+    keys = at.keys() & ((f, e) for e, f in at)
+    return sorted((at[e, f], at[f, e]) for e, f in keys if at[e, f] < at[f, e])
 
 
-def _triangles(code: FlatLinkCode):
+def _triangles(code: FlatLinkCode, slides) -> list:
     # every crossing has one plus letter, so the plus-first slide spots
-    # never overlap and map each plus crossing to at most one minus crossing
-    spots = [(ci, p, a.crossing, b.crossing)
-             for ci, p, a, b in _slide_spots(code) if a.sign == PLUS]
-    spot_of = {x: i for i, (_, _, x, _) in enumerate(spots)}
-    for i, (_, _, x, y) in enumerate(spots):
-        j = spot_of.get(y)
-        if j is None:
+    # never overlap and map each plus crossing x to at most one minus
+    # crossing y: spot_of[x] = (component index, position, y)
+    spot_of = {a.crossing: (ci, p, b.crossing)
+               for ci, p, a, b in slides() if a.sign == PLUS}
+    found = []
+    for x, s in spot_of.items():
+        t = spot_of.get(s[2])
+        if t is None:
             continue
-        k = spot_of.get(spots[j][3])
+        u = spot_of.get(t[2])
         # a spot lies on at most one 3-cycle; taking each from its first
         # spot lists them in spot order
-        if k is not None and spots[k][3] == x and i < min(j, k):
-            yield tuple(spots[s][:2] for s in sorted((i, j, k)))
+        if u is not None and u[2] == x and s < t and s < u:
+            found.append((s[:2], *sorted((t[:2], u[:2]))))
+    return found
 
 
 def _with_letters(code: FlatLinkCode, new: dict[int, list[Letter]]) -> FlatLinkCode:
@@ -352,14 +367,19 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 
-def _sites(code: FlatLinkCode, kind: str) -> list[MoveSite]:
+def _named(code: FlatLinkCode, spots) -> tuple[tuple[str, int], ...]:
+    """(component index, position) spots as a MoveSite addresses them."""
+    comps = code.components
+    return tuple([(comps[ci].name, p) for ci, p in spots])
+
+
+def _sites(code: FlatLinkCode, kind: str, slides) -> list[MoveSite]:
     """The sites of a listed kind: each candidate of its finder, with the
     crossings its check names.  On a validated code every candidate
     passes the check."""
-    row, comps = _KINDS[kind], code.components
-    return [MoveSite(kind, tuple([(comps[ci].name, p) for ci, p in spots]),
-                     row.check(code, spots))
-            for spots in row.finder(code)]
+    row = _KINDS[kind]
+    return [MoveSite(kind, _named(code, spots), row.check(code, spots))
+            for spots in row.finder(code, slides)]
 
 
 def find_move_sites(code: FlatLinkCode, kinds=None) -> list[MoveSite]:
@@ -378,7 +398,9 @@ def find_move_sites(code: FlatLinkCode, kinds=None) -> list[MoveSite]:
         if k not in listed:
             raise ValueError(f"insertion kind {k!r} is not listed: its sites "
                              "are parameters (any gap, any variant)")
-    return [site for kind in listed if kind in wanted for site in _sites(code, kind)]
+    slides = _once(_slide_spots, code)
+    return [site for kind in listed if kind in wanted
+            for site in _sites(code, kind, slides)]
 
 
 def apply_move(code: FlatLinkCode, site: MoveSite) -> FlatLinkCode:
@@ -403,9 +425,12 @@ def random_walk(code: FlatLinkCode, steps: int, seed: int = 0,
                 ) -> tuple[FlatLinkCode, list[MoveSite]]:
     """Apply up to ``steps`` seeded random moves; return (code, sites applied).
 
-    Each step picks a kind by weight (1 for every kind that ``weights``
-    leaves out) among those still applicable, then a uniform site of
-    that kind; a weight of 0 disables its kind.  A key that is not a
+    The start code must validate; otherwise the error ``validate`` names
+    is raised.  Each step picks a kind by weight (1 for every kind that
+    ``weights`` leaves out) among those still applicable, then a uniform
+    candidate of that kind's finder, the same draw as a uniform site of
+    ``find_move_sites``; only the drawn candidate is checked and
+    rewritten.  A weight of 0 disables its kind.  A key that is not a
     move kind, or a weight that is not a finite number >= 0, raises
     ValueError naming the kind.  A walk stops early only when no enabled
     move applies at all (removals need matching letters; insertions just
@@ -421,10 +446,11 @@ def random_walk(code: FlatLinkCode, steps: int, seed: int = 0,
             raise ValueError(f"weight of {kind} must be a finite number >= 0, "
                              f"got {weight!r}")
         w[kind] = weight
+    used = set(validate(code).ends)  # every crossing id of the current code
     rng = Random(seed)
     log: list[MoveSite] = []
     for _ in range(steps):
-        step = _random_step(code, rng, w)
+        step = _random_step(code, rng, w, used)
         if step is None:
             break
         site, code = step
@@ -432,21 +458,26 @@ def random_walk(code: FlatLinkCode, steps: int, seed: int = 0,
     return code, log
 
 
-def _random_step(code: FlatLinkCode, rng: Random, w: dict[str, float]
-                 ) -> tuple[MoveSite, FlatLinkCode] | None:
-    """Draw one site and apply it; an insertion collects the ids once."""
+def _random_step(code: FlatLinkCode, rng: Random, w: dict[str, float],
+                 used: set[str]) -> tuple[MoveSite, FlatLinkCode] | None:
+    """Draw one site and apply it, keeping ``used`` the code's ids."""
     comps = code.components
     if not comps:
         return None
+    slides = _once(_slide_spots, code)
     candidates = [k for k in KINDS if w.get(k, 0) > 0]
     while candidates:
         kind = rng.choices(candidates, [w[k] for k in candidates])[0]
         row = _KINDS[kind]
         if row.finder is not None:
-            sites = _sites(code, kind)
-            if sites:
-                site = rng.choice(sites)
-                return site, apply_move(code, site)
+            found = row.finder(code, slides)
+            if found:
+                spots = rng.choice(found)
+                crossings = row.check(code, spots)
+                if row.rewrite is _remove:
+                    used.difference_update(crossings)
+                site = MoveSite(kind, _named(code, spots), crossings)
+                return site, row.rewrite(code, spots)
             candidates.remove(kind)
             continue
         # the gaps first, then one draw per variant token
@@ -456,8 +487,8 @@ def _random_step(code: FlatLinkCode, rng: Random, w: dict[str, float]
             gaps.append((ci, rng.randrange(len(comps[ci]) + 1)))
         gaps.sort()
         variant = tuple([rng.choice(values) for values in row.variants])
-        used = {l.crossing for cw in comps for l in cw.letters}
-        site = MoveSite(kind, tuple((comps[ci].name, g) for ci, g in gaps),
-                        _fresh_ids(used, len(gaps)), variant)
-        return site, _insert(code, site, gaps, used)
+        site = MoveSite(kind, _named(code, gaps), _fresh_ids(used, len(gaps)), variant)
+        code = _insert(code, site, gaps, used)
+        used.update(site.crossings)
+        return site, code
     return None

@@ -6,7 +6,7 @@ list slicing, so they share no cyclic-walk arithmetic with the library.
 
 import random
 import re
-from itertools import combinations, permutations, product
+from itertools import combinations, count, islice, permutations, product
 
 from hypothesis import strategies as st
 
@@ -481,6 +481,13 @@ def move_sites_oracle(code: FlatLinkCode, kind: str) -> list:
     else:
         raise ValueError(f"no oracle for {kind!r}")
     return sites
+
+
+def fresh_ids_reference(code: FlatLinkCode, n: int) -> tuple[str, ...]:
+    """The n ids _1, _2, ... of smallest k that no letter of ``code`` uses."""
+    taken = {letter.crossing for cw in code.components for letter in cw.letters}
+    free = (f"_{k}" for k in count(1) if f"_{k}" not in taken)
+    return tuple(islice(free, n))
 
 
 def plant_triangle(code: FlatLinkCode, rng: random.Random) -> FlatLinkCode:

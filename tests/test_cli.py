@@ -68,6 +68,14 @@ def test_validate_bad_code_exits_2_and_names_crossing():
     assert "b" in err
 
 
+@pytest.mark.parametrize("text", ["a+ b+", "a+ a+"])
+def test_moves_walk_bad_code_exits_2_and_names_crossing(text):
+    # random_walk validates its start code, so the command checks it once
+    code, out, err = run_cli(["moves", "walk", "--steps", "5", "--seed", "1"], text)
+    assert (code, out) == (2, "")
+    assert "'a'" in err and "Traceback" not in err
+
+
 def test_malformed_token_exits_2_and_names_token():
     code, _, err = run_cli(["invariant"], "a+ b* a-")
     assert code == 2

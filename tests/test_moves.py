@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from flatlinks import (
     MalformedMoveLine,
+    CrossingAppearsOnce,
     MoveSite,
+    SameSignTwice,
     StaleSite,
     apply_move,
     enumerate_small_codes,
@@ -17,8 +20,14 @@ from flatlinks import (
     render_flat_link,
     validate,
 )
-from flatlinks.moves import _KINDS
-from helpers import codes, move_sites_oracle, plant_triangle, random_code
+from flatlinks.moves import _KINDS, _once, _slide_spots
+from helpers import (
+    codes,
+    fresh_ids_reference,
+    move_sites_oracle,
+    plant_triangle,
+    random_code,
+)
 
 
 def test_move_site_describe_parse_round_trip():
@@ -232,6 +241,21 @@ def test_find_sites_wraparound_and_short_words(text, kind, expected):
     assert sites == move_sites_oracle(code, kind)
 
 
+@pytest.mark.parametrize("text, kind, expected", [
+    # a 1-letter word's only pair is its letter with itself: not a kink
+    ("A: x+ ; B: x-", "r1_remove", []),
+    ("A: x+ y- ; B: y+ ; C: x-", "r1_remove", []),
+    # spot 1 of a 2-letter word covers the letters of spot 0
+    ("x+ x-", "r1_remove", ["r1_remove A 0 x"]),
+    ("x- x+", "r1_remove", ["r1_remove A 0 x"]),
+    # each 2-letter word has two slide spots, one slide across them
+    ("x+ y- ; y+ x-", "r2_remove", ["r2_remove A,B 0,0 x,y"]),
+])
+def test_find_sites_on_one_and_two_letter_words(text, kind, expected):
+    sites = find_move_sites(parse_flat_link(text), (kind,))
+    assert [s.describe() for s in sites] == expected
+
+
 @settings(deadline=None)
 @given(codes(max_crossings=8), st.integers(0, 2**31 - 1),
        st.sampled_from(["plain", "inserted", "planted"]))
@@ -287,6 +311,84 @@ def test_walk_log_is_pinned():
         "r2_remove A,A 2,6 _4,_5", "r2_insert B,B 1,3 _4,_5 - ef"]
     assert render_flat_link(final) == (
         "a+ b+ _1- _1+ a- b- _3- _3+ ; c+ _4- _5+ _2+ _2- _4+ _5- c-")
+
+
+PINNED_WALKS_SHA256 = (
+    "7fab33f4b66cc554867c21614c71a291bf9e2d1dac0313ae7291bd1f3b7f062c")
+REMOVALS_ONLY = {"r1_insert": 0, "r2_insert": 0, "r1_remove": 1,
+                 "r2_remove": 1, "r3": 1}
+
+
+def _pinned_walks():
+    """(code, steps, seed, weights) of seeded walks on tiny codes, on
+    3-component codes with planted triangles, on unbalanced codes, with
+    removal-only and insert-only weights, and 200 steps long."""
+    rng = random.Random(31)
+    walks = []
+    for i in range(40):
+        code = random_code(rng, 4, 3, balanced=i % 2 == 0)
+        walks += [(code, 20, seed, None) for seed in (1, 2, 3)]
+    for _ in range(20):
+        code = plant_triangle(random_code(rng, 12, 3, True, 3), rng)
+        walks += [(code, 40, seed, None) for seed in (4, 5)]
+    for _ in range(20):
+        walks.append((random_code(rng, 10, 3), 40, rng.randrange(2**31), None))
+    for _ in range(10):
+        code = plant_triangle(random_code(rng, 16, 3, True, 2), rng)
+        walks.append((code, 30, rng.randrange(2**31), REMOVALS_ONLY))
+        walks.append((code, 15, rng.randrange(2**31), INSERT_ONLY))
+    for _ in range(5):
+        walks.append((random_code(rng, 12, 3), 200, rng.randrange(2**31), None))
+    return walks
+
+
+def test_every_pinned_walk_is_unchanged():
+    # the logs and final codes of 205 walks (5,983 steps), digested: any change in what a
+    # walk draws, the sites it logs or the ids it picks changes the digest
+    digest = hashlib.sha256()
+    for code, steps, seed, weights in _pinned_walks():
+        final, log = random_walk(code, steps, seed, weights)
+        for line in [site.describe() for site in log] + [render_flat_link(final)]:
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_WALKS_SHA256
+
+
+@settings(deadline=None)
+@given(codes(max_crossings=8), st.integers(0, 2**31 - 1), st.booleans())
+def test_walk_draws_only_listed_sites(code, seed, planted):
+    # every removal or triangle site a walk logs is one that find_move_sites
+    # lists on the code the step started from
+    if planted:
+        code = plant_triangle(code, random.Random(seed))
+    final, log = random_walk(code, 12, seed)
+    for site in log:
+        if _KINDS[site.kind].finder is not None:
+            assert site in find_move_sites(code, (site.kind,))
+        code = apply_move(code, site)
+    assert code == final
+
+
+@settings(deadline=None)
+@given(codes(max_crossings=6), st.integers(0, 2**31 - 1))
+def test_walk_inserts_the_smallest_unused_ids(code, seed):
+    # an insert-only walk first seeds the code with _k ids, so removals in
+    # the second walk free some of them for reuse
+    code, _ = random_walk(code, 4, seed, INSERT_ONLY)
+    final, log = random_walk(code, 16, seed + 1)
+    for site in log:
+        if _KINDS[site.kind].finder is None:
+            assert site.crossings == fresh_ids_reference(code, len(site.spots))
+        code = apply_move(code, site)
+    assert code == final
+
+
+@pytest.mark.parametrize("text, error", [
+    ("a+ b+", CrossingAppearsOnce),  # used to walk on to another invalid code
+    ("a+ a+", SameSignTwice),  # used to raise StaleSite
+])
+def test_walk_validates_its_start_code(text, error):
+    with pytest.raises(error, match="'a'"):
+        random_walk(parse_flat_link(text), 5, 1)
 
 
 @settings(deadline=None)
@@ -388,8 +490,9 @@ def test_every_finder_candidate_passes_its_check():
     checked = 0
     for code in samples:
         validate(code)
+        slides = _once(_slide_spots, code)  # one pass per code
         for row in rows:
-            for spots in row.finder(code):
+            for spots in row.finder(code, slides):
                 row.check(code, spots)  # raises StaleSite if it fails
                 checked += 1
     assert checked > 20_000
