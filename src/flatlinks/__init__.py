@@ -43,7 +43,6 @@ from .filament import (
     PartitionNotCovering,
     PartsOverlap,
     brute_force_filamentation,
-    greedy_zero_sum_partition,
     link_filamentation,
     verify_filamentation,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "PartsOverlap",
     "InstanceTooLarge",
     "verify_filamentation",
-    "greedy_zero_sum_partition",
     "link_filamentation",
     "brute_force_filamentation",
     "KINDS",

@@ -136,8 +136,9 @@ def greedy_zero_sum_partition(catalog: CrossingCatalog) -> Filamentation | None:
     Only when every index bucket balances are its two sides sorted by
     position on the lower-numbered component (a self-crossing by its +
     end) and paired in that order.  A nonzero sign total unbalances some
-    bucket, and is tested first because it is cheaper.  The name is kept
-    because ``perfbench/tracer.py`` wraps it by name.
+    bucket, and is tested first because it is cheaper.  Not exported:
+    ``link_filamentation`` is the public route, and calls this through the
+    module global because ``perfbench/tracer.py`` rebinds it by name.
     """
     if any(catalog.totals):
         return None
@@ -161,7 +162,7 @@ def greedy_zero_sum_partition(catalog: CrossingCatalog) -> Filamentation | None:
 
 
 def link_filamentation(code: FlatLinkCode) -> Filamentation | None:
-    """Greedy filamentation of the whole code, or None."""
+    """Greedy filamentation of the whole code, or None; the public route."""
     return greedy_zero_sum_partition(validate(code))
 
 

@@ -71,7 +71,6 @@ from .gausscode import (
     _component_text,
     _letter,
     default_component_name,
-    validate,
 )
 from .invariant import _tally, link_polynomial
 
@@ -512,7 +511,8 @@ def _key_screen(goal: SearchGoal, key: tuple) -> bool:
     of balance, so no filamentation exists.
     Nonzero-multi: some pair with zero linking difference and zero sign
     totals has a nonzero coefficient, and every component shares a
-    crossing with another (read off the buckets, balanced ones too).
+    crossing with another by ``_word_screen``'s sharing test, which the
+    walk has already applied to every codeword but the last.
     The search screens only the keys its minimal-witness pruning leaves
     (module docstring), so a zero-poly key that passes with a component
     split off may go unscreened: a smaller witness lies in an earlier
@@ -525,7 +525,7 @@ def _key_screen(goal: SearchGoal, key: tuple) -> bool:
                 and not any(d or c for d, c in pairs.values()))
     return (any(c and not d and not totals[a] and not totals[b]
                 for (a, b), (d, c) in pairs.items())
-            and len({i for a, b, _ in counts if a != b for i in (a, b)}) == len(key))
+            and all(_word_screen(goal, part) for part in key))
 
 
 def _word_screen(goal: SearchGoal, word: tuple) -> bool:
@@ -536,6 +536,8 @@ def _word_screen(goal: SearchGoal, word: tuple) -> bool:
 
     Both goals: some chord occurs only once in the codeword, so the
     component shares a crossing with another; an empty codeword fails.
+    This is the one sharing test, which ``_key_screen`` and
+    ``_is_witness`` apply to every codeword too.
     Zero-poly also: the codeword has as many + letters as - letters, so
     its sign total is 0.
     """
@@ -546,20 +548,18 @@ def _word_screen(goal: SearchGoal, word: tuple) -> bool:
 
 
 def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
-    """Whether the code witnesses the goal, by the goal's definition."""
+    """Whether the code witnesses the goal, by the goal's definition.
+
+    Nonzero-multi also needs ``_word_screen``'s sharing test on every
+    codeword, read off its letters once ``link_polynomial`` has validated
+    the code: a split-off component (an empty circle, or a kink that r1
+    empties) would pass a smaller link off as a bigger one."""
     if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION:
         return (link_polynomial(code).is_zero
                 and brute_force_filamentation(code) is None)
-    if not any(c != 0 for _, c in link_polynomial(code).pair_coeffs):
-        return False
-    # a component sharing no crossing is split off (an empty circle, or a
-    # kink that r1 empties), which would pass a smaller link off as a
-    # bigger one
-    shared = set()
-    for pc, _, mc, _ in validate(code).ends.values():
-        if pc != mc:
-            shared.update((pc, mc))
-    return len(shared) == len(code.components)
+    return (any(c != 0 for _, c in link_polynomial(code).pair_coeffs)
+            and all(2 * len({x.crossing for x in cw.letters}) != len(cw.letters)
+                    for cw in code.components))
 
 
 def search_examples(goal: SearchGoal | str, max_components: int,

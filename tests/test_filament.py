@@ -11,14 +11,15 @@ from flatlinks import (
     PartitionNotCovering,
     PartsOverlap,
     brute_force_filamentation,
-    greedy_zero_sum_partition,
     link_filamentation,
     link_polynomial,
     parse_flat_link,
     validate,
     verify_filamentation,
 )
+import flatlinks
 import flatlinks.filament as filament
+from flatlinks.filament import greedy_zero_sum_partition
 from helpers import (
     codes,
     letter_ends,
@@ -222,6 +223,28 @@ def test_greedy_link_filamentation_matches_brute_force(code):
     if greedy is not None:
         assert verify_filamentation(code, greedy) == []
         assert verify_filamentation(code, brute) == []
+
+
+def test_link_filamentation_is_the_one_public_name():
+    # the greedy matcher is reached through link_filamentation only
+    assert "link_filamentation" in flatlinks.__all__
+    assert "greedy_zero_sum_partition" not in flatlinks.__all__
+    assert not hasattr(flatlinks, "greedy_zero_sum_partition")
+
+
+def test_link_filamentation_calls_the_module_level_greedy(monkeypatch):
+    # the benchmark's tracer rebinds filament.greedy_zero_sum_partition by
+    # name, so link_filamentation must call it through the module global
+    code = parse_flat_link("a+ b+ a- b-")
+    calls = []
+
+    def spy(catalog):
+        calls.append(catalog)
+        return greedy_zero_sum_partition(catalog)
+
+    monkeypatch.setattr(filament, "greedy_zero_sum_partition", spy)
+    assert link_filamentation(code) == Filamentation((), (("a", "b"),))
+    assert len(calls) == 1 and calls[0].buckets == validate(code).buckets
 
 
 def test_link_filamentation_leaves_the_catalog_unchanged(monkeypatch):

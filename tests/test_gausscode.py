@@ -19,12 +19,12 @@ from flatlinks import (
     PositionOutOfRange,
     SamePosition,
     SameSignTwice,
-    greedy_zero_sum_partition,
     intersection_number,
     parse_flat_link,
     render_flat_link,
     validate,
 )
+from flatlinks.filament import greedy_zero_sum_partition
 from helpers import (
     codes,
     codes_equivalent_syntactically,

@@ -465,6 +465,32 @@ def test_key_screen_matches_is_witness_on_random_codes(code, goal):
     assert _key_screen(goal, _int_key(code)) == _is_witness(goal, code)
 
 
+@settings(deadline=None)
+@given(codes(max_crossings=8, max_components=4))
+def test_is_witness_nonzero_multi_is_its_definition(code):
+    # the sharing test read off the letters is the reference's, which
+    # reads each crossing's two ends
+    assert _is_witness(NONZERO_MULTI, code) == (
+        any(c != 0 for _, c in link_polynomial(code).pair_coeffs)
+        and every_component_shares_a_crossing(code))
+
+
+@pytest.mark.parametrize("extra, expected", [
+    ("", True),
+    (" ; D:", False),         # an empty component
+    (" ; D: k+ k-", False),   # a kink-only component
+    (" ; D: k+ j- k- j+", False),
+])
+def test_is_witness_rejects_a_split_off_component(extra, expected):
+    # the nonzero pair coefficient of the first witness survives the
+    # extra component, which shares no crossing with the others
+    code = parse_flat_link("A: c1- c2- c3+ c4+ ; B: c1+ c3- ; C: c2+ c4-" + extra)
+    assert any(c != 0 for _, c in link_polynomial(code).pair_coeffs)
+    assert every_component_shares_a_crossing(code) == expected
+    assert _is_witness(NONZERO_MULTI, code) == expected
+    assert _key_screen(NONZERO_MULTI, _int_key(code)) == expected
+
+
 def _count_calls(monkeypatch, name: str) -> list:
     # the last argument of every call to generate.<name>
     calls = []
