@@ -12,7 +12,9 @@ filamentations are both read from), and the signed arc-count primitive.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 PLUS = 1
@@ -24,6 +26,10 @@ _SIGN_CHAR = {PLUS: "+", MINUS: "-"}
 # a body whose ``str.split()`` tokens all match ``_TOKEN`` (``\s`` is the same
 # set); its three classes are disjoint, so a failed match backtracks linearly
 _BODY = re.compile(r"\s*(?:[A-Za-z0-9_]+[+-](?:\s+|\Z))*")
+# ``bytes.translate`` with these keeps only the sign bytes, as 0x01 and 0xff,
+# which an ``array("b")`` reads back as PLUS and MINUS
+_SIGN_BYTES = bytes.maketrans(b"+-", b"\x01\xff")
+_NOT_SIGN_BYTES = bytes(i for i in range(256) if i not in b"+-")
 
 
 class FlatLinkError(Exception):
@@ -217,11 +223,21 @@ def parse_flat_link(text: str) -> FlatLinkCode:
     named segment with no letters is a crossing-free component; unnamed
     blank segments are skipped, so empty input is the empty link.
 
+    One regular expression accepts each component's letters, and the
+    first token it cannot read is named in the ``MalformedToken`` error.
+    Once every component is accepted, the letters of the whole text are
+    built in bulk, with no Python call per token: a ``str.split`` of each
+    component yields its crossing names, one byte translation of the
+    text yields every sign, and each codeword takes its slice of one
+    tuple of letters.
+
     Pairing of crossings is not checked here; run ``validate`` for that.
     """
-    cleaned = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    segments: list[tuple[str | None, tuple[Letter, ...]]] = []
-    for raw in cleaned.replace("\n", ";").split(";"):
+    # comments cut; a line end separates segments as ``;`` does
+    cleaned = ";".join([line.split("#", 1)[0] for line in text.splitlines()])
+    segments: list[tuple[str | None, int]] = []  # name, end of its letters
+    names: list[str] = []
+    for raw in cleaned.split(";"):
         head, colon, body = raw.partition(":")
         name = head.strip() if colon else None
         if not colon:
@@ -230,21 +246,33 @@ def parse_flat_link(text: str) -> FlatLinkCode:
             raise MalformedToken(name)
         if not _BODY.fullmatch(body):
             raise MalformedToken(next(t for t in body.split() if not _TOKEN.match(t)))
-        letters = [_letter(t[:-1], PLUS if t[-1] == "+" else MINUS)
-                   for t in body.split()]
-        if name is None and not letters:
+        words = body.replace("+", " ").replace("-", " ").split()
+        if name is None and not words:
             continue
-        segments.append((name, tuple(letters)))
+        names += words
+        segments.append((name, len(names)))
+
+    # Every head has passed _IDENT and every body _BODY, so each + or - left
+    # in the text ends a letter, in reading order: one stream holds the
+    # signs of all the letters.  Only ASCII and whitespace are left, so the
+    # text encodes.  The slot setters return None, so any() runs every one.
+    letters = tuple(map(object.__new__, repeat(Letter, len(names))))
+    any(map(_set_crossing, letters, names))
+    signs = array("b", cleaned.encode().translate(_SIGN_BYTES, _NOT_SIGN_BYTES))
+    any(map(_set_sign, letters, signs))
 
     components = []
     used = set()
-    for i, (name, letters) in enumerate(segments):
+    start = 0
+    for i, (name, end) in enumerate(segments):
         if name is None:
             name = default_component_name(i)
         if name in used:
             raise DuplicateComponentName(name)
         used.add(name)
-        components.append(Codeword(name, letters))
+        # a one-component code's slice is the tuple itself
+        components.append(Codeword(name, letters[start:end]))
+        start = end
     return FlatLinkCode(tuple(components))
 
 

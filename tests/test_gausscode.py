@@ -75,6 +75,8 @@ def test_parse_rejects_malformed_token():
 
 
 BAD_TOKENS = ("b*", "a+-", "+", "\u00e9+", "a+b-")
+# heads that hold a sign, so the sign stream must not be read before they fail
+BAD_HEADS = ("x+:", " a-b :", "+:")
 # str.split and the parser's regex both split on these; \x1c also ends a line
 SPACES = (" ", "  ", "\t", "\u00a0", "\u2003", "\x1c")
 
@@ -82,22 +84,30 @@ SPACES = (" ", "  ", "\t", "\u00a0", "\u2003", "\x1c")
 @st.composite
 def code_texts(draw):
     """Texts of named and unnamed segments, ``;`` or newline separated,
-    with ``#`` comments and Unicode whitespace; half of them carry one
-    malformed token."""
+    with ``#`` comments (some holding signs) and Unicode whitespace.
+    Bodies run to 100 tokens; two thirds of the texts carry one
+    malformed token or one malformed head."""
     token = st.builds(str.__add__, st.sampled_from(["a", "b", "x1", "_", "C26"]),
                       st.sampled_from("+-"))
-    bodies = draw(st.lists(st.lists(token, max_size=5), max_size=4))
-    if draw(st.booleans()):
+    body = st.one_of(st.lists(token, max_size=5), st.lists(token, min_size=20, max_size=100))
+    bodies = draw(st.lists(body, max_size=4))
+    heads = [draw(st.sampled_from(["", "A:", "k: ", " B :"])) for _ in bodies]
+    fault = draw(st.sampled_from([None, "token", "head"]))
+    if fault:
         bodies = bodies or [[]]
-        body = draw(st.sampled_from(bodies))
-        body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(BAD_TOKENS)))
+        heads = heads or [""]
+        at = draw(st.integers(0, len(bodies) - 1))
+        if fault == "token":
+            bodies[at].insert(draw(st.integers(0, len(bodies[at]))),
+                              draw(st.sampled_from(BAD_TOKENS)))
+        else:
+            heads[at] = draw(st.sampled_from(BAD_HEADS))
     text = ""
-    for body in bodies:
-        words = draw(st.sampled_from(["", "A:", "k: ", " B :"])).split() + body
-        for word in words:
+    for head, body in zip(heads, bodies):
+        for word in head.split() + body:
             text += word + draw(st.sampled_from(SPACES))
         if draw(st.booleans()):
-            text += "# c* ; d:"
+            text += draw(st.sampled_from(["# c* ; d:", "# x+ y- ; d:", "#-+"]))
         text += draw(st.sampled_from([";", "\n", " ; "]))
     return text
 
@@ -118,6 +128,21 @@ def test_parse_equals_reference_parse(text):
         for cw in got.components:
             for l in cw.letters:
                 assert type(l) is Letter and Letter(l.crossing, l.sign) == l
+                assert l.sign is PLUS or l.sign is MINUS
+                assert type(l.crossing) is str
+
+
+def test_parse_lone_surrogate_is_a_malformed_token():
+    # the signs are read from the text as bytes; a lone surrogate, which
+    # UTF-8 does not encode, is named like any other bad token, not raised
+    # as a UnicodeEncodeError
+    for text, bad in (("a+ \ud800- a-", "\ud800-"), ("\ud800: a+ a-", "\ud800"),
+                      ("A: a+ ; \udfff", "\udfff")):
+        with pytest.raises(MalformedToken) as exc:
+            parse_flat_link(text)
+        assert exc.value.token == bad
+    # in a comment it is cut with the comment
+    assert parse_flat_link("a+ a- # \ud800-") == reference_parse("a+ a-")
 
 
 def test_parse_long_malformed_body_fails_at_once():
