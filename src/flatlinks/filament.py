@@ -81,12 +81,9 @@ class FilamentViolation:
 
 
 def _part_fault(code: FlatLinkCode, catalog: CrossingCatalog,
-                part: tuple[str, ...], size: int | None = None) -> str | None:
+                part: tuple[str, ...]) -> str | None:
     """Why ``part`` is not a monofilament (one id) or a bifilament (two),
-    or None when it is one.  The verifier passes the ``size`` of the kind
-    claimed; a claimed monofilament is always one id."""
-    if size and len(part) != size:
-        return f"bifilament holds {len(part)} crossing(s), expected 2"
+    or None when it is one."""
     if len(part) == 1:
         pc, pp, mc, mp = catalog.ends[part[0]]
         if pc != mc:
@@ -125,9 +122,13 @@ def verify_filamentation(code: FlatLinkCode, f: Filamentation) -> list[FilamentV
     if all_ids - seen:
         missing = sorted(all_ids - seen)
         raise PartitionNotCovering(f"crossings not covered: {', '.join(missing)}")
-    claims = [((x,), 1) for x in f.monofilaments] + [(p, 2) for p in f.bifilaments]
-    return [FilamentViolation(part, fault) for part, size in claims
-            if (fault := _part_fault(code, catalog, part, size)) is not None]
+    # a claimed bifilament of one id would pass as a monofilament
+    faults = [((x,), _part_fault(code, catalog, (x,))) for x in f.monofilaments]
+    faults += [(p, _part_fault(code, catalog, p) if len(p) == 2 else
+                f"bifilament holds {len(p)} crossing(s), expected 2")
+               for p in f.bifilaments]
+    return [FilamentViolation(part, fault) for part, fault in faults
+            if fault is not None]
 
 
 def greedy_zero_sum_partition(catalog: CrossingCatalog) -> Filamentation | None:
@@ -136,12 +137,10 @@ def greedy_zero_sum_partition(catalog: CrossingCatalog) -> Filamentation | None:
     Only when every index bucket balances are its two sides sorted by
     position on the lower-numbered component (a self-crossing by its +
     end) and paired in that order.  A nonzero sign total unbalances some
-    bucket, and is tested first because it is cheaper.  Not exported:
+    pair bucket, so the balance test also returns None then.  Not exported:
     ``link_filamentation`` is the public route, and calls this through the
     module global because ``perfbench/tracer.py`` rebinds it by name.
     """
-    if any(catalog.totals):
-        return None
     buckets = catalog.buckets
     # a component's index-0 bucket, its monofilaments, need not balance
     if not all(len(plus) == len(minus) or (a == b and not v)

@@ -1,17 +1,27 @@
+"""The command line, run in-process through ``cli.run``.
+
+``ANSWERS`` is the one statement of what each command answers.  The
+module imports whichever ``flatlinks`` is on the path, so the same table
+checks the source tree and an installed copy.
+"""
+
 import gc
 import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flatlinks
 from flatlinks import (
     KINDS,
     GenSpec,
@@ -35,8 +45,6 @@ from flatlinks.cli import (
 )
 from helpers import codes
 
-GOLDEN_LINK = "x+ a+ y- a- ; y+ x-"
-
 
 def run_cli(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
@@ -50,51 +58,339 @@ def run_json(argv, stdin=""):
     return json.loads(out)
 
 
-def test_validate_ok():
-    code, out, err = run_cli(["validate"], "a+ b+ a- c- b- c+")
-    assert code == 0
-    assert "ok" in out and "3 crossing(s)" in out
-    assert err == ""
+class Sha256(str):
+    """The hex sha256 of an answer too long to spell out."""
 
 
-def test_validate_json():
-    payload = run_json(["validate"], GOLDEN_LINK)
-    assert payload == {"ok": True, "components": 2, "crossings": 3}
+class Answer(NamedTuple):
+    """A command line and all it answers.
+
+    ``argv`` is split as a shell splits it.  ``stdout`` is the whole
+    output: its text, the payload of a JSON answer, or its Sha256.  An
+    answer (exit 0) writes nothing to stderr; a failure writes one line
+    holding ``stderr``.
+    """
+
+    argv: str
+    stdin: str = ""
+    exit: int = 0
+    stdout: str | dict | Sha256 = ""
+    stderr: str = ""
 
 
-def test_validate_bad_code_exits_2_and_names_crossing():
-    code, out, err = run_cli(["validate"], "a+ b+ a-")
-    assert code == 2
-    assert "b" in err
+GOLDEN_LINK = "x+ a+ y- a- ; y+ x-"
+NAMED_GOLDEN_LINK = "A: x+ a+ y- a- ; B: y+ x-"
+README_KNOT = "a+ b+ a- c- b- c+"
+# A's sign total is +1, so no pair coefficient is published
+UNBALANCED_LINK = "A: x+ y- z+ ; B: y+ x- ; C: z-"
+LINKED = "A: x+ y+ ; B: x- y-"
+# the first nonzero-multi-component witness; its pair coefficients are
+# read off the index buckets, one of each sign
+MULTI_WITNESS = "c1- c2- c3+ c4+ ; c1+ c3- ; c2+ c4-"
+ZERO_POLY_WITNESS = "c1- c2- c3+ c4+ ; c1+ c2+ c4- c3-"
+# one site of each listed kind
+MOVES_CODE = "A: x+ y- k+ k- e+ f- ; B: y+ z- f+ e- ; C: z+ x-"
+
+NO_FILAMENTATION = {"exists": False}
 
 
-@pytest.mark.parametrize("text", ["a+ b+", "a+ a+"])
-def test_moves_walk_bad_code_exits_2_and_names_crossing(text):
+def pairs(key, *values):
+    return [{"a": a, "b": b, key: v} for (a, b), v in zip(
+        [("A", "B"), ("A", "C"), ("B", "C")], values)]
+
+
+def empty_polys(names):
+    return [{"name": name, "poly": {}} for name in names]
+
+
+ANSWERS = [
+    # validate
+    Answer("validate", README_KNOT, 0, "ok: 1 component(s), 3 crossing(s)\n"),
+    Answer("validate", GOLDEN_LINK, 0, "ok: 2 component(s), 3 crossing(s)\n"),
+    Answer("validate --format json", GOLDEN_LINK, 0,
+           {"ok": True, "components": 2, "crossings": 3}),
+    Answer("validate", UNBALANCED_LINK, 0, "ok: 3 component(s), 3 crossing(s)\n"),
+    Answer("validate --format json", UNBALANCED_LINK, 0,
+           {"ok": True, "components": 3, "crossings": 3}),
+    Answer("validate --format json", "a+ a-", 0, Sha256(
+        "1c4d7931620d60af3d5a96d6f35079613a6d0db0ec74cc8d6ecbddfeda5e0642")),
+    Answer("validate", "a+ b+ a-", 2, "", "crossing 'b' appears only once"),
+    Answer("validate", "a+ b* a-", 2, "", "cannot read 'b*'"),
+    Answer("invariant", "a+ b* a-", 2, "", "cannot read 'b*'"),
+    # several faults: the first crossing, by its first letter, that appears
+    # once or more than twice is named, before any sign
+    Answer("validate", "a+ b+ a+ a-", 2, "", "crossing 'a' appears 3 times"),
+    Answer("validate", "b+ a+ a+ a-", 2, "", "crossing 'b' appears only once"),
+    # sys.stdin under a C or POSIX locale hands a stray byte on as a surrogate
+    Answer("validate", "a+ \udcff a-", 2, "",
+           "error: input is not UTF-8: byte 0xff at offset 3\n"),
+    Answer("validate", "a+ a- # \udcff\n", 2, "",
+           "error: input is not UTF-8: byte 0xff at offset 8\n"),
+    Answer("validate", "a+ \ud800 a-", 2, "",
+           "error: cannot read '\\ud800' at offset 3\n"),
+
+    # invariant
+    Answer("invariant", README_KNOT, 0, "poly A: 2t - 2t^2\n"),
+    *(Answer("invariant", code, 0,
+             "poly A: -t\n"
+             "poly B: 0\n"
+             "linking A,B: 0 (flat linking number 0)\n"
+             "coeff A,B: 1\n") for code in (GOLDEN_LINK, NAMED_GOLDEN_LINK)),
+    Answer("invariant --format json", GOLDEN_LINK, 0,
+           {"components": [{"name": "A", "poly": {"1": -1}},
+                           {"name": "B", "poly": {}}],
+            "linking": pairs("diff", 0), "pairs": pairs("coeff", 1)}),
+    Answer("invariant", LINKED, 0,
+           "poly A: 0\n"
+           "poly B: 0\n"
+           "linking A,B: 2 (flat linking number 1)\n"
+           "coeff A,B: undefined (nonzero linking)\n"),
+    Answer("invariant", UNBALANCED_LINK, 0,
+           "poly A: 0\n"
+           "poly B: 0\n"
+           "poly C: 0\n"
+           "linking A,B: 0 (flat linking number 0)\n"
+           "coeff A,B: undefined (nonzero sign total)\n"
+           "linking A,C: 1 (flat linking number 0.5)\n"
+           "coeff A,C: undefined (nonzero linking)\n"
+           "linking B,C: 0 (flat linking number 0)\n"
+           "coeff B,C: undefined (nonzero sign total)\n"),
+    Answer("invariant --format json", UNBALANCED_LINK, 0,
+           {"components": empty_polys("ABC"), "linking": pairs("diff", 0, 1, 0),
+            "pairs": []}),
+    Answer("invariant", MULTI_WITNESS, 0,
+           "poly A: 0\n"
+           "poly B: 0\n"
+           "poly C: 0\n"
+           "linking A,B: 0 (flat linking number 0)\n"
+           "coeff A,B: 1\n"
+           "linking A,C: 0 (flat linking number 0)\n"
+           "coeff A,C: -1\n"
+           "linking B,C: 0 (flat linking number 0)\n"
+           "coeff B,C: 0\n"),
+    Answer("invariant --format json", MULTI_WITNESS, 0, Sha256(
+        "9f423c3ec794096e1738cf970c10c392c4236c1a6f0aac3cc889a18ddd545b2d")),
+
+    # linking
+    Answer("linking", GOLDEN_LINK, 0, "linking A,B: 0 (flat linking number 0)\n"),
+    Answer("linking --format json", GOLDEN_LINK, 0, {"linking": pairs("diff", 0)}),
+    Answer("linking --format json", LINKED, 0, {"linking": pairs("diff", 2)}),
+    Answer("linking", UNBALANCED_LINK, 0,
+           "linking A,B: 0 (flat linking number 0)\n"
+           "linking A,C: 1 (flat linking number 0.5)\n"
+           "linking B,C: 0 (flat linking number 0)\n"),
+    Answer("linking --format json", UNBALANCED_LINK, 0,
+           {"linking": pairs("diff", 0, 1, 0)}),
+
+    # filament and oracle: "no filamentation" is an answer, exit 0
+    *(Answer(f"{command} --format json", "a+ b+ a- b-", 0,
+             {"mono": [], "bi": [["a", "b"]]}) for command in ("filament", "oracle")),
+    Answer("filament", "a+ b+ a- b-", 0, "mono:\nbi: a,b\n"),
+    # each bucket pairs by + end position; pairing by first occurrence
+    # would print "bi: c1,c3 c2,c4" here
+    Answer("filament", "c1- c2- c1+ c3- c4- c2+ c4+ c3+", 0, "mono:\nbi: c1,c4 c2,c3\n"),
+    *(Answer(command, code, 0, "no filamentation\n")
+      for command in ("filament", "oracle")
+      for code in (GOLDEN_LINK, NAMED_GOLDEN_LINK, UNBALANCED_LINK)),
+    *(Answer(f"{command} --format json", code, 0, NO_FILAMENTATION)
+      for command in ("filament", "oracle") for code in (GOLDEN_LINK, UNBALANCED_LINK)),
+    # every sign total is zero, yet every pair is linked
+    Answer("filament", "A: x+ z- ; B: x- y+ ; C: y- z+", 0, "no filamentation\n"),
+
+    # moves list: no insertion sites unless asked, and they cannot be
+    Answer("moves list", "a+ a-", 0, "r1_remove A 0 a\n"),
+    Answer("moves list --kinds r1_remove", "a+ a-", 0, "r1_remove A 0 a\n"),
+    # the argv the benchmark passes
+    Answer("moves list --kinds r1_remove,r2_remove,r3 --format json", "a+ a-", 0,
+           {"sites": ["r1_remove A 0 a"]}),
+    Answer("moves list --kinds r1_remove,r2_remove --format json",
+           "a+ e+ f- a- f+ e-", 0, {"sites": ["r2_remove A,A 1,4 e,f"]}),
+    Answer("moves list", GOLDEN_LINK, 0, ""),
+    Answer("moves list --format json", GOLDEN_LINK, 0, {"sites": []}),
+    Answer("moves list", UNBALANCED_LINK, 0, "r2_remove A,B 0,0 x,y\n"),
+    Answer("moves list --format json", UNBALANCED_LINK, 0,
+           {"sites": ["r2_remove A,B 0,0 x,y"]}),
+    Answer("moves list", MOVES_CODE, 0,
+           "r1_remove A 2 k\nr2_remove A,B 4,2 e,f\nr3 A,B,C 0,0,0 x,y,z\n"),
+    Answer("moves list --format json", MOVES_CODE, 0, Sha256(
+        "5480a7bdc0299799f558fe04b9b70914d3b8d26562d30b219b5360564f2a6440")),
+    Answer("moves list --kinds bogus", "a+ a-", 1, "", "unknown move kind 'bogus'"),
+    *(Answer(f"moves list --kinds {kind}", "a+ a-", 1, "",
+             f"insertion kind '{kind}' is not listed")
+      for kind in ("r1_insert", "r2_insert")),
+    # an empty field names no kind; it is not skipped
+    *(Answer(f"moves list --kinds '{kinds}'", "a+ a-", 1, "",
+             "usage error: unknown move kind ''\n")
+      for kinds in ("", ",,", "r1_remove,,r3")),
+
+    # moves apply: every site MOVES_CODE lists applies to it
+    Answer("moves apply 'r1_remove A 2 k'", MOVES_CODE, 0,
+           "x+ y- e+ f- ; y+ z- f+ e- ; z+ x-\n"),
+    Answer("moves apply 'r2_remove A,B 4,2 e,f'", MOVES_CODE, 0,
+           "x+ y- k+ k- ; y+ z- ; z+ x-\n"),
+    Answer("moves apply 'r3 A,B,C 0,0,0 x,y,z'", MOVES_CODE, 0,
+           "y- x+ k+ k- e+ f- ; z- y+ f+ e- ; x- z+\n"),
+    Answer("moves apply 'r1_insert A 1 - +-' 'r1_remove A 1 _1'", "a+ a-", 0, "a+ a-\n"),
+    Answer("moves apply 'r1_remove A 0 b'", "a+ a-", 2, "",
+           "site names crossings b but the spots hold a"),
+    Answer("moves apply 'r2_insert A,A 0,0 - + xy'", "a+ a-", 2, "",
+           "r2_insert variant token 'xy' must be ef or fe"),
+
+    # moves walk: the bytes of a 200-step walk and of the README walk, so a
+    # walk draws, logs and picks ids exactly as before
+    Answer("moves walk --steps 200 --seed 7 --format json", MOVES_CODE, 0, Sha256(
+        "34ef2014430b617a691109aef3ac67fd5e970f14f39488375ce48e5abfb8cb17")),
+    Answer("moves walk --steps 30 --seed 7", README_KNOT, 0, Sha256(
+        "bdcee93d503aaa745acace42e2b84b52cbc2a4a3ac23cb1bc14a190d8cd6149d")),
     # random_walk validates its start code, so the command checks it once
-    code, out, err = run_cli(["moves", "walk", "--steps", "5", "--seed", "1"], text)
-    assert (code, out) == (2, "")
-    assert "'a'" in err and "Traceback" not in err
+    Answer("moves walk --steps 5 --seed 1", "a+ b+", 2, "",
+           "crossing 'a' appears only once"),
+    Answer("moves walk --steps 5 --seed 1", "a+ a+", 2, "",
+           "both letters of crossing 'a' carry the same sign"),
+    # a usage error, found before the code is read, so an invalid code
+    # exits 1 here too and not 2
+    *(Answer("moves walk --steps -3 --seed 0", code, 1, "",
+             "argument --steps: invalid number value: '-3'")
+      for code in ("a+ a-", "a+ b+")),
+    Answer("moves walk --steps 3", "a+ a-", 1, "", "required: --seed"),
+    # int() reads each of these
+    Answer("moves walk --steps 1_0 --seed ٣", "a+ a-", 1, "",
+           "usage error: argument --steps: invalid number value: '1_0'\n"),
+
+    # enumerate: the bound came from a flag, so a bad one is an argv problem
+    Answer("enumerate --crossings 1 --components 1", "", 0, "c1- c1+\n"),
+    Answer("enumerate --crossings 2 --components 1 --format json", "", 0,
+           {"count": 4, "codes": ["c1- c1+ c2- c2+", "c1- c1+ c2+ c2-",
+                                  "c1- c2- c1+ c2+", "c1- c2+ c2- c1+"]}),
+    # the one empty key of no crossings on no components
+    Answer("enumerate --crossings 0 --components 0 --format json", "", 0,
+           {"count": 1, "codes": [""]}),
+    # Burnside counts 3,028, 55,540 (the cap shape) and 7,344, and the text
+    # of the 23,244 classes of (5, 2)
+    Answer("enumerate --crossings 5 --components 1 --format json", "", 0, Sha256(
+        "12699af81b5756c745c0447a4359f5859387e6fbaf878146b27e61199c32d559")),
+    Answer("enumerate --crossings 6 --components 1 --format json", "", 0, Sha256(
+        "30981b319e151a92a631b1eacc099ff502e0d999c9901d280b401d1583277094")),
+    Answer("enumerate --crossings 4 --components 3 --format json", "", 0, Sha256(
+        "7e77966bf0ca77e510279959461441edb3e7e02b061c65563ad966b34f7b1f43")),
+    Answer("enumerate --crossings 5 --components 2", "", 0, Sha256(
+        "8ea96dee7f7e76c79b749010a3bd533c5cb8911fe1d6d5b702f027a092845bc9")),
+    Answer("enumerate --crossings 9 --components 1", "", 1, "",
+           "9 crossings exceeds the enumeration cap of 6"),
+    Answer("enumerate --crossings 0 --components 3000", "", 1, "",
+           "3000 components exceeds the cap of 12"),
+    # inside both caps, but the class bound refuses each at once
+    *(Answer(f"enumerate --crossings {n} --components 12", "", 1, "",
+             f"{n} crossings on 12 components exceeds the enumeration bound")
+      for n in (4, 6)),
+    Answer("enumerate --crossings 1 --components 1 --cap 7", "", 1, "",
+           "unrecognized arguments: --cap 7"),
+    Answer("enumerate --crossings ２ --components 1", "", 1, "",
+           "usage error: argument --crossings: invalid number value: '２'\n"),
+
+    # search: the benchmark's flags, and its witness, the first one in
+    # canonical order, so a screen or a prune that skipped an earlier one
+    # fails here; it has a zero polynomial, and neither route finds a
+    # filamentation
+    Answer("search zero-poly-no-filamentation --limits 2,8 --seed 3 --jobs 1", "", 0,
+           f"witness: {ZERO_POLY_WITNESS}\n"
+           "poly A: 0\n"
+           "poly B: 0\n"
+           "linking A,B: 0 (flat linking number 0)\n"
+           "coeff A,B: 0\n"
+           "filamentation: none\n"
+           "oracle: none\n"),
+    Answer("search zero-poly-no-filamentation --limits 2,4 --seed 3 --jobs 1 "
+           "--format json", "", 0,
+           {"goal": "zero-poly-no-filamentation", "witness": ZERO_POLY_WITNESS,
+            "invariant": {"components": empty_polys("AB"),
+                          "linking": pairs("diff", 0),
+                          "pairs": pairs("coeff", 0)},
+            "filamentation": NO_FILAMENTATION, "oracle": NO_FILAMENTATION}),
+    Answer("search zero-poly-no-filamentation --limits 2,8 --format json", "", 0, Sha256(
+        "e1ea0defa7b06e766f3978a3f25a88cd02872a13215e4f40f49fe5c9f6133791")),
+    Answer("search nonzero-multi-component", "", 0,
+           f"witness: {MULTI_WITNESS}\n"
+           "poly A: 0\n"
+           "poly B: 0\n"
+           "poly C: 0\n"
+           "linking A,B: 0 (flat linking number 0)\n"
+           "coeff A,B: 1\n"
+           "linking A,C: 0 (flat linking number 0)\n"
+           "coeff A,C: -1\n"
+           "linking B,C: 0 (flat linking number 0)\n"
+           "coeff B,C: 0\n"
+           "filamentation: none\n"
+           "oracle: none\n"),
+    Answer("search nonzero-multi-component --format json", "", 0,
+           {"goal": "nonzero-multi-component", "witness": MULTI_WITNESS,
+            "invariant": {"components": empty_polys("ABC"),
+                          "linking": pairs("diff", 0, 0, 0),
+                          "pairs": pairs("coeff", 1, -1, 0)},
+            "filamentation": NO_FILAMENTATION, "oracle": NO_FILAMENTATION}),
+    # no witness within the limits is an answer, exit 0; up to 12
+    # components and 3 crossings neither goal has one
+    Answer("search zero-poly-no-filamentation --limits 2,3", "", 0,
+           "no witness within limits\n"),
+    *(Answer(f"search {goal} --limits {limits} --format json", "", 0,
+             {"goal": goal, "witness": None})
+      for goal, limits in [("zero-poly-no-filamentation", "2,3"),
+                           ("zero-poly-no-filamentation", "12,3"),
+                           ("nonzero-multi-component", "12,3")]),
+    # --limits takes two fields of ASCII digits; an empty value is given,
+    # not absent, so it does not fall back to the default
+    *(Answer(f"search zero-poly-no-filamentation --limits '{limits}'", "", 1, "",
+             "usage error: --limits takes COMPS,CROSSINGS\n")
+      for limits in ("", "2", "2,3,10", "2,4,10", "2,3,4,5")),
+    Answer("search nonzero-multi-component --limits ''", "", 1, "",
+           "usage error: --limits takes COMPS,CROSSINGS\n"),
+    # int() would read each of these, and 1_3 as 13, over the cap; the =
+    # form, because argparse reads "--limits -1,3" as a missing argument
+    *(Answer(f"search {goal} {flag}", "", 1, "", f"usage error: unreadable {flag}\n")
+      for goal, flag in [("zero-poly-no-filamentation", "--limits 'a,b'"),
+                         ("zero-poly-no-filamentation", "--limits '+2,٤'"),
+                         ("nonzero-multi-component", "--limits '1_3,0'")]),
+    Answer("search nonzero-multi-component --limits=2,-1", "", 1, "",
+           "usage error: unreadable --limits '2,-1'\n"),
+    Answer("search nonzero-multi-component --limits 3000,0", "", 1, "",
+           "usage error: 3000 components exceeds the cap of 12\n"),
+    Answer("search zero-poly-no-filamentation --limits 2,13", "", 1, "",
+           "search beyond 12 crossings cannot be oracle-verified"),
+    Answer("search zero-poly-no-filamentation --jobs 0", "", 1, "", "argument --jobs"),
+    Answer("search shortest-proof", "", 1, "", "invalid choice: 'shortest-proof'"),
+    Answer("no-such-command", "", 1, "",
+           "usage error: argument command: invalid choice: 'no-such-command'"),
+]
 
 
-def test_malformed_token_exits_2_and_names_token():
-    code, _, err = run_cli(["invariant"], "a+ b* a-")
-    assert code == 2
-    assert "b*" in err
-
-
-def test_usage_error_exits_1():
-    code, _, err = run_cli(["no-such-command"])
-    assert code == 1
-    assert "usage error" in err
-    code, _, err = run_cli(["moves", "walk", "--steps", "3"], "a+ a-")
-    assert code == 1
-    assert "--seed" in err
+@pytest.mark.parametrize("answer", ANSWERS, ids=lambda a: " < ".join(
+    filter(None, (a.argv, a.stdin))))
+def test_answer(answer):
+    argv = shlex.split(answer.argv)
+    code, out, err = run_cli(argv, answer.stdin)
+    if isinstance(answer.stdout, Sha256):
+        out = hashlib.sha256(out.encode()).hexdigest()
+    expected = answer.stdout
+    if isinstance(expected, dict):
+        expected = json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert (code, out) == (answer.exit, expected)
+    if code:
+        # one line, so no traceback
+        assert answer.stderr in err and err.count("\n") == 1, err
+    else:
+        assert err == ""
+        # --format only chooses how the one answer is printed; text is the default
+        if "--format" not in argv:
+            assert run_cli([*argv, "--format", "text"], answer.stdin) == \
+                run_cli(argv, answer.stdin)
 
 
 def test_help_exits_0():
     code, out, err = run_cli(["--help"])
     assert code == 0
     assert out.startswith("usage: flatlinks") and err == ""
+    code, out, _ = run_cli(["moves", "walk", "--help"])
+    assert code == 0 and out.startswith("usage: flatlinks moves walk")
     # moves apply takes no code file, and says where its code comes from
     code, out, _ = run_cli(["moves", "apply", "--help"])
     assert code == 0 and "[input]" not in out and "read from stdin" in out
@@ -234,19 +530,6 @@ def test_non_utf8_input_exits_2_naming_the_byte(tmp_path, source):
     assert "0xff" in err.getvalue() and "offset 3" in err.getvalue()
 
 
-@pytest.mark.parametrize("text,message", [
-    ("a+ \udcff a-", "input is not UTF-8: byte 0xff at offset 3"),
-    ("a+ a- # \udcff\n", "input is not UTF-8: byte 0xff at offset 8"),
-    ("a+ \ud800 a-", "cannot read '\\ud800' at offset 3"),
-])
-def test_escaped_stdin_byte_exits_2_naming_the_byte(text, message):
-    # sys.stdin under a C or POSIX locale hands a stray byte on as a surrogate
-    out, err = io.StringIO(), io.StringIO()
-    assert run(["validate"], stdin=io.StringIO(text), stdout=out, stderr=err) == 2
-    assert out.getvalue() == ""
-    assert err.getvalue() == f"error: {message}\n"
-
-
 def test_flat_linking_number_is_exact():
     lines = []
     for diff in (200001, -200001, 0, 1, -1, 2, -3, 2000000):
@@ -264,31 +547,6 @@ def test_flat_linking_number_is_exact():
     ]
 
 
-def test_invariant_text():
-    code, out, _ = run_cli(["invariant"], "a+ b+ a- c- b- c+")
-    assert code == 0
-    assert "poly A: 2t - 2t^2" in out
-
-
-def test_invariant_json_golden():
-    payload = run_json(["invariant"], GOLDEN_LINK)
-    assert payload["pairs"] == [{"a": "A", "b": "B", "coeff": 1}]
-    assert payload["components"][0] == {"name": "A", "poly": {"1": -1}}
-    assert payload["linking"] == [{"a": "A", "b": "B", "diff": 0}]
-
-
-def test_invariant_text_reports_undefined_coeff():
-    code, out, _ = run_cli(["invariant"], "A: x+ y+ ; B: x- y-")
-    assert code == 0
-    assert "linking A,B: 2 (flat linking number 1)" in out
-    assert "coeff A,B: undefined (nonzero linking)" in out
-    # unlinked pair, but A's sign total is +1
-    code, out, _ = run_cli(["invariant"], "A: x+ y- z+ ; B: y+ x- ; C: z-")
-    assert code == 0
-    assert "linking A,B: 0 (flat linking number 0)" in out
-    assert "coeff A,B: undefined (nonzero sign total)" in out
-
-
 def test_invariant_text_takes_linear_time_in_the_pairs():
     # 200 crossing-free components: a poly line each, and a linking line
     # and a coeff line for each of the 19,900 pairs
@@ -299,58 +557,6 @@ def test_invariant_text_takes_linear_time_in_the_pairs():
     assert code == 0
     assert len(out.splitlines()) == 40000
     assert elapsed < 2, elapsed
-
-
-def test_linking():
-    payload = run_json(["linking"], "A: x+ y+ ; B: x- y-")
-    assert payload == {"linking": [{"a": "A", "b": "B", "diff": 2}]}
-    code, out, _ = run_cli(["linking"], GOLDEN_LINK)
-    assert code == 0 and "linking A,B: 0" in out
-
-
-def test_filament_found():
-    payload = run_json(["filament"], "a+ b+ a- b-")
-    assert payload == {"mono": [], "bi": [["a", "b"]]}
-    code, out, _ = run_cli(["filament"], "a+ b+ a- b-")
-    assert code == 0 and "bi: a,b" in out
-
-
-def test_filament_pairs_in_plus_end_order():
-    # each bucket pairs by + end position; pairing by first occurrence
-    # would print "bi: c1,c3 c2,c4" here
-    code, out, _ = run_cli(["filament"], "c1- c2- c1+ c3- c4- c2+ c4+ c3+")
-    assert code == 0
-    assert out == "mono:\nbi: c1,c4 c2,c3\n"
-
-
-def test_filament_none_is_an_answer():
-    code, out, _ = run_cli(["filament"], GOLDEN_LINK)
-    assert code == 0
-    assert "no filamentation" in out
-    payload = run_json(["filament"], GOLDEN_LINK)
-    assert payload == {"exists": False}
-
-
-def test_oracle_agrees_on_golden_cases():
-    assert run_json(["oracle"], "a+ b+ a- b-") == {"mono": [], "bi": [["a", "b"]]}
-    assert run_json(["oracle"], GOLDEN_LINK) == {"exists": False}
-
-
-def test_moves_list_kinds_filter():
-    code, out, _ = run_cli(["moves", "list", "--kinds", "r1_remove"], "a+ a-")
-    assert code == 0
-    assert out.splitlines() == ["r1_remove A 0 a"]
-    payload = run_json(["moves", "list", "--kinds", "r1_remove,r2_remove"],
-                       "a+ e+ f- a- f+ e-")
-    assert payload == {"sites": ["r2_remove A,A 1,4 e,f"]}
-    for kind in ("bogus", "r1_insert", "r2_insert"):
-        code, out, err = run_cli(["moves", "list", "--kinds", kind], "a+ a-")
-        assert code == 1 and out == ""
-        assert kind in err
-    # an empty field names no kind; it is not skipped
-    for kinds in ("", ",,", "r1_remove,,r3"):
-        assert run_cli(["moves", "list", "--kinds", kinds], "a+ a-") == (
-            1, "", "usage error: unknown move kind ''\n"), kinds
 
 
 def test_moves_list_default_lists_no_insertion_sites():
@@ -368,27 +574,13 @@ def test_moves_list_default_lists_no_insertion_sites():
     assert code == 0 and out.splitlines() == ["r1_remove A 0 _1"]
 
 
-def test_moves_apply():
-    code, out, _ = run_cli(
-        ["moves", "apply", "r1_insert A 1 - +-", "r1_remove A 1 _1"],
-        "a+ a-")
-    assert code == 0
-    assert out.strip() == "a+ a-"
-
-
-def test_moves_apply_stale_exits_2():
-    code, _, err = run_cli(["moves", "apply", "r1_remove A 0 b"], "a+ a-")
-    assert code == 2
-    assert "b" in err
-
-
 def test_moves_walk_text_output_is_pipeable():
-    code, out, _ = run_cli(["moves", "walk", "--steps", "7", "--seed", "11"],
-                           "a+ b+ a- c- b- c+")
+    # the README's pipeline: the walked code reads back with the start
+    # code's invariant
+    code, walked, _ = run_cli(["moves", "walk", "--steps", "30", "--seed", "7"],
+                              README_KNOT)
     assert code == 0
-    walked = parse_flat_link(out)
-    original = parse_flat_link("a+ b+ a- c- b- c+")
-    assert link_polynomial(walked) == link_polynomial(original)
+    assert run_cli(["invariant"], walked) == (0, "poly A: 2t - 2t^2\n", "")
 
 
 def test_moves_walk_json_log_replays():
@@ -397,30 +589,6 @@ def test_moves_walk_json_log_replays():
     code, out, _ = run_cli(["moves", "apply", *payload["log"]], "a+ a-")
     assert code == 0
     assert out.strip() == payload["code"]
-
-
-def test_moves_walk_rejects_negative_steps():
-    # a usage error, found before the code is read, so an invalid code
-    # exits 1 here too and not 2
-    for text in ("a+ a-", "a+ b+"):
-        code, out, err = run_cli(["moves", "walk", "--steps", "-3", "--seed", "0"],
-                                 text)
-        assert code == 1, text
-        assert out == ""
-        assert "--steps" in err
-
-
-def test_enumerate():
-    code, out, _ = run_cli(["enumerate", "--crossings", "1", "--components", "1"])
-    assert code == 0
-    assert out.splitlines() == ["c1- c1+"]
-    payload = run_json(["enumerate", "--crossings", "2", "--components", "1"])
-    assert payload["count"] == 4
-    assert len(payload["codes"]) == 4
-    # the bad bound came from a flag, so it is an argv problem
-    code, _, err = run_cli(["enumerate", "--crossings", "9", "--components", "1"])
-    assert code == 1
-    assert "cap" in err
 
 
 @pytest.mark.parametrize("crossings,components", [
@@ -434,18 +602,6 @@ def test_enumerate_prints_the_library_classes(crossings, components):
     assert code == 0, err
     assert out.splitlines() == expected
     assert run_json(argv) == {"count": len(expected), "codes": expected}
-
-
-@pytest.mark.parametrize("argv,digest,lines", [
-    (["enumerate", "--crossings", "4", "--components", "3", "--format", "json"],
-     "7e77966bf0ca77e510279959461441edb3e7e02b061c65563ad966b34f7b1f43", 7349),
-    (["enumerate", "--crossings", "5", "--components", "2"],
-     "8ea96dee7f7e76c79b749010a3bd533c5cb8911fe1d6d5b702f027a092845bc9", 23244)])
-def test_enumerate_output_bytes_frozen(argv, digest, lines):
-    code, out, err = run_cli(argv)
-    assert code == 0, err
-    assert out.count("\n") == lines
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_builds_no_code_per_class(monkeypatch):
@@ -472,45 +628,6 @@ def test_search_zero_poly_json_report():
     assert all(entry["poly"] == {} for entry in inv["components"])
 
 
-def test_search_nonzero_multi_component_text():
-    code, out, _ = run_cli(["search", "nonzero-multi-component"])
-    assert code == 0
-    assert "witness:" in out
-    assert "filamentation: none" in out
-
-
-def test_search_none_within_limits_is_exit_0():
-    code, out, _ = run_cli(["search", "zero-poly-no-filamentation",
-                            "--limits", "2,3"])
-    assert code == 0
-    assert "no witness" in out
-    payload = run_json(["search", "zero-poly-no-filamentation",
-                        "--limits", "2,3"])
-    assert payload == {"goal": "zero-poly-no-filamentation", "witness": None}
-
-
-def test_search_rejects_bad_limits():
-    for limits in ("", "2", "a,b", "2,3,10", "2,3,4,5"):
-        code, _, err = run_cli(["search", "zero-poly-no-filamentation",
-                                "--limits", limits])
-        assert code == 1, limits
-    # an empty value is given, not absent: it does not fall back to the default
-    assert run_cli(["search", "nonzero-multi-component", "--limits", ""]) == (
-        1, "", "usage error: --limits takes COMPS,CROSSINGS\n")
-    # the = form: argparse reads "--limits -1,3" as a missing argument
-    assert run_cli(["search", "nonzero-multi-component", "--limits=2,-1"]) == (
-        1, "", "usage error: unreadable --limits '2,-1'\n")
-    assert run_cli(["search", "nonzero-multi-component", "--limits", "3000,0"]) == (
-        1, "", "usage error: 3000 components exceeds the cap of 12\n")
-    code, _, err = run_cli(["search", "zero-poly-no-filamentation",
-                            "--jobs", "0"])
-    assert code == 1
-    code, _, err = run_cli(["search", "zero-poly-no-filamentation",
-                            "--limits", "2,13"])
-    assert code == 1
-    assert "12" in err
-
-
 NUMBER_FLAGS = {
     "--steps": lambda v: ["moves", "walk", "--steps", v, "--seed", "0"],
     "--seed": lambda v: ["moves", "walk", "--steps", "1", "--seed", v],
@@ -528,21 +645,6 @@ def test_number_flags_take_only_ascii_digits(flag, value):
         1, "", f"usage error: argument {flag}: invalid number value: {value!r}\n")
 
 
-def test_int_spellings_are_usage_errors():
-    # each of these ran, or read 1_3 as 13, while flags were read with int()
-    for argv, message in [
-        (["enumerate", "--crossings", "\uff12", "--components", "1"],
-         "argument --crossings: invalid number value: '\uff12'"),
-        (["moves", "walk", "--steps", "1_0", "--seed", "\u0663"],
-         "argument --steps: invalid number value: '1_0'"),
-        (["search", "zero-poly-no-filamentation", "--limits", "+2,\u0664"],
-         "unreadable --limits '+2,\u0664'"),
-        (["search", "nonzero-multi-component", "--limits", "1_3,0"],
-         "unreadable --limits '1_3,0'"),
-    ]:
-        assert run_cli(argv, "a+ a-") == (1, "", f"usage error: {message}\n"), argv
-
-
 def test_search_accepts_only_jobs_1():
     argv = ["search", "zero-poly-no-filamentation", "--limits", "2,4"]
     code, out, _ = run_cli(argv + ["--jobs", "1"])
@@ -553,29 +655,12 @@ def test_search_accepts_only_jobs_1():
     assert "--jobs" in err and "Traceback" not in err
 
 
-def test_enumerate_has_no_cap_flag():
-    code, _, err = run_cli(["enumerate", "--crossings", "1", "--components", "1",
-                            "--cap", "7"])
-    assert code == 1
-    assert "--cap" in err
-
-
-def test_too_many_components_exits_1_without_traceback():
-    # the last is inside both caps, but the enumeration bound refuses it
-    for argv in (["enumerate", "--crossings", "0", "--components", "3000"],
-                 ["search", "nonzero-multi-component", "--limits", "3000,0"],
-                 ["enumerate", "--crossings", "4", "--components", "12"]):
-        code, out, err = run_cli(argv)
-        assert code == 1, argv
-        assert out == ""
-        assert "components exceeds" in err and "Traceback" not in err
-
-
 def test_closed_stdout_exits_1_without_traceback():
     # enumerate (5, 1) prints about 120 KB, more than a pipe buffer holds,
     # so the command is still writing when the reader goes away
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    # the copy this module imported, the source tree or an installed one
+    home = str(Path(flatlinks.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (home, os.environ.get("PYTHONPATH"))))
     proc = subprocess.Popen(
         [sys.executable, "-m", "flatlinks.cli", "enumerate", "--crossings", "5",
          "--components", "1"],
@@ -587,16 +672,6 @@ def test_closed_stdout_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == b""
-
-
-def test_search_unknown_goal_exits_1():
-    code, _, err = run_cli(["search", "shortest-proof"])
-    assert code == 1
-
-
-def test_json_outputs_are_key_sorted():
-    _, out, _ = run_cli(["invariant", "--format", "json"], GOLDEN_LINK)
-    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 json_leaves = st.one_of(
@@ -645,72 +720,6 @@ def test_json_answer_leaves_no_reference_cycle(argv):
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-UNBALANCED_LINK = "A: x+ y- z+ ; B: y+ x- ; C: z-"
-NO_FILAMENTATION = ("no filamentation\n", {"exists": False})
-
-# (code, argv) -> (complete text stdout, JSON payload)
-FULL_OUTPUTS = {
-    (GOLDEN_LINK, "validate"): (
-        "ok: 2 component(s), 3 crossing(s)\n",
-        {"ok": True, "components": 2, "crossings": 3}),
-    (GOLDEN_LINK, "invariant"): (
-        "poly A: -t\n"
-        "poly B: 0\n"
-        "linking A,B: 0 (flat linking number 0)\n"
-        "coeff A,B: 1\n",
-        {"components": [{"name": "A", "poly": {"1": -1}},
-                        {"name": "B", "poly": {}}],
-         "linking": [{"a": "A", "b": "B", "diff": 0}],
-         "pairs": [{"a": "A", "b": "B", "coeff": 1}]}),
-    (GOLDEN_LINK, "linking"): (
-        "linking A,B: 0 (flat linking number 0)\n",
-        {"linking": [{"a": "A", "b": "B", "diff": 0}]}),
-    (GOLDEN_LINK, "filament"): NO_FILAMENTATION,
-    (GOLDEN_LINK, "oracle"): NO_FILAMENTATION,
-    (GOLDEN_LINK, "moves list"): ("", {"sites": []}),
-    (UNBALANCED_LINK, "validate"): (
-        "ok: 3 component(s), 3 crossing(s)\n",
-        {"ok": True, "components": 3, "crossings": 3}),
-    (UNBALANCED_LINK, "invariant"): (
-        "poly A: 0\n"
-        "poly B: 0\n"
-        "poly C: 0\n"
-        "linking A,B: 0 (flat linking number 0)\n"
-        "coeff A,B: undefined (nonzero sign total)\n"
-        "linking A,C: 1 (flat linking number 0.5)\n"
-        "coeff A,C: undefined (nonzero linking)\n"
-        "linking B,C: 0 (flat linking number 0)\n"
-        "coeff B,C: undefined (nonzero sign total)\n",
-        {"components": [{"name": "A", "poly": {}}, {"name": "B", "poly": {}},
-                        {"name": "C", "poly": {}}],
-         "linking": [{"a": "A", "b": "B", "diff": 0},
-                     {"a": "A", "b": "C", "diff": 1},
-                     {"a": "B", "b": "C", "diff": 0}],
-         "pairs": []}),
-    (UNBALANCED_LINK, "linking"): (
-        "linking A,B: 0 (flat linking number 0)\n"
-        "linking A,C: 1 (flat linking number 0.5)\n"
-        "linking B,C: 0 (flat linking number 0)\n",
-        {"linking": [{"a": "A", "b": "B", "diff": 0},
-                     {"a": "A", "b": "C", "diff": 1},
-                     {"a": "B", "b": "C", "diff": 0}]}),
-    (UNBALANCED_LINK, "filament"): NO_FILAMENTATION,
-    (UNBALANCED_LINK, "oracle"): NO_FILAMENTATION,
-    (UNBALANCED_LINK, "moves list"): (
-        "r2_remove A,B 0,0 x,y\n", {"sites": ["r2_remove A,B 0,0 x,y"]}),
-}
-
-
-@pytest.mark.parametrize("text,command", FULL_OUTPUTS)
-def test_full_output_in_both_formats(text, command):
-    expected_text, payload = FULL_OUTPUTS[text, command]
-    argv = command.split()
-    assert run_cli(argv, text) == (0, expected_text, "")
-    assert run_cli([*argv, "--format", "text"], text) == (0, expected_text, "")
-    expected_json = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    assert run_cli([*argv, "--format", "json"], text) == (0, expected_json, "")
 
 
 # fuzz: cli.run answers every input with exit 0, 1 or 2
