@@ -28,6 +28,12 @@ from .gausscode import (
     validate,
 )
 
+__all__ = [
+    "ORACLE_CAP", "Filamentation", "FilamentViolation", "PartitionNotCovering",
+    "PartsOverlap", "InstanceTooLarge", "verify_filamentation",
+    "link_filamentation", "brute_force_filamentation",
+]
+
 ORACLE_CAP = 12
 
 

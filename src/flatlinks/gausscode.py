@@ -17,6 +17,15 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
+__all__ = [
+    "PLUS", "MINUS", "Letter", "Codeword", "FlatLinkCode", "CrossingCatalog",
+    "FlatLinkError", "MalformedToken", "DuplicateComponentName",
+    "CrossingAppearsOnce", "CrossingAppearsThrice", "SameSignTwice",
+    "SamePosition", "PositionOutOfRange", "parse_flat_link",
+    "render_flat_link", "validate", "intersection_number",
+    "default_component_name",
+]
+
 PLUS = 1
 MINUS = -1
 

@@ -42,11 +42,13 @@ already decides: each codeword that closes before the last slot must
 pass that test (``_word_screen``) and leave that many letters for each
 codeword after it, or no key below it is made.  The keys that remain
 come out in the same order, so the search returns the same witness as a
-scan of every class.  A (2, 8) zero-poly search screens 98 keys.  The
-screen counts the key's index buckets by the rule the ``CrossingCatalog``
-docstring (in ``gausscode``) states, on the int letters themselves, and
-reads them through the invariant's own ``_tally``, so no code object
-exists for the candidates it rejects.  Only a key that passes becomes a
+scan of every class.  A (2, 8) zero-poly search screens 98 keys and
+never makes the 373 classes of (4, 2) past its witness; a (3, 6)
+nonzero-multi search screens 1,837.  The screen counts the key's index
+buckets by the rule the ``CrossingCatalog`` docstring (in ``gausscode``)
+states, on the int letters themselves, and reads them through the
+invariant's own ``_tally``, so no code object exists for the candidates
+it rejects.  Only a key that passes becomes a
 code, and ``_is_witness`` confirms it by the goal's definition, through
 the public invariant and the exhaustive filamentation oracle, so a
 returned witness is proof, not heuristic output.
@@ -73,6 +75,12 @@ from .gausscode import (
     default_component_name,
 )
 from .invariant import _tally, link_polynomial
+
+__all__ = [
+    "ENUMERATION_CAP", "COMPONENT_CAP", "GenSpec", "InfeasibleSpec",
+    "random_flat_link", "enumerate_small_codes", "SearchGoal",
+    "search_examples",
+]
 
 ENUMERATION_CAP = 6
 # 6 crossings give a letter to at most 12 components; what limits the
@@ -575,10 +583,10 @@ def search_examples(goal: SearchGoal | str, max_components: int,
     docstring): it skips every key with a codeword, before its last one,
     that fails ``_word_screen`` or leaves fewer than 2 letters (zero-poly)
     or 1 letter (nonzero-multi) for each codeword after it.  The first
-    witness has no such codeword; a (2, 8) zero-poly search screens 98
-    keys, and a (3, 6) nonzero-multi search 1,837.  Each candidate left
-    is screened on its enumeration key, whose index buckets are counted
-    without building a code; only a key that passes becomes a code, which
+    witness has no such codeword; the module docstring gives the keys the
+    default searches screen.  Each candidate left is screened on its
+    enumeration key, whose index buckets are counted without building a
+    code; only a key that passes becomes a code, which
     ``_is_witness`` confirms through the public invariant and, for the
     zero-poly goal, the exhaustive filamentation oracle, so a returned
     witness is always proof.  Both goals have a witness at 4

@@ -21,6 +21,8 @@ from typing import Mapping
 
 from .gausscode import FlatLinkCode, validate
 
+__all__ = ["SparsePoly", "LinkInvariant", "link_polynomial"]
+
 
 @dataclass(frozen=True)
 class SparsePoly:

@@ -63,6 +63,11 @@ from .gausscode import (
     validate,
 )
 
+__all__ = [
+    "KINDS", "MoveSite", "StaleSite", "MalformedMoveLine", "find_move_sites",
+    "apply_move", "random_walk",
+]
+
 
 class StaleSite(FlatLinkError):
     """The site does not match the code it is being applied to."""

@@ -313,6 +313,19 @@ def fill_then_test_enumeration(crossings: int,
     return [_code(key) for key in sorted(keys)]
 
 
+# (crossings, components) -> the rotation/relabel classes of the shape:
+# the one statement of each count that the tests assert
+CLASS_COUNTS = {
+    (0, 1): 1, (1, 1): 1, (2, 1): 4, (3, 1): 22, (4, 1): 218,
+    (5, 1): 3028, (6, 1): 55540,
+    (0, 2): 1, (1, 2): 4, (2, 2): 20, (3, 2): 140, (4, 2): 1548,
+    (5, 2): 23244,
+    (0, 3): 1, (1, 3): 9, (2, 3): 66, (3, 3): 588, (4, 3): 7344,
+    (5, 3): 119808,
+    (3, 4): 1952,
+}
+
+
 def burnside_class_count(crossings: int, components: int) -> int:
     """Rotation/relabel classes counted by Burnside's lemma.
 
