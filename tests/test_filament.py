@@ -118,6 +118,18 @@ def test_component_filamentation_none_when_poly_nonzero():
     assert brute_force_filamentation(code) is None
 
 
+@settings(deadline=None)
+@given(codes(max_crossings=6, max_components=1))
+def test_component_filamentation_iff_zero_poly_iff_brute_force(code):
+    found = link_filamentation(code)
+    zero = link_polynomial(code).is_zero
+    brute = brute_force_filamentation(code)
+    assert (found is not None) == zero == (brute is not None)
+    if found is not None:
+        assert verify_filamentation(code, found) == []
+        assert verify_filamentation(code, brute) == []
+
+
 def test_greedy_zero_sum_partition_golden():
     code = parse_flat_link("A: x1+ y1- x2+ y2-\nB: y1+ x1- y2+ x2-")
     f = greedy_zero_sum_partition(validate(code))
@@ -254,6 +266,13 @@ def test_link_filamentation_leaves_the_catalog_unchanged(monkeypatch):
         assert catalogs[-1].buckets == validate(code).buckets
         paired += found is not None and len(found.bifilaments) > 1
     assert paired
+
+
+@settings(deadline=None)
+@given(codes(max_crossings=5))
+def test_filamentation_forces_zero_invariant(code):
+    if brute_force_filamentation(code) is not None:
+        assert link_polynomial(code).is_zero
 
 
 @pytest.mark.parametrize("text", ["x+ a+ y- a- ; y+ x-", "a+ b+ a- b-",

@@ -369,6 +369,36 @@ def test_catalog_matches_references(code):
     assert catalog.buckets == before
 
 
+@given(codes(max_crossings=6))
+def test_reciprocity(code):
+    # eta(u, v) + eta(v, u) counts everything except the ends
+    for ci, cw in enumerate(code.components):
+        s = total_sign(code, ci)
+        for p in range(len(cw)):
+            for q in range(p + 1, len(cw)):
+                lhs = (intersection_number(code, ci, p, q)
+                       + intersection_number(code, ci, q, p))
+                assert lhs == s - cw.letters[p].sign - cw.letters[q].sign
+
+
+@given(codes(max_crossings=5), st.data())
+def test_additivity_through_interior_point(code, data):
+    comps = [i for i, cw in enumerate(code.components) if len(cw) >= 3]
+    if not comps:
+        return
+    ci = data.draw(st.sampled_from(comps))
+    cw = code.components[ci]
+    n = len(cw)
+    p = data.draw(st.integers(0, n - 1))
+    gap = data.draw(st.integers(2, n - 1))
+    q = (p + gap) % n
+    w = (p + data.draw(st.integers(1, gap - 1))) % n
+    assert intersection_number(code, ci, p, q) == (
+        intersection_number(code, ci, p, w)
+        + cw.letters[w].sign
+        + intersection_number(code, ci, w, q))
+
+
 def test_total_sign():
     code = parse_flat_link("A: x+ a+ y- a-\nB: y+ x-")
     assert total_sign(code, 0) == 0

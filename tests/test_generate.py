@@ -19,6 +19,7 @@ from flatlinks import (
     MINUS,
     PLUS,
     SearchGoal,
+    brute_force_filamentation,
     enumerate_small_codes,
     link_polynomial,
     parse_flat_link,
@@ -368,6 +369,13 @@ def test_search_rejects_negative_bounds():
             search_examples(ZERO_POLY, *bounds)
 
 
+def test_search_finds_zero_poly_witness():
+    witness = search_examples(SearchGoal.ZERO_POLY_NO_FILAMENTATION, 2, 8)
+    assert witness is not None
+    assert link_polynomial(witness).is_zero
+    assert brute_force_filamentation(witness) is None
+
+
 def _split_off_deleted(code: FlatLinkCode) -> FlatLinkCode:
     # the code without its components that share no crossing with another
     shared = set()
@@ -580,6 +588,15 @@ def test_search_returns_the_first_witness_of_an_unpruned_scan(
     # first witness of every class in order is minimal, so it is the same
     assert (search_examples(goal, max_components, max_crossings)
             == _reference_search(goal, max_components, max_crossings))
+
+
+def test_search_finds_nonzero_multi_component_witness():
+    witness = search_examples("nonzero-multi-component", 3, 6)
+    assert witness is not None
+    assert len(witness.components) >= 3
+    inv = link_polynomial(witness)
+    assert any(c != 0 for _, c in inv.pair_coeffs)
+    assert every_component_shares_a_crossing(witness)
 
 
 def test_search_none_within_tiny_bounds():

@@ -43,10 +43,30 @@ def test_sparse_poly_str():
     assert str(SparsePoly.from_dict({1: -1, 3: 1})) == "-t + t^3"
 
 
+def test_self_polynomial_golden():
+    code = parse_flat_link("a+ b+ a- c- b- c+")
+    assert component_poly(link_polynomial(code), "A") == {1: 2, 2: -2}
+
+
 def test_self_polynomial_cancels():
     # the two chords contribute +1 and -1 at the same exponent
     code = parse_flat_link("a+ b+ a- b-")
     assert component_poly(link_polynomial(code), "A") == {}
+
+
+@given(codes(max_crossings=6))
+def test_self_polynomial_matches_oracle(code):
+    inv = link_polynomial(code)
+    for i, name in enumerate(code.component_names()):
+        assert component_poly(inv, name) == self_poly_oracle(code, i)
+
+
+@given(codes(max_crossings=6))
+def test_self_polynomial_rotation_invariant(code):
+    polys = link_polynomial(code).component_polys
+    for i, cw in enumerate(code.components):
+        for k in range(1, max(len(cw), 1)):
+            assert link_polynomial(code.rotated(i, k)).component_polys == polys
 
 
 def test_flat_linking_diff():
@@ -55,6 +75,19 @@ def test_flat_linking_diff():
     assert inv.linking_diff("A", "B") == inv.linking_diff("B", "A") == 2
     swapped = link_polynomial(parse_flat_link("B: x+ y+\nA: x- y-"))
     assert swapped.linking_diff("A", "B") == -2
+
+
+@given(codes(max_crossings=6, min_components=2))
+def test_flat_linking_diff_matches_oracle(code):
+    inv = link_polynomial(code)
+    names = code.component_names()
+    k = len(code.components)
+    for a in range(k):
+        for b in range(a + 1, k):
+            expected = linking_diff_oracle(code, a, b)
+            if names[b] < names[a]:
+                expected = -expected
+            assert inv.linking_diff(names[a], names[b]) == expected
 
 
 def oracle_invariant(code) -> LinkInvariant:

@@ -402,6 +402,14 @@ def test_walk_replays_from_log(code, seed):
     validate(final)
 
 
+@settings(deadline=None)
+@given(codes(max_crossings=4, balanced=True), st.integers(0, 2**31 - 1))
+def test_walk_preserves_invariant(code, seed):
+    before = link_polynomial(code)
+    final, _ = random_walk(code, 8, seed)
+    assert before == link_polynomial(final)
+
+
 def test_walk_is_deterministic():
     code = parse_flat_link("a+ b+ a- c- b- c+")
     assert random_walk(code, 12, 99) == random_walk(code, 12, 99)
