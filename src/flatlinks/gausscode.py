@@ -1,12 +1,14 @@
 """Gauss codes for flat virtual links.
 
 A link is stored as an ordered tuple of cyclic codewords, one per
-component.  Every crossing appears exactly twice in the whole code, once
-as ``x+`` and once as ``x-``; the two letters may sit on the same
-codeword (a self-crossing) or on two different ones.  This module owns
-the data model, the text format, structural validation (which also
-files every crossing in the index buckets that the invariant and the
-filamentations are both read from), and the signed arc-count primitive.
+component.  A letter is a plain ``(crossing, sign)`` tuple: the
+crossing's identifier and PLUS or MINUS.  Every crossing appears exactly
+twice in the whole code, once as ``x+`` and once as ``x-``; the two
+letters may sit on the same codeword (a self-crossing) or on two
+different ones.  This module owns the data model, the text format,
+structural validation (which also files every crossing in the index
+buckets that the invariant and the filamentations are both read from),
+and the signed arc-count primitive.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from __future__ import annotations
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 __all__ = [
-    "PLUS", "MINUS", "Letter", "Codeword", "FlatLinkCode", "CrossingCatalog",
+    "PLUS", "MINUS", "Codeword", "FlatLinkCode", "CrossingCatalog",
     "FlatLinkError", "MalformedToken", "DuplicateComponentName",
     "CrossingAppearsOnce", "CrossingAppearsThrice", "SameSignTwice",
     "SamePosition", "PositionOutOfRange", "parse_flat_link",
@@ -89,40 +90,6 @@ def default_component_name(index: int) -> str:
     return chr(ord("A") + index) if index < 26 else f"C{index}"
 
 
-@dataclass(frozen=True, slots=True)
-class Letter:
-    """One end of a crossing: the crossing's identifier plus this end's sign."""
-
-    crossing: str
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (PLUS, MINUS):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if not _IDENT.match(self.crossing):
-            raise MalformedToken(self.crossing)
-
-    @property
-    def partner(self) -> "Letter":
-        """The other end of the same crossing."""
-        return _letter(self.crossing, -self.sign)
-
-    def __str__(self) -> str:
-        return self.crossing + _SIGN_CHAR[self.sign]
-
-
-# the slot setters, which the frozen ``__setattr__`` guards
-_set_crossing, _set_sign = Letter.crossing.__set__, Letter.sign.__set__
-
-
-def _letter(crossing: str, sign: int) -> Letter:
-    """A letter from fields already checked, skipping ``__post_init__``."""
-    letter = object.__new__(Letter)
-    _set_crossing(letter, crossing)
-    _set_sign(letter, sign)
-    return letter
-
-
 @dataclass(frozen=True)
 class Codeword:
     """A named cyclic word of letters.
@@ -134,7 +101,7 @@ class Codeword:
     """
 
     name: str
-    letters: tuple[Letter, ...] = ()
+    letters: tuple[tuple[str, int], ...] = ()
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -149,7 +116,7 @@ class Codeword:
         return Codeword(self.name, self.letters[k:] + self.letters[:k])
 
     def __str__(self) -> str:
-        return " ".join(str(l) for l in self.letters)
+        return " ".join([x + _SIGN_CHAR[sign] for x, sign in self.letters])
 
 
 @dataclass(frozen=True)
@@ -238,7 +205,7 @@ def parse_flat_link(text: str) -> FlatLinkCode:
     built in bulk, with no Python call per token: a ``str.split`` of each
     component yields its crossing names, one byte translation of the
     text yields every sign, and each codeword takes its slice of one
-    tuple of letters.
+    tuple of ``(crossing, sign)`` letters.
 
     Pairing of crossings is not checked here; run ``validate`` for that.
     """
@@ -264,11 +231,9 @@ def parse_flat_link(text: str) -> FlatLinkCode:
     # Every head has passed _IDENT and every body _BODY, so each + or - left
     # in the text ends a letter, in reading order: one stream holds the
     # signs of all the letters.  Only ASCII and whitespace are left, so the
-    # text encodes.  The slot setters return None, so any() runs every one.
-    letters = tuple(map(object.__new__, repeat(Letter, len(names))))
-    any(map(_set_crossing, letters, names))
+    # text encodes.  The array yields the cached ints 1 and -1.
     signs = array("b", cleaned.encode().translate(_SIGN_BYTES, _NOT_SIGN_BYTES))
-    any(map(_set_sign, letters, signs))
+    letters = tuple(zip(names, signs))
 
     components = []
     used = set()
@@ -292,10 +257,8 @@ def render_flat_link(code: FlatLinkCode) -> str:
     bare letters; every other component (and every empty one) keeps its
     ``name:`` prefix so that parsing recovers it.
     """
-    return " ; ".join([
-        _component_text(i, cw.name,
-                        " ".join([l.crossing + _SIGN_CHAR[l.sign] for l in cw.letters]))
-        for i, cw in enumerate(code.components)])
+    return " ; ".join([_component_text(i, cw.name, str(cw))
+                       for i, cw in enumerate(code.components)])
 
 
 def _component_text(index: int, name: str, body: str) -> str:
@@ -311,9 +274,11 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
     """Check the structural invariants and catalog every crossing.
 
     Component names must be distinct, and every crossing identifier must
-    occur exactly twice with opposite signs.  Raises
+    occur exactly twice, once with PLUS and once with MINUS.  Identifiers
+    are not read, as component names are not.  Raises
     DuplicateComponentName, CrossingAppearsOnce, CrossingAppearsThrice,
-    or SameSignTwice naming the offender (see ``_fault`` for which one);
+    SameSignTwice, or a plain FlatLinkError for a sign that is neither,
+    naming the offender (see ``_fault`` for which one);
     returns the catalog, with the ends and the index bucket of every
     crossing and the sign total of every component, so callers never
     re-derive them.
@@ -334,32 +299,31 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
     letters = 0
     for ci, cw in enumerate(components):
         s = 0  # the prefix sum through the current letter
-        for pos, letter in enumerate(cw.letters):
-            x, sign = letter.crossing, letter.sign
+        for pos, (x, sign) in enumerate(cw.letters):
             s += sign
             seen = first.pop(x, None)
             if seen is None:
                 first[x] = (ci, pos, sign, s)
                 continue
             oc, op, osign, osum = seen
-            if osign == sign:
-                raise _fault(code)
             # P[pos(x-)] is the sum through x- plus one, P[pos(x+) + 1]
             # the sum through x+; a pair crossing's first end lies on oc < ci
-            if sign == MINUS:
+            if sign == MINUS and osign == PLUS:
                 ends[x] = (oc, op, ci, pos)
                 u = s + 1 - osum
                 if oc == ci:
                     key, side = (ci, ci, abs(u)), u < 0
                 else:
                     key, side = (oc, ci, u), 0
-            else:
+            elif sign == PLUS and osign == MINUS:
                 ends[x] = (ci, pos, oc, op)
                 u = osum + 1 - s
                 if oc == ci:
                     held.append((x, u))
                     continue
                 key, side = (oc, ci, -u), 1
+            else:  # equal signs, or a sign that is neither PLUS nor MINUS
+                raise _fault(code)
             sides = buckets.get(key)
             if sides is None:
                 sides = buckets[key] = ([], [])
@@ -386,8 +350,9 @@ def _fault(code: FlatLinkCode) -> FlatLinkError:
 
     Duplicate component names come first.  Then the crossings are
     checked in the order of their first letters, and the first faulty
-    one is named: it appears once, or more than twice (with its count),
-    or twice with the same sign, tested in that order.
+    one is named: one of its letters has a sign other than PLUS or MINUS
+    (a letter built by hand), it appears once, or more than twice (with
+    its count), or twice with the same sign, tested in that order.
     """
     names = set()
     for cw in code.components:
@@ -396,9 +361,14 @@ def _fault(code: FlatLinkCode) -> FlatLinkError:
         names.add(cw.name)
     signs: dict[str, list[int]] = {}
     for cw in code.components:
-        for letter in cw.letters:
-            signs.setdefault(letter.crossing, []).append(letter.sign)
+        for x, sign in cw.letters:
+            signs.setdefault(x, []).append(sign)
     for x, seen in signs.items():
+        bad = [sign for sign in seen if sign not in (PLUS, MINUS)]
+        if bad:
+            error = FlatLinkError(f"crossing {x!r} has sign {bad[0]!r}, not +1 or -1")
+            error.crossing = x
+            return error
         if len(seen) == 1:
             return CrossingAppearsOnce(x)
         if len(seen) > 2:
@@ -427,6 +397,6 @@ def intersection_number(code: FlatLinkCode, component: int,
     s = 0
     i = (from_pos + 1) % n
     while i != to_pos:
-        s += cw.letters[i].sign
+        s += cw.letters[i][1]
         i = (i + 1) % n
     return s

@@ -69,9 +69,8 @@ from .gausscode import (
     Codeword,
     FlatLinkCode,
     FlatLinkError,
-    Letter,
+    _SIGN_CHAR,
     _component_text,
-    _letter,
     default_component_name,
 )
 from .invariant import _tally, link_polynomial
@@ -161,11 +160,9 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
 
     Crossing ids are c1, c2, ... in allocation order (self-crossings by
     component, then pair crossings by pair).  Deterministic in the seed.
-    The ids are well formed by construction, so the letters skip the
-    identifier check.
     """
     rng = Random(spec.seed)
-    pools: list[list[Letter]] = [[] for _ in range(spec.component_count)]
+    pools: list[list[tuple[str, int]]] = [[] for _ in range(spec.component_count)]
     counter = 0
 
     def fresh() -> str:
@@ -176,8 +173,8 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
     for i, m in enumerate(spec.self_counts):
         for _ in range(m):
             x = fresh()
-            pools[i].append(_letter(x, PLUS))
-            pools[i].append(_letter(x, MINUS))
+            pools[i].append((x, PLUS))
+            pools[i].append((x, MINUS))
     for (i, j), m in spec.pair_counts:
         if spec.balanced:
             plus_on_i = set(rng.sample(range(m), m // 2))
@@ -186,8 +183,8 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
         for t in range(m):
             x = fresh()
             si, sj = (PLUS, MINUS) if t in plus_on_i else (MINUS, PLUS)
-            pools[i].append(_letter(x, si))
-            pools[j].append(_letter(x, sj))
+            pools[i].append((x, si))
+            pools[j].append((x, sj))
     comps = []
     for i, pool in enumerate(pools):
         rng.shuffle(pool)
@@ -377,9 +374,9 @@ def _least_keys(crossings: int, components: int, emit,
 
 # what the int letters of the keys of ``_least_keys`` stand for:
 # ``2*x + 1`` is ``c{x}+``, ``2*x`` is ``c{x}-``
-_LETTERS = {2 * x + (s is PLUS): Letter(f"c{x}", s)
+_LETTERS = {2 * x + (s is PLUS): (f"c{x}", s)
             for x in range(1, ENUMERATION_CAP + 1) for s in (PLUS, MINUS)}
-_LETTER_TEXTS = {x: str(letter) for x, letter in _LETTERS.items()}
+_LETTER_TEXTS = {k: x + _SIGN_CHAR[s] for k, (x, s) in _LETTERS.items()}
 
 
 def _check_shape(crossings: int, components: int) -> None:
@@ -566,7 +563,7 @@ def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
         return (link_polynomial(code).is_zero
                 and brute_force_filamentation(code) is None)
     return (any(c != 0 for _, c in link_polynomial(code).pair_coeffs)
-            and all(2 * len({x.crossing for x in cw.letters}) != len(cw.letters)
+            and all(2 * len({x for x, _ in cw.letters}) != len(cw.letters)
                     for cw in code.components))
 
 

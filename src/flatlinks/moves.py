@@ -59,7 +59,8 @@ from .gausscode import (
     Codeword,
     FlatLinkCode,
     FlatLinkError,
-    Letter,
+    MalformedToken,
+    _IDENT,
     validate,
 )
 
@@ -171,7 +172,7 @@ def _fresh_ids(used: set[str], n: int) -> tuple[str, ...]:
 # finder candidate's crossings through it, a walk names its drawn
 # candidate's, and apply_move calls the same check.
 
-def _spot_letters(code: FlatLinkCode, spots) -> list[tuple[Letter, Letter]]:
+def _pairs_at(code: FlatLinkCode, spots) -> list[tuple[tuple, tuple]]:
     """The letter pairs at ``spots``, which must cover distinct positions."""
     pairs = []
     covered = set()
@@ -189,37 +190,36 @@ def _spot_letters(code: FlatLinkCode, spots) -> list[tuple[Letter, Letter]]:
 
 
 def _kink(code: FlatLinkCode, spots) -> tuple[str]:
-    ((a, b),) = _spot_letters(code, spots)
-    if a.crossing != b.crossing or a.sign == b.sign:
+    (((x, s), (y, t)),) = _pairs_at(code, spots)
+    if x != y or s == t:
         raise StaleSite("letters at the spot are not a kink pair")
-    return (a.crossing,)
+    return (x,)
 
 
 def _slide(code: FlatLinkCode, spots) -> tuple[str, str]:
-    (a1, b1), (a2, b2) = pairs = _spot_letters(code, spots)
-    for a, b in pairs:
-        if a.crossing == b.crossing or a.sign == b.sign:
+    pairs = _pairs_at(code, spots)
+    for (x, s), (y, t) in pairs:
+        if x == y or s == t:
             raise StaleSite("letters at a spot are not a slide pair")
+    ((x, s), (y, t)), second = pairs
     # the second spot holds the other ends of the first
-    if {(a2.crossing, -a2.sign), (b2.crossing, -b2.sign)} != {
-            (a1.crossing, a1.sign), (b1.crossing, b1.sign)}:
+    if set(second) != {(x, -s), (y, -t)}:
         raise StaleSite("spots do not hold complementary ends")
-    return a1.crossing, b1.crossing
+    return x, y
 
 
 def _triangle(code: FlatLinkCode, spots) -> tuple[str, ...]:
     """Accepts the plus-first order that the finder lists and the
     minus-first order that a swap leaves behind; returns the plus ends."""
-    pairs = _spot_letters(code, spots)
-    for a, b in pairs:
-        if a.crossing == b.crossing:
+    pairs = _pairs_at(code, spots)
+    for (x, s), (y, t) in pairs:
+        if x == y:
             raise StaleSite("letters at a spot share a crossing")
-        if a.sign == b.sign:
+        if s == t:
             raise StaleSite("letters at a spot carry equal signs")
-    if len({a.sign for a, _ in pairs}) != 1:
+    if len({s for (_, s), _ in pairs}) != 1:
         raise StaleSite("spots mix letter orders")
-    ends = [(a.crossing, b.crossing) if a.sign == PLUS else (b.crossing, a.crossing)
-            for a, b in pairs]
+    ends = [(x, y) if s == PLUS else (y, x) for (x, s), (y, _) in pairs]
     plus = tuple(x for x, _ in ends)
     if len(set(plus)) != 3 or {y for _, y in ends} != set(plus):
         raise StaleSite("crossings at the spots do not form a triangle")
@@ -249,7 +249,7 @@ def _kink_spots(code: FlatLinkCode, slides) -> list:
         # spots at 0 and 1 cover the same letters
         after = letters[1:] + letters[:1] if len(letters) > 2 else letters[1:]
         spots += [((ci, p),) for p, (a, b) in enumerate(zip(letters, after))
-                  if a.crossing == b.crossing]
+                  if a[0] == b[0]]
     return spots
 
 
@@ -258,7 +258,7 @@ def _slide_spots(code: FlatLinkCode) -> list:
     (component index, position, letter, next letter)."""
     return [(ci, p, a, b) for ci, cw in enumerate(code.components)
             for p, (a, b) in enumerate(zip(cw, cw.letters[1:] + cw.letters[:1]))
-            if a.sign != b.sign and a.crossing != b.crossing]
+            if a[1] != b[1] and a[0] != b[0]]
 
 
 def _slide_pairs(code: FlatLinkCode, slides) -> list:
@@ -272,8 +272,8 @@ def _slide_pairs(code: FlatLinkCode, slides) -> list:
     # 4-letter word has a slide at {0,1}, {2,3}, {1,2} holds one chord's
     # two ends or equal signs.
     comps = code.components
-    at = {((a.crossing, b.crossing) if a.sign == PLUS else (b.crossing, a.crossing)):
-          (ci, p) for ci, p, a, b in slides() if p != 1 or len(comps[ci]) != 2}
+    at = {((x, y) if s == PLUS else (y, x)): (ci, p)
+          for ci, p, (x, s), (y, _) in slides() if p != 1 or len(comps[ci]) != 2}
     # only a key whose reverse is also a key holds a slide, met from both
     # ends; spots order as listed, by component and then by position
     keys = at.keys() & ((f, e) for e, f in at)
@@ -284,8 +284,8 @@ def _triangles(code: FlatLinkCode, slides) -> list:
     # every crossing has one plus letter, so the plus-first slide spots
     # never overlap and map each plus crossing x to at most one minus
     # crossing y: spot_of[x] = (component index, position, y)
-    spot_of = {a.crossing: (ci, p, b.crossing)
-               for ci, p, a, b in slides() if a.sign == PLUS}
+    spot_of = {x: (ci, p, y)
+               for ci, p, (x, sign), (y, _) in slides() if sign == PLUS}
     found = []
     for x, s in spot_of.items():
         t = spot_of.get(s[2])
@@ -299,7 +299,7 @@ def _triangles(code: FlatLinkCode, slides) -> list:
     return found
 
 
-def _with_letters(code: FlatLinkCode, new: dict[int, list[Letter]]) -> FlatLinkCode:
+def _with_words(code: FlatLinkCode, new: dict[int, list[tuple]]) -> FlatLinkCode:
     comps = list(code.components)
     for ci, letters in new.items():
         comps[ci] = Codeword(comps[ci].name, tuple(letters))
@@ -307,7 +307,10 @@ def _with_letters(code: FlatLinkCode, new: dict[int, list[Letter]]) -> FlatLinkC
 
 
 def _insert(code: FlatLinkCode, site: MoveSite, gaps, used: set[str]) -> FlatLinkCode:
-    """Insert the site's pairs at ``gaps``; ``used`` holds the code's ids."""
+    """Insert the site's pairs at ``gaps``; ``used`` holds the code's ids.
+
+    The ids a site names may come from a typed move line, so each must
+    read as an identifier, as the parser requires of a letter's."""
     for ci, g in gaps:
         if not 0 <= g <= len(code.components[ci]):
             raise StaleSite(f"gap {g} out of range")
@@ -315,15 +318,18 @@ def _insert(code: FlatLinkCode, site: MoveSite, gaps, used: set[str]) -> FlatLin
     ids = site.crossings or _fresh_ids(used, n)
     if len(set(ids)) != n or used & set(ids):
         raise StaleSite(f"insert needs {n} fresh crossing id(s)")
+    for x in ids:
+        if not _IDENT.match(x):
+            raise MalformedToken(x)
     # the first variant token starts with the sign of the first letter
     s = PLUS if site.variant[0][0] == "+" else MINUS
     if n == 1:
         (x,) = ids
-        pairs = [[Letter(x, s), Letter(x, -s)]]
+        pairs = [[(x, s), (x, -s)]]
     else:
         e, f = ids
-        second = [Letter(e, -s), Letter(f, s)]
-        pairs = [[Letter(e, s), Letter(f, -s)],
+        second = [(e, -s), (f, s)]
+        pairs = [[(e, s), (f, -s)],
                  second if site.variant[1] == "ef" else second[::-1]]
     new = {ci: list(code.components[ci].letters) for ci in {ci for ci, _ in gaps}}
     # write later gaps first so an earlier gap's index stays valid; at
@@ -331,14 +337,14 @@ def _insert(code: FlatLinkCode, site: MoveSite, gaps, used: set[str]) -> FlatLin
     for k in sorted(range(n), key=lambda k: (gaps[k][1], k), reverse=True):
         ci, g = gaps[k]
         new[ci][g:g] = pairs[k]
-    return _with_letters(code, new)
+    return _with_words(code, new)
 
 
 def _remove(code: FlatLinkCode, spots) -> FlatLinkCode:
     drop = defaultdict(set)
     for ci, p in spots:
         drop[ci].update((p, (p + 1) % len(code.components[ci])))
-    return _with_letters(code, {
+    return _with_words(code, {
         ci: [l for i, l in enumerate(code.components[ci].letters) if i not in gone]
         for ci, gone in drop.items()})
 
@@ -348,7 +354,7 @@ def _swap(code: FlatLinkCode, spots) -> FlatLinkCode:
     for ci, p in spots:
         q = (p + 1) % len(new[ci])
         new[ci][p], new[ci][q] = new[ci][q], new[ci][p]
-    return _with_letters(code, new)
+    return _with_words(code, new)
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,7 +423,7 @@ def apply_move(code: FlatLinkCode, site: MoveSite) -> FlatLinkCode:
     row = _KINDS[site.kind]
     if row.check is None:
         return _insert(code, site, spots,
-                       {l.crossing for cw in code.components for l in cw.letters})
+                       {x for cw in code.components for x, _ in cw.letters})
     actual = sorted(row.check(code, spots))
     if site.crossings and sorted(site.crossings) != actual:
         raise StaleSite(f"site names crossings {','.join(site.crossings)} "

@@ -18,8 +18,8 @@ from flatlinks import (
     CrossingAppearsThrice,
     DuplicateComponentName,
     FlatLinkCode,
+    FlatLinkError,
     GenSpec,
-    Letter,
     MalformedToken,
     MoveSite,
     SameSignTwice,
@@ -35,10 +35,10 @@ _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 
 def reference_parse(text: str) -> FlatLinkCode:
     """``parse_flat_link`` as a per-token scan: each ``str.split()`` token
-    is matched on its own and becomes a letter through the public,
-    checking ``Letter`` constructor."""
+    is matched on its own by this module's regular expression and becomes
+    a ``(crossing, sign)`` letter, so nothing is read through the library."""
     cleaned = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    segments: list[tuple[str | None, tuple[Letter, ...]]] = []
+    segments: list[tuple[str | None, tuple[tuple[str, int], ...]]] = []
     for raw in cleaned.replace("\n", ";").split(";"):
         name = None
         body = raw
@@ -53,7 +53,7 @@ def reference_parse(text: str) -> FlatLinkCode:
             m = _TOKEN.match(token)
             if not m:
                 raise MalformedToken(token)
-            letters.append(Letter(m.group(1), PLUS if m.group(2) == "+" else MINUS))
+            letters.append((m.group(1), PLUS if m.group(2) == "+" else MINUS))
         if name is None and not letters:
             continue
         segments.append((name, tuple(letters)))
@@ -76,8 +76,9 @@ def validate_error_oracle(code: FlatLinkCode):
 
     A repeated component name comes first.  Then crossings are taken in
     the order of their first letters, and the first faulty one is named:
-    it appears once, more than twice (count given), or twice with one
-    sign, tested in that order.
+    a letter of it has a sign other than PLUS or MINUS (a plain
+    FlatLinkError), it appears once, more than twice (count given), or
+    twice with one sign, tested in that order.
     """
     names = [cw.name for cw in code.components]
     for i, name in enumerate(names):
@@ -85,11 +86,13 @@ def validate_error_oracle(code: FlatLinkCode):
             return DuplicateComponentName, name, None
     letters = [l for cw in code.components for l in cw.letters]
     order = []
-    for l in letters:
-        if l.crossing not in order:
-            order.append(l.crossing)
+    for x, _ in letters:
+        if x not in order:
+            order.append(x)
     for x in order:
-        signs = [l.sign for l in letters if l.crossing == x]
+        signs = [s for y, s in letters if y == x]
+        if any(s not in (PLUS, MINUS) for s in signs):
+            return FlatLinkError, x, None
         if len(signs) == 1:
             return CrossingAppearsOnce, x, None
         if len(signs) > 2:
@@ -105,12 +108,12 @@ def eta_oracle(code: FlatLinkCode, component: int, p: int, q: int) -> int:
     n = len(letters)
     doubled = list(letters) + list(letters)
     end = q if q > p else q + n
-    return sum(l.sign for l in doubled[p + 1:end])
+    return sum(s for _, s in doubled[p + 1:end])
 
 
 def total_sign(code: FlatLinkCode, component: int) -> int:
     """Sum of the letter signs on one component."""
-    return sum(l.sign for l in code.components[component].letters)
+    return sum(s for _, s in code.components[component].letters)
 
 
 def codes_equivalent_syntactically(c1: FlatLinkCode, c2: FlatLinkCode,
@@ -141,17 +144,17 @@ def codes_equivalent_syntactically(c1: FlatLinkCode, c2: FlatLinkCode,
             return True
         y = b[i].letters
         for rot in rotations(a[i].letters):
-            if any(l.sign != m.sign for l, m in zip(rot, y)):
+            if any(l[1] != m[1] for l, m in zip(rot, y)):
                 continue
             trial_f, trial_r = dict(fwd), dict(rev)
             ok = True
-            for l, m in zip(rot, y):
-                u = trial_f.get(l.crossing)
-                v = trial_r.get(m.crossing)
+            for (l, _), (m, _) in zip(rot, y):
+                u = trial_f.get(l)
+                v = trial_r.get(m)
                 if u is None and v is None:
-                    trial_f[l.crossing] = m.crossing
-                    trial_r[m.crossing] = l.crossing
-                elif u != m.crossing or v != l.crossing:
+                    trial_f[l] = m
+                    trial_r[m] = l
+                elif u != m or v != l:
                     ok = False
                     break
             if ok and extend(i + 1, trial_f, trial_r):
@@ -203,7 +206,7 @@ def _runs(diagram, sizes) -> tuple:
 def _code(runs) -> FlatLinkCode:
     return FlatLinkCode(tuple(
         Codeword(default_component_name(i),
-                 tuple(Letter(f"c{label}", sign) for label, sign in run))
+                 tuple((f"c{label}", sign) for label, sign in run))
         for i, run in enumerate(runs)))
 
 
@@ -352,8 +355,8 @@ def letter_ends(code: FlatLinkCode) -> dict:
     """crossing id -> {sign: (component, position)} scanned from letters."""
     out: dict = {}
     for ci, cw in enumerate(code.components):
-        for pos, letter in enumerate(cw.letters):
-            out.setdefault(letter.crossing, {})[letter.sign] = (ci, pos)
+        for pos, (x, sign) in enumerate(cw.letters):
+            out.setdefault(x, {})[sign] = (ci, pos)
     return out
 
 
@@ -470,22 +473,20 @@ def move_sites_oracle(code: FlatLinkCode, kind: str) -> list:
     if kind == "r2_remove":
         for s1, s2 in combinations(spots, 2):
             (c1, p1, a1, b1, k1), (c2, p2, a2, b2, k2) = s1, s2
-            if any(a.crossing == b.crossing or a.sign == b.sign
-                   for a, b in ((a1, b1), (a2, b2))):
+            if any(a[0] == b[0] or a[1] == b[1] for a, b in ((a1, b1), (a2, b2))):
                 continue
-            if k1 & k2 or {a1, b1} != {a2.partner, b2.partner}:
+            if k1 & k2 or {a1, b1} != {(x, -s) for x, s in (a2, b2)}:
                 continue
             if k1 | k2 not in seen:
                 seen.add(k1 | k2)
-                sites.append(MoveSite(kind, ((c1, p1), (c2, p2)),
-                                      (a1.crossing, b1.crossing)))
+                sites.append(MoveSite(kind, ((c1, p1), (c2, p2)), (a1[0], b1[0])))
     elif kind == "r3":
-        plus_first = [s for s in spots if s[2].sign == 1 and s[3].sign == -1
-                      and s[2].crossing != s[3].crossing]
+        plus_first = [s for s in spots if s[2][1] == 1 and s[3][1] == -1
+                      and s[2][0] != s[3][0]]
         for triple in combinations(plus_first, 3):
             covers = [s[4] for s in triple]
-            plus = [s[2].crossing for s in triple]
-            minus = [s[3].crossing for s in triple]
+            plus = [s[2][0] for s in triple]
+            minus = [s[3][0] for s in triple]
             if len(frozenset().union(*covers)) != 6:
                 continue
             if len(set(plus)) == 3 and set(minus) == set(plus):
@@ -498,7 +499,7 @@ def move_sites_oracle(code: FlatLinkCode, kind: str) -> list:
 
 def fresh_ids_reference(code: FlatLinkCode, n: int) -> tuple[str, ...]:
     """The n ids _1, _2, ... of smallest k that no letter of ``code`` uses."""
-    taken = {letter.crossing for cw in code.components for letter in cw.letters}
+    taken = {x for cw in code.components for x, _ in cw.letters}
     free = (f"_{k}" for k in count(1) if f"_{k}" not in taken)
     return tuple(islice(free, n))
 
@@ -510,7 +511,7 @@ def plant_triangle(code: FlatLinkCode, rng: random.Random) -> FlatLinkCode:
     blocks = [[[letter] for letter in cw.letters] for cw in code.components]
     for x, y in (("t1", "t2"), ("t2", "t3"), ("t3", "t1")):
         word = rng.choice(blocks)
-        word.insert(rng.randint(0, len(word)), [Letter(x, 1), Letter(y, -1)])
+        word.insert(rng.randint(0, len(word)), [(x, 1), (y, -1)])
     out = []
     for cw, word in zip(code.components, blocks):
         letters = [letter for block in word for letter in block]

@@ -17,7 +17,6 @@ from flatlinks import (
     Codeword,
     FlatLinkCode,
     GenSpec,
-    Letter,
     MoveSite,
     SearchGoal,
     apply_move,
@@ -69,7 +68,7 @@ def test_criterion_01_arc_count_reciprocity_and_additivity():
             n = len(cw)
             if n < 2:
                 continue
-            sgn = [letter.sign for letter in cw.letters]
+            sgn = [s for _, s in cw.letters]
             total = sum(sgn)
             eta = [[intersection_number(code, ci, p, q) if p != q else 0
                     for q in range(n)] for p in range(n)]
@@ -321,7 +320,7 @@ def test_criterion_12_move_sites_on_a_thousand_crossings():
     gaps = sorted(random.Random(1212).sample(range(len(letters) + 1), 3))
     starts = [gap + 2 * i for i, gap in enumerate(gaps)]
     for p, (x, y) in zip(starts, (("t1", "t2"), ("t2", "t3"), ("t3", "t1"))):
-        letters[p:p] = [Letter(x, 1), Letter(y, -1)]
+        letters[p:p] = [(x, 1), (y, -1)]
     code = FlatLinkCode((Codeword("A", tuple(letters)),) + code.components[1:])
     validate(code)
     planted = MoveSite("r3", tuple(("A", p) for p in starts), ("t1", "t2", "t3"))

@@ -235,6 +235,11 @@ ANSWERS = [
            "site names crossings b but the spots hold a"),
     Answer("moves apply 'r2_insert A,A 0,0 - + xy'", "a+ a-", 2, "",
            "r2_insert variant token 'xy' must be ef or fe"),
+    # a crossing id typed into a move line must read as a letter's id
+    Answer("moves apply 'r1_insert A 0 x+y +-'", "a+ a-", 2, "",
+           "error: cannot read 'x+y' as <identifier><+|->"),
+    Answer("moves apply 'r2_insert A,A 0,1 x:y,z + ef'", "a+ a-", 2, "",
+           "error: cannot read 'x:y' as <identifier><+|->"),
 
     # moves walk: the bytes of a 200-step walk and of the README walk, so a
     # walk draws, logs and picks ids exactly as before

@@ -1,5 +1,5 @@
+import gc
 import time
-from dataclasses import FrozenInstanceError
 from itertools import permutations, product
 
 import pytest
@@ -14,11 +14,12 @@ from flatlinks import (
     DuplicateComponentName,
     FlatLinkCode,
     FlatLinkError,
-    Letter,
     MalformedToken,
+    MoveSite,
     PositionOutOfRange,
     SamePosition,
     SameSignTwice,
+    apply_move,
     intersection_number,
     parse_flat_link,
     render_flat_link,
@@ -43,7 +44,8 @@ def test_parse_single_knot():
     assert len(code.components) == 1
     cw = code.components[0]
     assert cw.name == "A"
-    assert [str(l) for l in cw.letters] == ["a+", "b+", "a-", "c-", "b-", "c+"]
+    assert cw.letters == (("a", PLUS), ("b", PLUS), ("a", MINUS), ("c", MINUS),
+                          ("b", MINUS), ("c", PLUS))
 
 
 def test_parse_named_components_and_comments():
@@ -125,11 +127,14 @@ def test_parse_equals_reference_parse(text):
     got = _parse_outcome(parse_flat_link, text)
     assert got == _parse_outcome(reference_parse, text)
     if isinstance(got, FlatLinkCode):
-        for cw in got.components:
-            for l in cw.letters:
-                assert type(l) is Letter and Letter(l.crossing, l.sign) == l
-                assert l.sign is PLUS or l.sign is MINUS
-                assert type(l.crossing) is str
+        letters = [l for cw in got.components for l in cw.letters]
+        for l in letters:
+            assert type(l) is tuple and len(l) == 2
+            assert type(l[0]) is str and (l[1] is PLUS or l[1] is MINUS)
+        # a tuple of a str and an int holds no reference cycle, so one
+        # collection untracks it: a big code adds nothing to later ones
+        gc.collect()
+        assert not any(map(gc.is_tracked, letters))
 
 
 def test_parse_lone_surrogate_is_a_malformed_token():
@@ -207,8 +212,8 @@ def test_validate_names_the_first_fault(text, expected):
 
 
 def test_validate_names_a_repeated_component_before_any_crossing():
-    code = FlatLinkCode((Codeword("K", (Letter("a", PLUS),)),
-                         Codeword("K", (Letter("b", PLUS),))))
+    code = FlatLinkCode((Codeword("K", (("a", PLUS),)),
+                         Codeword("K", (("b", PLUS),))))
     expected = (DuplicateComponentName, "K", None)
     assert validate_error_oracle(code) == expected
     assert _validate_outcome(code) == expected
@@ -216,8 +221,9 @@ def test_validate_names_a_repeated_component_before_any_crossing():
 
 @st.composite
 def mutated_codes(draw):
-    """A valid code with one to three letters dropped, duplicated or
-    sign-flipped, and now and then a component renamed to another's name."""
+    """A valid code with one to three letters dropped, duplicated,
+    sign-flipped or given the sign 0, and now and then a component
+    renamed to another's name."""
     code = draw(codes(max_crossings=6))
     words = [list(cw.letters) for cw in code.components]
     for _ in range(draw(st.integers(1, 3))):
@@ -226,14 +232,15 @@ def mutated_codes(draw):
             break
         w = words[draw(st.sampled_from(full))]
         at = draw(st.integers(0, len(w) - 1))
-        op = draw(st.sampled_from(["drop", "duplicate", "flip"]))
+        op = draw(st.sampled_from(["drop", "duplicate", "flip", "zero"]))
         if op == "drop":
             del w[at]
         elif op == "duplicate":
             source = words[draw(st.sampled_from(full))]
             w.insert(at, source[draw(st.integers(0, len(source) - 1))])
         else:
-            w[at] = w[at].partner
+            x, s = w[at]
+            w[at] = (x, -s if op == "flip" else 0)
     names = [cw.name for cw in code.components]
     if len(names) > 1 and draw(st.integers(0, 9)) == 0:
         names[draw(st.integers(1, len(names) - 1))] = names[0]
@@ -270,7 +277,7 @@ def test_render_round_trip(code):
     assert str(code) == render_flat_link(code)
     for cw in code.components:
         assert tuple(cw) == cw.letters
-        assert str(cw) == " ".join(map(str, cw.letters))
+        assert str(cw) == " ".join(x + ("+" if s == PLUS else "-") for x, s in cw)
 
 
 def test_intersection_number_golden():
@@ -378,7 +385,7 @@ def test_reciprocity(code):
             for q in range(p + 1, len(cw)):
                 lhs = (intersection_number(code, ci, p, q)
                        + intersection_number(code, ci, q, p))
-                assert lhs == s - cw.letters[p].sign - cw.letters[q].sign
+                assert lhs == s - cw.letters[p][1] - cw.letters[q][1]
 
 
 @given(codes(max_crossings=5), st.data())
@@ -395,7 +402,7 @@ def test_additivity_through_interior_point(code, data):
     w = (p + data.draw(st.integers(1, gap - 1))) % n
     assert intersection_number(code, ci, p, q) == (
         intersection_number(code, ci, p, w)
-        + cw.letters[w].sign
+        + cw.letters[w][1]
         + intersection_number(code, ci, w, q))
 
 
@@ -463,25 +470,33 @@ def test_rotation_is_equivalent(code, data):
 
 
 def test_letter_and_codeword_basics():
-    l = Letter("x", PLUS)
-    assert str(l) == "x+"
-    assert l.partner == Letter("x", MINUS)
-    cw = Codeword("A", (l, l.partner))
-    assert len(cw) == 2
-    assert cw.rotated(1).letters == (l.partner, l)
+    x, s = l = ("x", PLUS)
+    cw = Codeword("A", (l, (x, -s)))
+    assert str(cw) == "x+ x-"
+    assert len(cw) == 2 and tuple(cw) == (("x", PLUS), ("x", MINUS))
+    assert cw.rotated(1).letters == ((x, -s), l)
     code = FlatLinkCode((cw,))
-    assert {l.crossing for cw in code.components for l in cw.letters} == {"x"}
+    assert parse_flat_link(str(code)) == code
+    assert {x for cw in code.components for x, _ in cw.letters} == {"x"}
 
 
-def test_letter_checks_its_fields_and_is_frozen():
-    with pytest.raises(MalformedToken):
-        Letter("a b", PLUS)
-    with pytest.raises(ValueError):
-        Letter("x", 0)
-    l = Letter("x", PLUS)
-    with pytest.raises(FrozenInstanceError):
-        l.sign = MINUS
-    with pytest.raises(FrozenInstanceError):
-        l.crossing = "y"
-    assert not hasattr(l, "__dict__")
-    assert hash(l.partner.partner) == hash(l)
+def test_validate_checks_signs_and_insert_checks_ids():
+    # a hand-built letter's sign must be PLUS or MINUS, at either end of
+    # its crossing; that outranks the crossing's count and its other sign
+    for letters in ([("x", PLUS), ("x", 0)], [("x", 0), ("x", MINUS)],
+                    [("y", PLUS), ("y", MINUS), ("x", 2), ("x", 2)],
+                    [("x", 0)], [("x", MINUS), ("x", -2), ("x", MINUS)]):
+        code = FlatLinkCode((Codeword("A", tuple(letters)),))
+        assert _validate_outcome(code) == (FlatLinkError, "x", None)
+        assert validate_error_oracle(code) == (FlatLinkError, "x", None)
+    # identifiers are opaque to validate, as component names are
+    assert validate(FlatLinkCode((Codeword("A", (("a b", PLUS), ("a b", MINUS))),)))
+    # a crossing id typed into a move line is where outside ids enter
+    code = parse_flat_link("a+ a-")
+    for line, bad in (("r1_insert A 0 x+y +-", "x+y"),
+                      ("r2_insert A,A 0,1 x:y,z + ef", "x:y")):
+        with pytest.raises(MalformedToken) as info:
+            apply_move(code, MoveSite.parse(line))
+        assert info.value.token == bad
+    site = MoveSite.parse("r2_insert A,A 0,1 z,a_b + fe")
+    assert str(apply_move(code, site)) == "z+ a_b- a+ a_b+ z- a-"

@@ -252,7 +252,7 @@ def test_least_keys_make_no_key_without_room_for_the_floor(
 
 
 def _tuple_key(code) -> tuple:
-    return tuple(tuple((int(x.crossing[1:]), x.sign) for x in cw.letters)
+    return tuple(tuple((int(x[1:]), s) for x, s in cw.letters)
                  for cw in code.components)
 
 
@@ -442,8 +442,8 @@ def test_is_witness_matches_reference_on_every_small_class():
 def _int_key(code) -> tuple:
     # the letters of _least_keys, with crossings labeled by first letter
     labels: dict[str, int] = {}
-    return tuple(tuple(2 * labels.setdefault(x.crossing, len(labels) + 1)
-                       + (x.sign == PLUS) for x in cw.letters)
+    return tuple(tuple(2 * labels.setdefault(x, len(labels) + 1)
+                       + (s == PLUS) for x, s in cw.letters)
                  for cw in code.components)
 
 

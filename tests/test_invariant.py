@@ -95,7 +95,7 @@ def oracle_invariant(code) -> LinkInvariant:
     oracle sum over the position-order zip of the + and - end lists, kept
     only when the pair is unlinked and both sign totals are zero."""
     names = code.component_names()
-    totals = [sum(letter.sign for letter in cw.letters) for cw in code.components]
+    totals = [sum(s for _, s in cw.letters) for cw in code.components]
     polys = sorted((names[i], SparsePoly.from_dict(self_poly_oracle(code, i)))
                    for i in range(len(names)))
     diffs, coeffs = [], []

@@ -296,7 +296,7 @@ def test_insert_sites_carry_fresh_ids():
     for site in log:
         assert site.crossings and not used & set(site.crossings)
         used |= set(site.crossings)
-    assert used == {l.crossing for cw in final.components for l in cw.letters}
+    assert used == {x for cw in final.components for x, _ in cw.letters}
 
 
 def test_walk_log_is_pinned():
