@@ -275,7 +275,7 @@ def validate(code: FlatLinkCode) -> CrossingCatalog:
 
     Component names must be distinct, and every crossing identifier must
     occur exactly twice, once with PLUS and once with MINUS.  Identifiers
-    are not read, as component names are not.  Raises
+    are only compared, never checked, as component names are.  Raises
     DuplicateComponentName, CrossingAppearsOnce, CrossingAppearsThrice,
     SameSignTwice, or a plain FlatLinkError for a sign that is neither,
     naming the offender (see ``_fault`` for which one);
