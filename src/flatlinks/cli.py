@@ -99,7 +99,6 @@ def _build_parser() -> _Parser:
     command(sub, "validate", "check a code's structure", _cmd_validate)
     command(sub, "invariant", "component polynomials, pair coefficients, linking",
             _cmd_invariant)
-    command(sub, "linking", "flat linking differences only", _cmd_linking)
     command(sub, "filament", "construct a filamentation (greedy, complete)",
             _cmd_filament)
     command(sub, "oracle", "exhaustive filamentation search (small codes)",
@@ -213,12 +212,6 @@ def _cmd_validate(args, code):
 def _cmd_invariant(args, code):
     inv = link_polynomial(code)
     return inv.to_json(), _invariant_lines(inv)
-
-
-def _cmd_linking(args, code):
-    diffs = link_polynomial(code).linking_diffs
-    return ({"linking": [{"a": a, "b": b, "diff": d} for (a, b), d in diffs]},
-            (_linking_line(a, b, d) for (a, b), d in diffs))
 
 
 def _cmd_filament(args, code):

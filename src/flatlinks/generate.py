@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from math import comb, factorial
 from operator import getitem
 from random import Random
@@ -81,9 +82,13 @@ __all__ = [
     "search_examples",
 ]
 
+# _CLASS_BOUND already refuses every shape of 7 or more crossings; this
+# cap is checked first, so a huge count is refused before factorial(2n)
 ENUMERATION_CAP = 6
-# 6 crossings give a letter to at most 12 components; what limits the
-# work on a shape is _CLASS_BOUND
+# bounds the depth of _least_keys, which recurses once more for each
+# codeword that ends before the last letter: (1, 600) is inside
+# _CLASS_BOUND but overflows the recursion limit, where (1, 300) walks
+# its 90,000 classes
 COMPONENT_CAP = 12
 # the most classes a shape may have: n crossings on k components have at
 # most B = (2n)!/n! * C(2n+k-1, k-1), the labeled keys (letter orders
@@ -163,16 +168,10 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
     """
     rng = Random(spec.seed)
     pools: list[list[tuple[str, int]]] = [[] for _ in range(spec.component_count)]
-    counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        counter += 1
-        return f"c{counter}"
-
+    ids = (f"c{n}" for n in count(1))
     for i, m in enumerate(spec.self_counts):
         for _ in range(m):
-            x = fresh()
+            x = next(ids)
             pools[i].append((x, PLUS))
             pools[i].append((x, MINUS))
     for (i, j), m in spec.pair_counts:
@@ -181,7 +180,7 @@ def random_flat_link(spec: GenSpec) -> FlatLinkCode:
         else:
             plus_on_i = {t for t in range(m) if rng.random() < 0.5}
         for t in range(m):
-            x = fresh()
+            x = next(ids)
             si, sj = (PLUS, MINUS) if t in plus_on_i else (MINUS, PLUS)
             pools[i].append((x, si))
             pools[j].append((x, sj))

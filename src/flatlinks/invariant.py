@@ -28,20 +28,19 @@ __all__ = ["SparsePoly", "LinkInvariant", "link_polynomial"]
 class SparsePoly:
     """Integer polynomial with no constant term, stored sparsely.
 
-    ``terms`` is a tuple of (exponent, coefficient) pairs sorted by
-    exponent, with every coefficient nonzero and every exponent >= 1.
+    ``terms`` is a tuple of (exponent, coefficient) pairs whose exponents
+    rise strictly from at least 1 and whose coefficients are nonzero.
     """
 
     terms: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        exps = [e for e, _ in self.terms]
-        if any(e < 1 for e in exps):
-            raise ValueError("exponents must be >= 1")
-        if any(c == 0 for _, c in self.terms):
-            raise ValueError("zero coefficients must be dropped")
-        if exps != sorted(set(exps)):
-            raise ValueError("terms must be sorted by distinct exponent")
+        last = 0
+        for e, c in self.terms:
+            if e <= last or c == 0:
+                raise ValueError("terms need exponents rising from 1 and "
+                                 "nonzero coefficients")
+            last = e
 
     @classmethod
     def from_dict(cls, coeffs: Mapping[int, int]) -> "SparsePoly":

@@ -97,8 +97,12 @@ class MoveSite:
     adjacent letter pair at positions p and p+1, cyclically.  For
     insertions the position is a gap index, 0..len inclusive, and
     ``crossings`` may be left empty: apply_move then picks fresh ids of
-    the form ``_1``, ``_2``, ... (ordinary ids never start with an
-    underscore, so walks cannot collide with user-chosen names).
+    the form ``_1``, ``_2``, ...  Such ids are legal in a code too, so
+    ``_fresh_ids`` skips every id the code already uses; this is what
+    keeps walks from colliding with user-chosen names.  In
+    ``tests/test_moves.py``, ``test_insert_sites_carry_fresh_ids`` and the
+    ``fresh_ids_reference`` check of
+    ``test_walk_inserts_the_smallest_unused_ids`` pin it.
 
     The one-line form is ``kind comps positions crossings [variant...]``
     with comma-joined per-spot fields and ``-`` for no crossings;

@@ -145,6 +145,9 @@ ANSWERS = [
            "poly B: 0\n"
            "linking A,B: 2 (flat linking number 1)\n"
            "coeff A,B: undefined (nonzero linking)\n"),
+    Answer("invariant --format json", LINKED, 0,
+           {"components": empty_polys("AB"), "linking": pairs("diff", 2),
+            "pairs": []}),
     Answer("invariant", UNBALANCED_LINK, 0,
            "poly A: 0\n"
            "poly B: 0\n"
@@ -170,17 +173,6 @@ ANSWERS = [
            "coeff B,C: 0\n"),
     Answer("invariant --format json", MULTI_WITNESS, 0, Sha256(
         "9f423c3ec794096e1738cf970c10c392c4236c1a6f0aac3cc889a18ddd545b2d")),
-
-    # linking
-    Answer("linking", GOLDEN_LINK, 0, "linking A,B: 0 (flat linking number 0)\n"),
-    Answer("linking --format json", GOLDEN_LINK, 0, {"linking": pairs("diff", 0)}),
-    Answer("linking --format json", LINKED, 0, {"linking": pairs("diff", 2)}),
-    Answer("linking", UNBALANCED_LINK, 0,
-           "linking A,B: 0 (flat linking number 0)\n"
-           "linking A,C: 1 (flat linking number 0.5)\n"
-           "linking B,C: 0 (flat linking number 0)\n"),
-    Answer("linking --format json", UNBALANCED_LINK, 0,
-           {"linking": pairs("diff", 0, 1, 0)}),
 
     # filament and oracle: "no filamentation" is an answer, exit 0
     *(Answer(f"{command} --format json", "a+ b+ a- b-", 0,
@@ -282,6 +274,9 @@ ANSWERS = [
         "8ea96dee7f7e76c79b749010a3bd533c5cb8911fe1d6d5b702f027a092845bc9")),
     Answer("enumerate --crossings 9 --components 1", "", 1, "",
            "9 crossings exceeds the enumeration cap of 6"),
+    # the cap is checked before the class bound, which needs factorial(2n)
+    Answer("enumerate --crossings 1000000000 --components 1", "", 1, "",
+           "1000000000 crossings exceeds the enumeration cap of 6"),
     Answer("enumerate --crossings 0 --components 3000", "", 1, "",
            "3000 components exceeds the cap of 12"),
     # inside both caps, but the class bound refuses each at once
@@ -446,6 +441,7 @@ DISPATCH_ARGVS = [
     ["validate", "--form", "json"], ["validate", "--fo=json", "-"],
     ["validate", "--", "--format"], ["validate", "--bogus"],
     ["invariant", "--format", "json"], ["invariant", "moves"],
+    # a removed command word: it fails as any word that names no command
     ["linking", "--format", "text", "-"], ["filament", "x", "--format=json"],
     ["oracle", "--format"], ["oracle", "--help"],
     ["moves"], ["moves", "-h"], ["moves", "bogus"], ["moves", "moves"],
@@ -705,9 +701,8 @@ def test_json_writer_refuses_other_types(value):
         _json(value)
 
 
-JSON_COMMANDS = (["validate"], ["invariant"], ["linking"], ["filament"],
-                 ["oracle"], ["moves", "list"],
-                 ["moves", "apply", "r1_insert A 1 - +-"],
+JSON_COMMANDS = (["validate"], ["invariant"], ["filament"], ["oracle"],
+                 ["moves", "list"], ["moves", "apply", "r1_insert A 1 - +-"],
                  ["moves", "walk", "--steps", "4", "--seed", "7"],
                  ["enumerate", "--crossings", "2", "--components", "1"],
                  ["search", "zero-poly-no-filamentation", "--limits", "2,4"])
@@ -729,9 +724,8 @@ def test_json_answer_leaves_no_reference_cycle(argv):
 
 # fuzz: cli.run answers every input with exit 0, 1 or 2
 
-FUZZ_COMMANDS = (["validate"], ["invariant"], ["linking"], ["filament"],
-                 ["oracle"], ["moves", "list"],
-                 ["moves", "walk", "--steps", "4", "--seed", "7"])
+FUZZ_COMMANDS = (["validate"], ["invariant"], ["filament"], ["oracle"],
+                 ["moves", "list"], ["moves", "walk", "--steps", "4", "--seed", "7"])
 
 code_texts = st.one_of(
     st.text(st.sampled_from("abxy_+-;:#AB1 \n"), max_size=30),

@@ -35,6 +35,10 @@ def test_sparse_poly_rejects_bad_terms():
         SparsePoly(((1, 0),))
     with pytest.raises(ValueError):
         SparsePoly(((2, 1), (1, 1)))
+    # each fault after a valid term
+    for terms in (((1, 1), (0, 1)), ((1, 1), (1, 2)), ((1, 1), (2, 0))):
+        with pytest.raises(ValueError):
+            SparsePoly(terms)
 
 
 def test_sparse_poly_str():
