@@ -360,6 +360,9 @@ ANSWERS = [
     Answer("search shortest-proof", "", 1, "", "invalid choice: 'shortest-proof'"),
     Answer("no-such-command", "", 1, "",
            "usage error: argument command: invalid choice: 'no-such-command'"),
+    # removed: invariant prints the same linking lines and JSON list
+    Answer("linking", LINKED, 1, "",
+           "usage error: argument command: invalid choice: 'linking'"),
 ]
 
 

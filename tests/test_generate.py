@@ -87,6 +87,18 @@ def test_random_flat_link_is_deterministic_and_valid():
     assert code != random_flat_link(GenSpec.build(2, (2, 1), {(0, 1): 3}, seed=6))
 
 
+def test_random_flat_link_numbers_crossings_in_allocation_order():
+    # self-crossings by component, then pair crossings by sorted pair
+    spec = GenSpec.build(3, (2, 0, 1), {(2, 1): 1, (0, 1): 2}, seed=4)
+    homes: dict[str, list[int]] = {}
+    for i, word in enumerate(random_flat_link(spec).components):
+        for x, _ in word.letters:
+            homes.setdefault(x, []).append(i)
+    assert {x: sorted(v) for x, v in homes.items()} == {
+        "c1": [0, 0], "c2": [0, 0], "c3": [2, 2],
+        "c4": [0, 1], "c5": [0, 1], "c6": [1, 2]}
+
+
 @pytest.mark.parametrize("spec,text", [
     (GenSpec.build(1, (5,), seed=7),
      "c5+ c2- c1- c3+ c4- c1+ c5- c4+ c2+ c3-"),
@@ -354,6 +366,17 @@ def test_enumeration_bound_refuses_shapes_inside_the_caps():
     for shape in (*CLASS_COUNTS, (0, 0), (2, 5), (2, 12), (6, 2), (3, 12)):
         assert _class_bound(*shape) <= 10 ** 7, shape
         generate._check_shape(*shape)
+
+
+def test_component_cap_shapes_walk_in_full():
+    # the cap bounds how deep _least_keys recurses; shapes at it walk
+    # every class, and one component more is refused
+    for crossings in (1, 2):
+        assert (len(enumerate_small_codes(crossings, COMPONENT_CAP))
+                == burnside_class_count(crossings, COMPONENT_CAP))
+    with pytest.raises(InstanceTooLarge,
+                       match=f"^{COMPONENT_CAP + 1} components exceeds the cap"):
+        enumerate_small_codes(1, COMPONENT_CAP + 1)
 
 
 def test_search_goal_values():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +41,23 @@ def test_sparse_poly_rejects_bad_terms():
     for terms in (((1, 1), (0, 1)), ((1, 1), (1, 2)), ((1, 1), (2, 0))):
         with pytest.raises(ValueError):
             SparsePoly(terms)
+
+
+def test_sparse_poly_rejects_what_the_normal_form_rules_reject():
+    # every list of up to 3 terms over small values: rejected, with the one
+    # message, exactly when an exponent is below 1, a coefficient is 0 or
+    # the exponents are not sorted and distinct
+    small = list(product(range(-1, 4), repeat=2))
+    for n in range(4):
+        for terms in product(small, repeat=n):
+            exps = [e for e, _ in terms]
+            if (any(e < 1 for e in exps) or any(c == 0 for _, c in terms)
+                    or exps != sorted(set(exps))):
+                with pytest.raises(ValueError, match="^terms need exponents "
+                                   "rising from 1 and nonzero coefficients$"):
+                    SparsePoly(terms)
+            else:
+                assert SparsePoly(terms).terms == terms
 
 
 def test_sparse_poly_str():
