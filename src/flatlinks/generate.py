@@ -33,25 +33,44 @@ rule); a filamentation of the rest would extend to the whole, so the
 rest has none.  The rest is thus a witness too, so it has at least two
 components (a knot never is one), and its shape, with no more crossings
 and fewer components, is scanned earlier.  So the first witness has no
-such component.  Hence every codeword of the first witness has a chord
-that occurs once in it, and, for the zero-poly goal, sign total 0 (the
-sum of its component's linking differences, all zero in a witness); it
-holds at least 2 letters for that goal and 1 for the other.  Since no
-set of seen keys is kept, the search cuts the walk on what a prefix
-already decides: each codeword that closes before the last slot must
-pass that test (``_word_screen``) and leave that many letters for each
-codeword after it, or no key below it is made.  The keys that remain
-come out in the same order, so the search returns the same witness as a
-scan of every class.  A (2, 8) zero-poly search screens 98 keys and
-never makes the 373 classes of (4, 2) past its witness; a (3, 6)
+such component: every codeword of it has a chord that occurs once in
+it, and holds at least 1 letter.
+
+A zero-poly witness is bounded further by the same buckets.  Its linking
+differences are 0, so are its sign totals (each the sum of its
+component's differences), and by the ``CrossingCatalog`` rule "no
+filamentation" means that some bucket other than a (c, c, 0) one is out
+of balance.  A self bucket (c, c, v), v >= 1, cannot be: it would put
+v n on t^v of the polynomial of c, which is zero.  So it is a pair
+bucket of some pair (a, b).  With n_v the side difference of bucket
+(a, b, v), the sum of n_v is the pair's linking difference, 0, and the
+sum of v n_v is its coefficient, published since that difference and
+both sign totals are 0, so 0 too.  One nonzero n_v breaks the first
+sum, and two, n_p = -n_q with p != q, break the second; so at least
+three are nonzero, and as they sum to 0 their sizes add up to at least
+4: the pair shares at least 4 crossings.  Hence a zero-poly witness has
+at least 4 crossings; on two components each codeword holds an end of
+each of those crossings, so at least 4 letters (at least 2 on more,
+from its sign total 0 and its shared chord); and each codeword has
+sign total 0 and a zero polynomial of its own, which its letters alone
+fix, since its self-crossing indices are arc counts within it.
+
+Since no set of seen keys is kept, the search cuts the walk on what a
+prefix already decides: each codeword that closes before the last slot
+must pass that codeword test (``_word_screen``) and leave the goal's
+floor of letters for each codeword after it, or no key below it is
+made.  The keys that remain come out in the same order, so the search
+returns the same witness as a scan of every class.  A zero-poly search
+starts at 4 crossings; at (2, 8) it reaches only (4, 2), screens 20 keys
+and never makes the 373 classes past its witness.  A (3, 6)
 nonzero-multi search screens 1,837.  The screen counts the key's index
 buckets by the rule the ``CrossingCatalog`` docstring (in ``gausscode``)
 states, on the int letters themselves, and reads them through the
 invariant's own ``_tally``, so no code object exists for the candidates
-it rejects.  Only a key that passes becomes a
-code, and ``_is_witness`` confirms it by the goal's definition, through
-the public invariant and the exhaustive filamentation oracle, so a
-returned witness is proof, not heuristic output.
+it rejects.  Only a key that passes becomes a code, and ``_is_witness``
+confirms it by the goal's definition, through the public invariant and
+the exhaustive filamentation oracle, so a returned witness is proof,
+not heuristic output.
 """
 
 from __future__ import annotations
@@ -476,8 +495,9 @@ def _key_tally(key: tuple) -> tuple[dict[tuple[int, int, int], int], list[int]]:
     A chord is filed at its second end, so a self-crossing whose - end
     comes first gets u - T, not its index u (T is its component's sign
     total): the two agree mod |T|, and are equal when T is 0.  Only the
-    zero-poly test of ``_key_screen`` reads self buckets, and it fails on
-    any T != 0, the sum of its component's linking differences.
+    zero-poly tests read self buckets: ``_key_screen``'s fails on any
+    T != 0, the sum of its component's linking differences, and
+    ``_word_screen`` reads them only once the codeword's T is 0.
     """
     first: dict[int, tuple[int, int]] = {}  # label -> (component, sum)
     counts: dict[tuple[int, int, int], int] = {}
@@ -543,12 +563,14 @@ def _word_screen(goal: SearchGoal, word: tuple) -> bool:
     This is the one sharing test, which ``_key_screen`` and
     ``_is_witness`` apply to every codeword too.
     Zero-poly also: the codeword has as many + letters as - letters, so
-    its sign total is 0.
+    its sign total is 0, and then its own polynomial is zero, read off
+    the self buckets of the codeword alone by ``_key_tally``.
     """
     if 2 * len({letter >> 1 for letter in word}) == len(word):
         return False
     return (goal is not SearchGoal.ZERO_POLY_NO_FILAMENTATION
-            or 2 * sum(letter & 1 for letter in word) == len(word))
+            or (2 * sum(letter & 1 for letter in word) == len(word)
+                and not _tally(_key_tally((word,))[0].items())[0]))
 
 
 def _is_witness(goal: SearchGoal, code: FlatLinkCode) -> bool:
@@ -574,19 +596,21 @@ def search_examples(goal: SearchGoal | str, max_components: int,
     candidates in canonical enumeration order; the first witness in that
     order is returned, and no class past it is enumerated.  Knots cannot
     witness the zero-poly goal (for one component the polynomial decides
-    filamentation), so that scan starts at two components.  The
-    enumeration makes only the keys a minimal witness can have (module
-    docstring): it skips every key with a codeword, before its last one,
-    that fails ``_word_screen`` or leaves fewer than 2 letters (zero-poly)
-    or 1 letter (nonzero-multi) for each codeword after it.  The first
-    witness has no such codeword; the module docstring gives the keys the
-    default searches screen.  Each candidate left is screened on its
-    enumeration key, whose index buckets are counted without building a
-    code; only a key that passes becomes a code, which
-    ``_is_witness`` confirms through the public invariant and, for the
-    zero-poly goal, the exhaustive filamentation oracle, so a returned
-    witness is always proof.  Both goals have a witness at 4
-    crossings, so no scan enumerates a larger shape; past
+    filamentation), and neither can a code of fewer than 4 crossings (a
+    pair of its components shares at least 4; module docstring), so that
+    scan starts at 4 crossings on two components.  The enumeration makes
+    only the keys a minimal witness can have (module docstring): it skips
+    every key with a codeword, before its last one, that fails
+    ``_word_screen`` or leaves too few letters for each codeword after
+    it: 4 on two components and 2 on more (zero-poly), or 1
+    (nonzero-multi).  The first witness has no such codeword; a (2, 8)
+    zero-poly search reaches only (4, 2) and screens 20 keys there.  Each
+    candidate left is screened on its enumeration key, whose index
+    buckets are counted without building a code; only a key that passes
+    becomes a code, which ``_is_witness`` confirms through the public
+    invariant and, for the zero-poly goal, the exhaustive filamentation
+    oracle, so a returned witness is always proof.  Both goals have a
+    witness at 4 crossings, so no scan enumerates a larger shape; past
     ENUMERATION_CAP crossings enumeration would raise InstanceTooLarge.
     Negative bounds raise ValueError, and bounds past COMPONENT_CAP or
     ORACLE_CAP raise InstanceTooLarge before any scan.
@@ -598,10 +622,10 @@ def search_examples(goal: SearchGoal | str, max_components: int,
         raise InstanceTooLarge(
             f"search beyond {ORACLE_CAP} crossings cannot be oracle-verified")
     goal = SearchGoal(goal)
-    least, shortest = ((2, 2) if goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION
-                       else (3, 1))
-    for crossings in range(max_crossings + 1):
-        for components in range(least, max_components + 1):
+    zero = goal is SearchGoal.ZERO_POLY_NO_FILAMENTATION
+    for crossings in range(4 if zero else 0, max_crossings + 1):
+        for components in range(2 if zero else 3, max_components + 1):
+            shortest = (4 if components == 2 else 2) if zero else 1
             code = _coder(crossings, components)
             key = _least_keys(
                 crossings, components,

@@ -88,6 +88,13 @@ LINKED = "A: x+ y+ ; B: x- y-"
 # read off the index buckets, one of each sign
 MULTI_WITNESS = "c1- c2- c3+ c4+ ; c1+ c3- ; c2+ c4-"
 ZERO_POLY_WITNESS = "c1- c2- c3+ c4+ ; c1+ c2+ c4- c3-"
+ZERO_POLY_REPORT = (f"witness: {ZERO_POLY_WITNESS}\n"
+                    "poly A: 0\n"
+                    "poly B: 0\n"
+                    "linking A,B: 0 (flat linking number 0)\n"
+                    "coeff A,B: 0\n"
+                    "filamentation: none\n"
+                    "oracle: none\n")
 # one site of each listed kind
 MOVES_CODE = "A: x+ y- k+ k- e+ f- ; B: y+ z- f+ e- ; C: z+ x-"
 
@@ -293,13 +300,10 @@ ANSWERS = [
     # fails here; it has a zero polynomial, and neither route finds a
     # filamentation
     Answer("search zero-poly-no-filamentation --limits 2,8 --seed 3 --jobs 1", "", 0,
-           f"witness: {ZERO_POLY_WITNESS}\n"
-           "poly A: 0\n"
-           "poly B: 0\n"
-           "linking A,B: 0 (flat linking number 0)\n"
-           "coeff A,B: 0\n"
-           "filamentation: none\n"
-           "oracle: none\n"),
+           ZERO_POLY_REPORT),
+    # the largest limits: the scan still stops at its (4, 2) witness
+    Answer("search zero-poly-no-filamentation --limits 12,12", "", 0,
+           ZERO_POLY_REPORT),
     Answer("search zero-poly-no-filamentation --limits 2,4 --seed 3 --jobs 1 "
            "--format json", "", 0,
            {"goal": "zero-poly-no-filamentation", "witness": ZERO_POLY_WITNESS,

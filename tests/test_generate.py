@@ -38,18 +38,22 @@ from helpers import (
     codes_equivalent_syntactically,
     every_component_shares_a_crossing,
     fill_then_test_enumeration,
+    letter_ends,
     random_code,
     raw_codes,
     reference_enumeration,
     reference_zero_poly_witness,
+    self_poly_oracle,
     total_sign,
 )
 
 ZERO_POLY = SearchGoal.ZERO_POLY_NO_FILAMENTATION
 NONZERO_MULTI = SearchGoal.NONZERO_MULTI_COMPONENT
-# the fewest letters each codeword of the first witness holds, and the
-# fewest components the search scans
-SHORTEST = {ZERO_POLY: 2, NONZERO_MULTI: 1}
+# the fewest letters each codeword of the first witness holds, by goal and
+# component count (a zero-poly witness has a pair sharing at least 4
+# crossings, which on two components is both codewords), and the fewest
+# components the search scans
+SHORTEST = {ZERO_POLY: {2: 4, 3: 2}, NONZERO_MULTI: {2: 1, 3: 1}}
 LEAST = {ZERO_POLY: 2, NONZERO_MULTI: 3}
 
 
@@ -435,8 +439,14 @@ def test_is_witness_matches_reference_on_every_small_class():
             shared = every_component_shares_a_crossing(code)
             for goal, witness in ((ZERO_POLY, expected), (NONZERO_MULTI, multi)):
                 assert not (witness and shared) or all(
-                    len(part) >= SHORTEST[goal] and _word_screen(goal, part)
-                    for part in key), code
+                    len(part) >= SHORTEST[goal][components]
+                    and _word_screen(goal, part) for part in key), code
+            # a zero-poly witness has a pair sharing at least 4 crossings,
+            # so none has fewer crossings
+            if expected:
+                groups = [frozenset(ci for ci, _ in sides.values())
+                          for sides in letter_ends(code).values()]
+                assert max(groups.count(g) for g in groups if len(g) == 2) >= 4, code
             # and a zero-poly witness that is not minimal stays one once
             # its split-off components are deleted, so a smaller shape,
             # scanned earlier, holds a witness
@@ -460,6 +470,21 @@ def test_is_witness_matches_reference_on_every_small_class():
     assert witnesses[NONZERO_MULTI] == 1580
     assert tallied == 11767  # the classes whose sign totals are all 0
     assert reduced == 6  # the (4, 3) ones: a (4, 2) one and an empty component
+
+
+def test_word_screen_zero_poly_matches_its_reference():
+    # on two components the first codeword shares a chord exactly when
+    # both components share a crossing; the polynomial is the oracle's
+    checked = 0
+    for crossings in range(6):
+        keys = _all_keys(crossings, 2)
+        for key, code in zip(keys, enumerate_small_codes(crossings, 2)):
+            assert _word_screen(ZERO_POLY, key[0]) == (
+                every_component_shares_a_crossing(code)
+                and total_sign(code, 0) == 0
+                and self_poly_oracle(code, 0) == {}), code
+            checked += 1
+    assert checked == sum(CLASS_COUNTS[c, 2] for c in range(6))
 
 
 def _int_key(code) -> tuple:
@@ -528,15 +553,15 @@ def test_search_screens_no_candidate_past_the_witness(monkeypatch):
     screened = _count_calls(monkeypatch, "_key_screen")
     confirmed = _count_calls(monkeypatch, "_is_witness")
     witness = search_examples(ZERO_POLY, 2, 8)
-    # an unpruned walk screens the 165 classes of (0..3, 2), then those of
-    # (4, 2) up to the witness at index 1,174 of 1,548: 1,340 keys.  The
-    # walk skips every key whose first codeword leaves fewer than 2
-    # letters for the second, has no chord shared with the second, or has
-    # a nonzero sign total, and screens the rest in the same order
-    unpruned = [key for c in range(5) for key in _all_keys(c, 2)][:1340]
+    # no witness has fewer than 4 crossings, so the walk starts at (4, 2),
+    # whose witness is key 1,174 of 1,548.  It skips every key whose first
+    # codeword leaves fewer than 4 letters for the second, has no chord
+    # shared with the second, or has a nonzero sign total or polynomial,
+    # and screens the rest in the same order
+    unpruned = _all_keys(4, 2)[:1175]
     assert screened == [key for key in unpruned
-                        if _admitted(ZERO_POLY, key, 2)]
-    assert len(screened) == 98
+                        if _admitted(ZERO_POLY, key, 4)]
+    assert len(screened) == 20
     # only the key that passes the screen is built into a code
     assert confirmed == [witness]
 
@@ -628,8 +653,10 @@ def test_search_none_within_tiny_bounds():
 
 @pytest.mark.parametrize("goal", list(SearchGoal))
 def test_witness_free_search_finishes_in_seconds(goal):
-    # every shape of up to 3 crossings on up to 12 components, none with a
-    # witness; an unpruned walk of every class takes about 16 s per goal
+    # up to 3 crossings on up to 12 components, where neither goal has a
+    # witness: an unpruned walk of every class takes about 16 s per goal.
+    # The zero-poly search starts at 4 crossings, so it scans no shape;
+    # the nonzero-multi one walks only the keys of minimal witnesses
     start = time.perf_counter()
     assert search_examples(goal, COMPONENT_CAP, 3) is None
     assert time.perf_counter() - start < 5
