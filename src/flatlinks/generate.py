@@ -12,7 +12,14 @@ returns one representative per class in canonical order.  It grows the
 keys slot by slot and drops a prefix as soon as one of its rotations,
 relabeled, is smaller on the letters placed so far, so what survives is
 exactly each class's least key and no set of seen keys is needed
-(orderly generation, after Read 1978 and McKay 1998).
+(orderly generation, after Read 1978 and McKay 1998).  What the walk
+does past a codeword's end depends only on that cut's state (letters
+and codewords placed, open chords, carried relabel maps), not on the
+codewords before it, so each state is walked once and its keys are
+replayed, in the same order, under every later prefix that reaches
+it.  The memo is a DAG of codeword edges, one per distinct cut and
+codeword; the ``_least_keys`` docstring argues the equality and gives
+its memory, which tops out at about 54 MiB at (6, 2).
 ``enumerate_small_codes`` is the library's path: it builds a code per
 class.  The ``enumerate`` command prints ``enumerate_lines`` instead,
 which renders each key from cached codeword texts and builds no code
@@ -105,9 +112,9 @@ __all__ = [
 # cap is checked first, so a huge count is refused before factorial(2n)
 ENUMERATION_CAP = 6
 # bounds the depth of _least_keys, which recurses once more for each
-# codeword that ends before the last letter: (1, 600) is inside
-# _CLASS_BOUND but overflows the recursion limit, where (1, 300) walks
-# its 90,000 classes
+# codeword that ends before the last letter, and of its replays, one
+# level per codeword: (1, 600) is inside _CLASS_BOUND but overflows the
+# recursion limit, where (1, 300) walks its 90,000 classes
 COMPONENT_CAP = 12
 # the most classes a shape may have: n crossings on k components have at
 # most B = (2n)!/n! * C(2n+k-1, k-1), the labeled keys (letter orders
@@ -256,6 +263,42 @@ def _least_keys(crossings: int, components: int, emit,
     and shared read-only.  Maps and open chords are undo stacks, not
     copies per node; a map sends ``2*label`` to twice the new label, so
     a relabeled letter is the map's value plus the sign bit.
+
+    Each codeword cut before the last slot is walked once per state, not
+    once per prefix that reaches it.  The walk below a cut depends only
+    on its state: the letters placed, the codewords closed (the depth),
+    the chords started, the open chords in order, and the contents of
+    the carried maps in order.  The earlier codewords' letters become
+    only the head of each key below it.  Equal states have equal
+    subtrees because:
+
+    - ``place`` and ``end_codeword`` read ``out`` only from the current
+      codeword's ``start`` on;
+    - ``admit``, ``emit``, ``total`` and ``shortest`` are fixed for the
+      walk, and the depth sets the next codeword's stop slot and how
+      many cuts are left;
+    - the open chords and the maps are undo stacks, restored on return,
+      and no code path writes to a carried map (above); a map is read
+      only through ``get``, ``len`` and ``{**m}``, so its items key it;
+      they are in insertion order, which is the order of their values,
+      as every entry gets the next one (``2*len(m) + 2``), so equal
+      contents give equal keys with no sort;
+    - the order of the maps still counts, since ``maps[0]`` is the
+      identity that rotation 0 skips.
+
+    The memo is a DAG: each state maps to the list of its (codeword,
+    child) edges, in walk order, where child is the edge list of the
+    next cut's state, or None where the codeword ends at the last slot,
+    and an edge to a child with no keys is left out.  A state met again
+    is replayed from its list, which recurses at most ``components``
+    deep, so every key comes out in the same order, and a ``_Stop``
+    raised in a replay unwinds like any other; the lists still being
+    recorded are then dropped, never stored.  Each edge is stored once,
+    not copied into the cuts above it, so the memo grows with the
+    distinct cuts, not with the keys: max RSS stays at 16 MiB for
+    (3, 12) and rises from 16 to 25 MiB at (5, 3).  Shapes with two
+    components replay little and still store each last codeword: (6, 2)
+    goes from 16 to 54 MiB.
     """
     total = 2 * crossings
     if components == 0:
@@ -266,6 +309,13 @@ def _least_keys(crossings: int, components: int, emit,
     out: list[int] = []      # every codeword's letters, run together
     parts: list[tuple] = []  # the finished codewords
     open_: list[int] = []    # the first ends of the open chords
+    # the edge lists of the cuts walked so far, by state (see above);
+    # recording[-1] is the list of the innermost cut being walked, the only
+    # one appended to; the first codeword has none, as nothing replays the
+    # walk from slot 0
+    memo: dict[tuple, list] = {}
+    recording: list[list] = []
+    pads = [((),) * (components - d) for d in range(components + 1)]
 
     # the identity map on the first n labels, for each n; shared, never
     # written: no code path writes to a map in ``maps``, since a new
@@ -366,27 +416,54 @@ def _least_keys(crossings: int, components: int, emit,
                 if added:
                     undo(added)
                 return
-        parts.append(tuple(out[start:]))
+        word = tuple(out[start:])
+        parts.append(word)
         if slot == total:  # the codewords left are empty
-            key = tuple(parts) + ((),) * (components - len(parts))
+            key = tuple(parts) + pads[len(parts)]
             if emit(key):
                 raise _Stop(key)
+            if recording:
+                recording[-1].append((word, None))
         else:
-            grow(slot, total - shortest * (components - 1 - len(parts)),
-                 started, carried, [])
+            depth = len(parts)
+            state = (slot, depth, started, tuple(open_),
+                     *[tuple(m.items()) for m in carried])
+            child = memo.get(state)
+            if child is None:
+                recording.append([])
+                grow(slot, total - shortest * (components - 1 - depth),
+                     started, carried, [])
+                child = memo[state] = recording.pop()
+            else:
+                replay(child, tuple(parts))
+            if child and recording:
+                recording[-1].append((word, child))
         parts.pop()
         if added:
             undo(added)
+
+    def replay(edges: list, head: tuple) -> None:
+        # the keys below a cut already walked, in the order it made them;
+        # head holds the codewords before it
+        pad = pads[len(head) + 1]
+        for word, child in edges:
+            if child is None:
+                key = head + (word,) + pad
+                if emit(key):
+                    raise _Stop(key)
+            else:
+                replay(child, head + (word,))
 
     try:
         grow(0, stop, 0, [identity[0]], [])
     except _Stop as found:
         return found.args[0]
     finally:
-        # grow and place call each other through closure cells; emptying
-        # grow's cell breaks that cycle, so emit and all it holds (every
-        # emitted code) are freed on return, not at the next full collection
-        del grow
+        # grow and place call each other through closure cells, and replay
+        # calls itself; emptying grow's and replay's cells breaks those
+        # cycles, so emit and all it holds (every emitted code) are freed
+        # on return, not at the next full collection
+        del grow, replay
     return None
 
 

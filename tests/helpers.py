@@ -325,7 +325,7 @@ CLASS_COUNTS = {
     (5, 2): 23244,
     (0, 3): 1, (1, 3): 9, (2, 3): 66, (3, 3): 588, (4, 3): 7344,
     (5, 3): 119808,
-    (3, 4): 1952,
+    (3, 4): 1952, (3, 5): 5470, (2, 6): 744,
 }
 
 

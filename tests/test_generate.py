@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -143,6 +144,19 @@ def test_enumerate_small_counts_frozen():
         assert len(reps) == CLASS_COUNTS[shape]
         text = "\n".join(render_flat_link(c) for c in reps)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, shape
+    # the shapes whose keys replay the most memoized cuts, nested up to 11
+    # deep at (2, 12); pinned before the walk memoized its cuts
+    for shape, count, digest in (
+            ((4, 4), 27902,
+             "551e6c993e8f71c6198281fc7546b3dde7af58da524f7e9db4ede1c653240bdd"),
+            ((3, 5), CLASS_COUNTS[3, 5],
+             "c3166f5577ee6e2c766d36fb32300cfe4437e92064b52f455a237a81ad072266"),
+            ((2, 12), 10740,
+             "56fabf7ff45a5e7429b552ac0f7a3bb99dcc7f91130585db9062820f472d9bfe")):
+        lines = generate.enumerate_lines(*shape)
+        assert len(lines) == count, shape
+        text = "\n".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, shape
 
 
 def test_enumerate_shares_equal_codewords():
@@ -191,7 +205,8 @@ def test_enumerate_equals_reference(crossings, components):
             == reference_enumeration(crossings, components))
 
 
-@pytest.mark.parametrize("crossings,components", [(4, 3), (5, 1), (3, 4), (2, 6)])
+@pytest.mark.parametrize("crossings,components", [
+    (4, 3), (5, 1), (3, 4), (2, 6), (3, 5)])
 def test_enumerate_equals_fill_then_test(crossings, components):
     # prefix pruning keeps exactly the fillings that the complete test keeps
     assert (enumerate_small_codes(crossings, components)
@@ -201,7 +216,7 @@ def test_enumerate_equals_fill_then_test(crossings, components):
 @pytest.mark.parametrize("crossings,components,count", [
     (*shape, CLASS_COUNTS[shape]) for shape in (
         (0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1),
-        (2, 2), (3, 2), (4, 2), (4, 3), (3, 4))])
+        (2, 2), (3, 2), (4, 2), (4, 3), (3, 4), (3, 5), (2, 6))])
 def test_class_count_matches_burnside(crossings, components, count):
     assert burnside_class_count(crossings, components) == count
     assert len(enumerate_small_codes(crossings, components)) == count
@@ -290,8 +305,15 @@ def test_int_keys_decode_to_the_reference_tuple_keys(crossings, components):
                        for code in reference_enumeration(crossings, components)]
 
 
+# most keys of these shapes are replayed from a memoized cut, so a stop
+# at them unwinds from inside a replay: every 500th key, and the last
+REPLAYED = ((4, 3), (3, 4), (2, 6))
+
+
 @pytest.mark.parametrize("crossings,components,stop_at", [
-    (0, 0, 1), (0, 3, 1), (4, 2, 1), (4, 2, 2), (4, 2, 1174), (3, 4, 1952)])
+    (0, 0, 1), (0, 3, 1), (4, 2, 1), (4, 2, 2), (4, 2, 1174), (3, 4, 1952)] + [
+    (*shape, n) for shape in REPLAYED
+    for n in (*range(500, CLASS_COUNTS[shape], 500), CLASS_COUNTS[shape])])
 def test_least_keys_stop_at_the_first_true_emit(crossings, components, stop_at):
     full = _all_keys(crossings, components)
     seen = []
@@ -302,6 +324,37 @@ def test_least_keys_stop_at_the_first_true_emit(crossings, components, stop_at):
 
     assert _least_keys(crossings, components, emit) == full[stop_at - 1]
     assert seen == full[:stop_at]
+
+
+@pytest.mark.parametrize("crossings,components", REPLAYED)
+def test_least_keys_pass_every_key_when_emit_never_stops(crossings, components):
+    seen = []
+    callers = []
+
+    def emit(key):
+        seen.append(key)
+        callers.append(sys._getframe(1).f_code.co_name)
+        return False
+
+    assert _least_keys(crossings, components, emit) is None
+    assert len(seen) == CLASS_COUNTS[crossings, components]
+    assert seen == sorted(set(seen))
+    # most keys come from replays, so the stops above unwind from them
+    assert 2 * callers.count("replay") > len(seen)
+
+
+@pytest.mark.parametrize("crossings", range(5))
+def test_least_keys_keep_the_zero_poly_floor_on_three_components(crossings):
+    # the floor the zero-poly search sets on three or more components;
+    # its scans stop at the (4, 2) witness first, so no search reaches it.
+    # A cut's state carries its depth: at equal letters, one codeword more
+    # leaves room for one codeword fewer after it
+    keys: list[tuple] = []
+    assert _least_keys(crossings, 3, keys.append,
+                       lambda word: _word_screen(ZERO_POLY, word), 2) is None
+    assert keys == [key for key in _all_keys(crossings, 3)
+                    if _admitted(ZERO_POLY, key, 2)]
+    assert len(keys) == {3: 3, 4: 58}.get(crossings, 0)
 
 
 def test_enumerate_is_deterministic_and_validates():
