@@ -13,13 +13,14 @@ keys slot by slot and drops a prefix as soon as one of its rotations,
 relabeled, is smaller on the letters placed so far, so what survives is
 exactly each class's least key and no set of seen keys is needed
 (orderly generation, after Read 1978 and McKay 1998).  What the walk
-does past a codeword's end depends only on that cut's state (letters
-and codewords placed, open chords, carried relabel maps), not on the
-codewords before it, so each state is walked once and its keys are
-replayed, in the same order, under every later prefix that reaches
-it.  The memo is a DAG of codeword edges, one per distinct cut and
-codeword; the ``_least_keys`` docstring argues the equality and gives
-its memory, which tops out at about 54 MiB at (6, 2).
+does past a codeword's end depends only on that cut's state (codewords
+closed, chords started and open, carried relabel maps), not on the
+codewords before it, so each state is walked once and records its
+codeword edges, and every key is made by replaying those edges, in
+walk order, under its first codeword.  The memo is a DAG of codeword
+edges, one per distinct cut and codeword; the ``_least_keys``
+docstring argues the equality and gives its memory, which tops out at
+about 54 MiB at (6, 2).
 ``enumerate_small_codes`` is the library's path: it builds a code per
 class.  The ``enumerate`` command prints ``enumerate_lines`` instead,
 which renders each key from cached codeword texts and builds no code
@@ -68,8 +69,10 @@ must pass that codeword test (``_word_screen``) and leave the goal's
 floor of letters for each codeword after it, or no key below it is
 made.  The keys that remain come out in the same order, so the search
 returns the same witness as a scan of every class.  A zero-poly search
-starts at 4 crossings; at (2, 8) it reaches only (4, 2), screens 20 keys
-and never makes the 373 classes past its witness.  A (3, 6)
+starts at 4 crossings; at (2, 8) it reaches only (4, 2) and screens 20
+keys.  Of the 373 classes past its witness, 369 are never made: the 4
+admitted keys under the witness's first codeword are recorded as
+edges before that codeword's replay, but never screened.  A (3, 6)
 nonzero-multi search screens 1,837.  The screen counts the key's index
 buckets by the rule the ``CrossingCatalog`` docstring (in ``gausscode``)
 states, on the int letters themselves, and reads them through the
@@ -265,38 +268,42 @@ def _least_keys(crossings: int, components: int, emit,
     a relabeled letter is the map's value plus the sign bit.
 
     Each codeword cut before the last slot is walked once per state, not
-    once per prefix that reaches it.  The walk below a cut depends only
-    on its state: the letters placed, the codewords closed (the depth),
-    the chords started, the open chords in order, and the contents of
-    the carried maps in order.  The earlier codewords' letters become
-    only the head of each key below it.  Equal states have equal
+    once per prefix that reaches it.  A cut's state is the least that
+    fixes the walk below it: its depth (the codewords closed), the
+    chords started, the open chords in order, and the keys, in order, of
+    each carried map after the first.  The earlier codewords' letters
+    become only the head of each key below it.  Equal states have equal
     subtrees because:
 
     - ``place`` and ``end_codeword`` read ``out`` only from the current
-      codeword's ``start`` on;
+      codeword's ``start`` on, and the slot is ``2*started - len(open_)``,
+      as every started chord but an open one has both ends placed;
     - ``admit``, ``emit``, ``total`` and ``shortest`` are fixed for the
       walk, and the depth sets the next codeword's stop slot and how
       many cuts are left;
     - the open chords and the maps are undo stacks, restored on return,
       and no code path writes to a carried map (above); a map is read
-      only through ``get``, ``len`` and ``{**m}``, so its items key it;
-      they are in insertion order, which is the order of their values,
-      as every entry gets the next one (``2*len(m) + 2``), so equal
-      contents give equal keys with no sort;
-    - the order of the maps still counts, since ``maps[0]`` is the
-      identity that rotation 0 skips.
+      only through ``get``, ``len`` and ``{**m}``, so its items fix it,
+      and its keys fix those: every entry gets the next value
+      (``2*len(m) + 2``), so the i-th key in insertion order maps to
+      ``2i + 2``;
+    - the first carried map is always ``identity[started]``, the one
+      rotation 0 skips, so the order of the others is all that counts.
 
     The memo is a DAG: each state maps to the list of its (codeword,
     child) edges, in walk order, where child is the edge list of the
     next cut's state, or None where the codeword ends at the last slot,
-    and an edge to a child with no keys is left out.  A state met again
-    is replayed from its list, which recurses at most ``components``
-    deep, so every key comes out in the same order, and a ``_Stop``
-    raised in a replay unwinds like any other; the lists still being
-    recorded are then dropped, never stored.  Each edge is stored once,
-    not copied into the cuts above it, so the memo grows with the
-    distinct cuts, not with the keys: max RSS stays at 16 MiB for
-    (3, 12) and rises from 16 to 25 MiB at (5, 3).  Shapes with two
+    and an edge to a child with no keys is left out.  The walk only
+    records edges; ``replay`` is the one place that builds a key, passes
+    it to ``emit`` and stops the walk.  Nothing replays the walk from
+    slot 0, so codeword 0 records no list: each of its edges is replayed
+    as soon as its child's list is complete, which recurses at most
+    ``components`` deep and passes every key in order.  A ``_Stop`` can
+    thus unwind only from a replay under codeword 0, while no list is
+    being recorded, so every list in the memo is complete.  Each edge is
+    stored once, not copied into the cuts above it, so the memo grows
+    with the distinct cuts, not with the keys: max RSS stays at 16 MiB
+    for (3, 12) and rises from 16 to 25 MiB at (5, 3).  Shapes with two
     components replay little and still store each last codeword: (6, 2)
     goes from 16 to 54 MiB.
     """
@@ -307,12 +314,11 @@ def _least_keys(crossings: int, components: int, emit,
     if stop < 0:
         return None
     out: list[int] = []      # every codeword's letters, run together
-    parts: list[tuple] = []  # the finished codewords
     open_: list[int] = []    # the first ends of the open chords
-    # the edge lists of the cuts walked so far, by state (see above);
-    # recording[-1] is the list of the innermost cut being walked, the only
-    # one appended to; the first codeword has none, as nothing replays the
-    # walk from slot 0
+    # the edge lists of the cuts walked so far, by state (see above), and
+    # of the cuts being walked, innermost last; only recording[-1] is
+    # appended to, and len(recording) is the number of codewords closed
+    # before the one being filled
     memo: dict[tuple, list] = {}
     recording: list[list] = []
     pads = [((),) * (components - d) for d in range(components + 1)]
@@ -335,7 +341,7 @@ def _least_keys(crossings: int, components: int, emit,
         # first; live: the (map, r) rotations of this codeword that tie
         # with its letters so far
         slot = len(out)
-        if slot == total or len(parts) < components - 1:
+        if slot == total or len(recording) < components - 1:
             end_codeword(start, started, maps, live)
         if slot >= stop:
             return
@@ -417,33 +423,25 @@ def _least_keys(crossings: int, components: int, emit,
                     undo(added)
                 return
         word = tuple(out[start:])
-        parts.append(word)
-        if slot == total:  # the codewords left are empty
-            key = tuple(parts) + pads[len(parts)]
-            if emit(key):
-                raise _Stop(key)
-            if recording:
-                recording[-1].append((word, None))
-        else:
-            depth = len(parts)
-            state = (slot, depth, started, tuple(open_),
-                     *[tuple(m.items()) for m in carried])
+        child = None  # at the last slot, the codewords left are empty
+        if slot < total:
+            state = (len(recording), started, tuple(open_),
+                     *map(tuple, carried[1:]))
             child = memo.get(state)
             if child is None:
                 recording.append([])
-                grow(slot, total - shortest * (components - 1 - depth),
+                grow(slot, total - shortest * (components - 1 - len(recording)),
                      started, carried, [])
                 child = memo[state] = recording.pop()
-            else:
-                replay(child, tuple(parts))
-            if child and recording:
-                recording[-1].append((word, child))
-        parts.pop()
+        if not recording:
+            replay(((word, child),), ())
+        elif child is None or child:
+            recording[-1].append((word, child))
         if added:
             undo(added)
 
-    def replay(edges: list, head: tuple) -> None:
-        # the keys below a cut already walked, in the order it made them;
+    def replay(edges, head: tuple) -> None:
+        # pass the keys below a cut, in the order its walk made them;
         # head holds the codewords before it
         pad = pads[len(head) + 1]
         for word, child in edges:
@@ -671,7 +669,8 @@ def search_examples(goal: SearchGoal | str, max_components: int,
 
     Shapes are visited smallest-first (crossings, then components) and
     candidates in canonical enumeration order; the first witness in that
-    order is returned, and no class past it is enumerated.  Knots cannot
+    order is returned, and no class past it is screened (only those
+    under its first codeword are recorded).  Knots cannot
     witness the zero-poly goal (for one component the polynomial decides
     filamentation), and neither can a code of fewer than 4 crossings (a
     pair of its components shares at least 4; module docstring), so that

@@ -145,8 +145,11 @@ def test_enumerate_small_counts_frozen():
         text = "\n".join(render_flat_link(c) for c in reps)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, shape
     # the shapes whose keys replay the most memoized cuts, nested up to 11
-    # deep at (2, 12); pinned before the walk memoized its cuts
+    # deep at (2, 12), and (5, 3), the deepest-replaying shape on three
+    # components; pinned before the walk memoized its cuts
     for shape, count, digest in (
+            ((5, 3), 119808,
+             "2b98bdbfbfa24b679ac260e60397793e1b08cdc6ef670fa1d2e15949652b5186"),
             ((4, 4), 27902,
              "551e6c993e8f71c6198281fc7546b3dde7af58da524f7e9db4ede1c653240bdd"),
             ((3, 5), CLASS_COUNTS[3, 5],
@@ -305,9 +308,11 @@ def test_int_keys_decode_to_the_reference_tuple_keys(crossings, components):
                        for code in reference_enumeration(crossings, components)]
 
 
-# most keys of these shapes are replayed from a memoized cut, so a stop
-# at them unwinds from inside a replay: every 500th key, and the last
-REPLAYED = ((4, 3), (3, 4), (2, 6))
+# emit is called only from replay, under each key's first codeword: the
+# keys of (4, 3), (3, 4) and (2, 6) mostly replay memoized cuts, and a
+# knot's keys are each the lone edge of a first codeword.  The stops
+# below are at every 500th key, and the last
+REPLAYED = ((4, 3), (3, 4), (2, 6), (5, 1))
 
 
 @pytest.mark.parametrize("crossings,components,stop_at", [
@@ -326,7 +331,7 @@ def test_least_keys_stop_at_the_first_true_emit(crossings, components, stop_at):
     assert seen == full[:stop_at]
 
 
-@pytest.mark.parametrize("crossings,components", REPLAYED)
+@pytest.mark.parametrize("crossings,components", [*REPLAYED, (4, 2)])
 def test_least_keys_pass_every_key_when_emit_never_stops(crossings, components):
     seen = []
     callers = []
@@ -339,8 +344,8 @@ def test_least_keys_pass_every_key_when_emit_never_stops(crossings, components):
     assert _least_keys(crossings, components, emit) is None
     assert len(seen) == CLASS_COUNTS[crossings, components]
     assert seen == sorted(set(seen))
-    # most keys come from replays, so the stops above unwind from them
-    assert 2 * callers.count("replay") > len(seen)
+    # replay is the one caller of emit, so the stops above unwind from it
+    assert set(callers) == {"replay"}
 
 
 @pytest.mark.parametrize("crossings", range(5))
